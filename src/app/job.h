@@ -135,6 +135,16 @@ struct Job {
   /// Delay scheduling: when this job first had to skip for locality.
   SimTime wait_start = -1.0;
 
+  // --- straggler candidate index (speculation only) -----------------------
+  // Derived from task states, so never serialized: Application rebuilds it
+  // on restore.
+  /// Running input tasks, ascending id (== input-stage order).
+  std::vector<TaskId> running_inputs;
+  /// Speculation's slow threshold, cached against the input stage's
+  /// `finished` count it was computed at (-1: not computed yet).
+  double slow_after = 0.0;
+  int slow_after_finished = -1;
+
   [[nodiscard]] bool waiting_since_set() const { return wait_start >= 0.0; }
 };
 

@@ -22,6 +22,7 @@
 // ready and the node is a merged (disk ∪ cache) location of its block.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -67,6 +68,19 @@ class ReadyTaskIndex {
   [[nodiscard]] bool has_ready_other(JobId job) const;
   /// True when any job has a ready input task local to `node`.
   [[nodiscard]] bool any_local_ready_input(NodeId node) const;
+  /// The nodes where any_local_ready_input holds, each mapped to its count
+  /// of live (job, task) memberships — the locality side of the
+  /// task-executor graph, which a kick enumerates instead of every free
+  /// executor.
+  [[nodiscard]] const std::unordered_map<NodeId, int>& local_ready_nodes()
+      const {
+    return local_ready_nodes_;
+  }
+  /// How many times a node has joined local_ready_nodes().  Launches only
+  /// shrink the set, so a kick asserts this stays put while it walks.
+  [[nodiscard]] std::uint64_t local_ready_node_joins() const {
+    return local_ready_node_joins_;
+  }
   /// Ready tasks across all jobs (inputs + downstream).
   [[nodiscard]] int ready_count() const { return ready_count_; }
   /// Ready input tasks of `job` in id (= stage scan) order.
@@ -105,6 +119,7 @@ class ReadyTaskIndex {
   /// node -> live (job, task) local_ready memberships; keys are erased at
   /// zero so any_local_ready_input is a single lookup.
   std::unordered_map<NodeId, int> local_ready_nodes_;
+  std::uint64_t local_ready_node_joins_ = 0;
   int ready_count_ = 0;
 };
 

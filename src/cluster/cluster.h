@@ -121,6 +121,16 @@ class Cluster {
   /// sweep's survivors of the owner/busy re-check), maintained
   /// incrementally on assign/release/set_busy/fail_node.  Appends to `out`.
   void free_held(AppId app, std::vector<ExecutorId>& out) const;
+  /// Size of `app`'s free-held set.  O(1).
+  [[nodiscard]] std::size_t free_held_count(AppId app) const;
+  /// Successor query on the free-held set: the lowest free executor `app`
+  /// holds with id >= `from`; invalid when none.  O(log free).
+  [[nodiscard]] ExecutorId next_free_held(AppId app,
+                                          ExecutorId::value_type from) const;
+  /// The free executors `app` holds on `node`, ascending, appended to
+  /// `out`: the free-held set's members there.  Executor ids are
+  /// contiguous per node, so this costs O(executors_per_node).
+  void free_held_on(AppId app, NodeId node, std::vector<ExecutorId>& out) const;
 
   /// Serialize the ownership ledger: node liveness/speeds plus each
   /// executor's {owner, busy}.  Everything else (idle index, held sets,

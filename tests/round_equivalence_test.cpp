@@ -125,13 +125,15 @@ void ExpectResultsIdentical(const ExperimentResult& demand_driven,
 }
 
 /// Runs `config` once demand-driven and once on the rebuild-per-round
-/// reference and demands bit-identical simulated behaviour.
-void ExpectPathsAgree(ExperimentConfig config) {
+/// reference and demands bit-identical simulated behaviour.  Returns the
+/// demand-driven result so callers can check a variant is not vacuous.
+ExperimentResult ExpectPathsAgree(ExperimentConfig config) {
   config.allocator.demand_driven = true;
   const ExperimentResult demand_driven = RunExperiment(config);
   config.allocator.demand_driven = false;
   const ExperimentResult reference = RunExperiment(config);
   ExpectResultsIdentical(demand_driven, reference);
+  return demand_driven;
 }
 
 constexpr app::SchedulerKind kKinds[] = {app::SchedulerKind::kDelay,
@@ -166,7 +168,7 @@ void SweepManager(ManagerKind manager, std::uint64_t seed_base,
 }
 
 // 4 managers x 3 kinds x 4 seeds = 48 distinct seeds; the feature variants
-// below add 14 more (62 total, all distinct).
+// below add 44 more configurations (92 total, all distinct).
 TEST(RoundEquivalence, CustodyAllKindsManySeeds) {
   SweepManager(ManagerKind::kCustody, 1100, 4);
 }
@@ -235,6 +237,68 @@ TEST(RoundEquivalence, SteadyStateStreamAgrees) {
       ExpectPathsAgree(config);
     }
   }
+}
+
+/// Speculation, slow nodes, a block cache and node failures on top of
+/// `BaseConfig`.
+ExperimentConfig WithStragglersCacheAndFailures(ExperimentConfig config) {
+  config.speculation = true;
+  config.slow_node_fraction = 0.2;
+  config.cache_mb_per_node = 256.0;
+  config.trace.zipf_skew = 1.2;
+  config.node_failures = 2;
+  config.failure_start = 10.0;
+  config.failure_interval = 15.0;
+  return config;
+}
+
+// The statically provisioned managers hold many free executors while jobs
+// wait for locality, which is where the kick walk's jumps between
+// local-ready nodes interleave with clone offers to stragglers.  Every
+// scheduler kind, with and without speculation, under cache and failure
+// churn, on a cluster larger than the demand.
+TEST(RoundEquivalence, StandaloneAndOfferKickWalkAgrees) {
+  std::uint64_t seed = 1900;
+  std::uint64_t clones = 0;
+  for (const ManagerKind manager :
+       {ManagerKind::kStandalone, ManagerKind::kOffer}) {
+    for (const bool speculation : {false, true}) {
+      for (const app::SchedulerKind kind : kKinds) {
+        for (int i = 0; i < 2; ++i, ++seed) {
+          SCOPED_TRACE("manager=" + std::to_string(static_cast<int>(manager)) +
+                       " speculation=" + std::to_string(speculation) +
+                       " kind=" + KindName(kind) +
+                       " seed=" + std::to_string(seed));
+          ExperimentConfig config =
+              WithStragglersCacheAndFailures(BaseConfig(manager, kind, seed));
+          config.num_nodes = 48;
+          config.speculation = speculation;
+          clones += ExpectPathsAgree(config).speculative_launches;
+        }
+      }
+    }
+  }
+  EXPECT_GT(clones, 0u);
+}
+
+// spec-1k's regime: a steady-state stream with speculation, slow nodes, a
+// block cache and failures, so straggler candidates come and go as jobs
+// retire and the slow thresholds are re-derived as input stages finish.
+TEST(RoundEquivalence, SteadyStateStragglersCacheAndFailuresAgree) {
+  std::uint64_t clones = 0;
+  for (std::uint64_t seed = 2000; seed < 2006; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ExperimentConfig config = WithStragglersCacheAndFailures(
+        BaseConfig(ManagerKind::kCustody, app::SchedulerKind::kDelay, seed));
+    config.kinds = {WorkloadKind::kPageRank, WorkloadKind::kWordCount,
+                    WorkloadKind::kSort};
+    config.trace.jobs_per_app = 30;
+    config.node_failures = 3;
+    config.steady.enabled = true;
+    config.steady.warmup = 20.0;
+    clones += ExpectPathsAgree(config).speculative_launches;
+  }
+  EXPECT_GT(clones, 0u);
 }
 
 // The custody skip trigger must actually fire on a plain workload (the

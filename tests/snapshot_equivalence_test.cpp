@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "common/snapshot.h"
+#include "temp_dir.h"
 #include "workload/harness.h"
 
 namespace custody::workload {
@@ -283,7 +284,9 @@ TEST(SnapshotEquivalence, SteadyStateStreamResumes) {
 // the run, files + JSON manifests appear, and resuming from a mid-run
 // checkpoint finishes with identical summaries.
 TEST(SnapshotEquivalence, CheckpointEveryAndResumeMatchStraightRun) {
-  const std::string dir = ::testing::TempDir();
+  const testing_support::FreshTempDir scratch(
+      "snapshot-equivalence-checkpoints");
+  const std::string& dir = scratch.path();
   ExperimentConfig config = BaseConfig(ManagerKind::kCustody, 2530);
   const SubstrateSnapshot plain = SubstrateSnapshot::Build(config);
   const ExperimentResult straight =

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.h"
 #include "workload/harness.h"
 #include "workload/sweep.h"
 
@@ -285,7 +286,8 @@ TEST(RunControl, ObserverIsBitIdenticalOnCheckpointingRuns) {
   // observer contract there too.
   ExperimentConfig config = SmallConfig(ManagerKind::kCustody);
   config.checkpoint.every = 25.0;
-  config.checkpoint.directory = ::testing::TempDir();
+  const testing_support::FreshTempDir scratch("run-control-checkpoints");
+  config.checkpoint.directory = scratch.path();
   const SubstrateSnapshot snapshot = SubstrateSnapshot::Build(config);
   const ExperimentResult plain = RunOnSnapshot(snapshot, config.manager);
   RunControl control;

@@ -25,6 +25,11 @@
 // down the sweep is the demand-driven-rounds acceptance check: with
 // allocation rounds proportional to demand the rate stays within ~10x
 // across the sweep, with rebuild-per-round rounds it collapses ~100x+.
+// Two kick-sweep rows follow: `node-sweep-standalone` (10k nodes, the
+// standalone baseline holding every executor, so most are free while jobs
+// wait) and `node-sweep-spec` (1k nodes, speculation on, 10% slow nodes).
+// Both track the application's kick sweep, whose cost should follow
+// launches and straggler clones, not free executors held.
 //
 // `--progress` streams a live events/sim-time/jobs-retired line to stderr
 // (via workload::RunControl) so a million-job run is observable while it
@@ -124,13 +129,12 @@ int main(int argc, char** argv) {
                     "JCT mean (s)", "JCT p99 (s)"});
   // Runs one configuration and appends its table/CSV/JSON rows; false
   // means the engine leaked live jobs (retired != completed != submitted).
-  // `partitioned` toggles the component-partitioned rate path so the node
-  // sweep can show the solver's share of wall time before/after.
-  const auto run_row = [&](const std::string& scenario, long long row_jobs,
-                           long long row_nodes, bool diurnal,
-                           bool partitioned = true) -> bool {
-    ExperimentConfig config = SteadyBenchConfig(row_jobs, row_nodes, diurnal);
-    config.component_partitioned_network = partitioned;
+  const auto run_row = [&](const std::string& scenario,
+                           ExperimentConfig config) -> bool {
+    const std::string row_nodes = std::to_string(config.num_nodes);
+    const std::string row_jobs = std::to_string(
+        static_cast<long long>(config.trace.num_apps) *
+        config.trace.jobs_per_app);
     if (checkpointing) config.checkpoint = checkpoint;
     RunControl control;
     if (progress) {
@@ -151,7 +155,7 @@ int main(int argc, char** argv) {
         wall > 0.0 ? static_cast<double>(result.events_processed) / wall : 0.0;
     const double net_wall = result.net_stats.wall_seconds;
     const double net_share = wall > 0.0 ? net_wall / wall : 0.0;
-    table.add_row({scenario, std::to_string(row_nodes), Num(wall),
+    table.add_row({scenario, row_nodes, Num(wall),
                    Num(events_per_sec, 0), Num(net_share, 3),
                    std::to_string(result.jobs_retired),
                    std::to_string(result.peak_live_tasks),
@@ -159,8 +163,8 @@ int main(int argc, char** argv) {
     const std::vector<std::string> row{
         scenario,
         result.manager_name,
-        std::to_string(row_nodes),
-        std::to_string(row_jobs),
+        row_nodes,
+        row_jobs,
         Num(wall, 3),
         std::to_string(result.events_processed),
         Num(events_per_sec, 0),
@@ -192,23 +196,33 @@ int main(int argc, char** argv) {
 
   for (const bool diurnal : {false, true}) {
     if (checkpointing && diurnal) break;  // a snapshot pins one exact config
-    if (!run_row(diurnal ? "diurnal" : "flat", total_jobs, nodes, diurnal)) {
+    if (!run_row(diurnal ? "diurnal" : "flat",
+                 SteadyBenchConfig(total_jobs, nodes, diurnal))) {
       return 1;
     }
   }
   if (!checkpointing && sweep_jobs >= 4) {
+    const auto sweep_config = [sweep_jobs](long long sweep_nodes) {
+      return SteadyBenchConfig(sweep_jobs, sweep_nodes, /*diurnal=*/false);
+    };
     for (const long long sweep_nodes : {100LL, 1000LL, 10000LL}) {
-      if (!run_row("node-sweep", sweep_jobs, sweep_nodes, /*diurnal=*/false)) {
-        return 1;
-      }
+      if (!run_row("node-sweep", sweep_config(sweep_nodes))) return 1;
     }
     // The before/after row for the component partition: the same 10k-node
     // run on the unpartitioned (global re-solve) rate path.  Compare its
     // events/s and net_solve_share against the node-sweep row above.
-    if (!run_row("node-sweep-globalnet", sweep_jobs, 10000LL,
-                 /*diurnal=*/false, /*partitioned=*/false)) {
-      return 1;
-    }
+    ExperimentConfig global_net = sweep_config(10000);
+    global_net.component_partitioned_network = false;
+    if (!run_row("node-sweep-globalnet", global_net)) return 1;
+    // The kick-sweep rows: standalone holds every executor, and
+    // speculation offers free slots to straggler clones.
+    ExperimentConfig standalone = sweep_config(10000);
+    standalone.manager = ManagerKind::kStandalone;
+    if (!run_row("node-sweep-standalone", standalone)) return 1;
+    ExperimentConfig spec = sweep_config(1000);
+    spec.speculation = true;
+    spec.slow_node_fraction = 0.1;
+    if (!run_row("node-sweep-spec", spec)) return 1;
   }
   std::cout << '\n';
   table.print(std::cout);

@@ -12,7 +12,17 @@ namespace custody::dfs {
 BlockCache::BlockCache(const Dfs& dfs, double capacity_bytes)
     : dfs_(dfs),
       capacity_bytes_(capacity_bytes),
-      nodes_(dfs.num_nodes()) {}
+      nodes_(dfs.num_nodes()) {
+  // An entry holds the disk replicas as of its last rebuild; when a
+  // failover moves them, rebuild it, or merged_locations would offer a
+  // dead node as a read source.  Blocks without an entry read the DFS.
+  dfs_listener_ = dfs_.add_replica_listener(
+      [this](BlockId block, NodeId /*node*/, bool /*added*/) {
+        if (merged_.count(block) > 0) rebuild_merged(block);
+      });
+}
+
+BlockCache::~BlockCache() { dfs_.remove_replica_listener(dfs_listener_); }
 
 void BlockCache::touch(NodeCache& cache, BlockId block) {
   auto it = cache.index.find(block);

@@ -48,7 +48,9 @@ class BlockCache {
   using ListenerId = std::uint64_t;
 
   /// `capacity_bytes` is the per-node cache budget; 0 disables caching.
+  /// Subscribes to `dfs`'s replica changes, which must outlive the cache.
   BlockCache(const Dfs& dfs, double capacity_bytes);
+  ~BlockCache();
 
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
@@ -73,14 +75,14 @@ class BlockCache {
   /// refresh recency and count the hit.
   void record_cached_read(NodeId node, BlockId block);
 
-  /// Disk replicas plus cached copies, sorted by node id.  The reference
-  /// stays valid until the next insert/eviction touching the block.
+  /// Live disk replicas plus cached copies, sorted by node id.  The
+  /// reference stays valid until the next insert, eviction or disk replica
+  /// change touching the block.
   [[nodiscard]] const std::vector<NodeId>& merged_locations(
       BlockId block) const;
 
   /// Nodes currently holding a cached copy of `block` (unsorted; empty when
-  /// none).  Unlike merged_locations this is always live — merged_ snapshots
-  /// can go stale when *disk* replicas move under them (node failover).
+  /// none).
   [[nodiscard]] const std::vector<NodeId>& cached_holders(BlockId block) const;
 
   /// Like Dfs::is_local but including cached copies (touches LRU).
@@ -102,9 +104,9 @@ class BlockCache {
   [[nodiscard]] double bytes_on(NodeId node) const;
 
   /// Serialize per-node LRU lists (recency order is state), the cached-on
-  /// working sets, the merged location map — verbatim, because merged_
-  /// entries may legitimately be stale snapshots of past disk replicas —
-  /// and the hit counters.  Listeners and tracer are left untouched.
+  /// working sets, the merged location map verbatim (entry order and the
+  /// set of blocks with entries) and the hit counters.  Listeners and
+  /// tracer are left untouched.
   void SaveTo(snap::SnapshotWriter& w) const;
   void RestoreFrom(snap::SnapshotReader& r);
 
@@ -121,11 +123,14 @@ class BlockCache {
   void notify(BlockId block, NodeId node, bool cached);
 
   const Dfs& dfs_;
+  /// Keeps merged_ live when disk replicas move (node failover).
+  Dfs::ListenerId dfs_listener_ = 0;
   double capacity_bytes_;
   std::vector<NodeCache> nodes_;
   /// block -> nodes caching it (unsorted working set)
   std::unordered_map<BlockId, std::vector<NodeId>> cached_on_;
-  /// block -> disk ∪ cache locations, maintained incrementally
+  /// block -> disk ∪ cache locations for every block ever cached,
+  /// rebuilt on cache churn and on disk replica changes of the block
   std::unordered_map<BlockId, std::vector<NodeId>> merged_;
   struct Listener {
     ListenerId id;

@@ -1,5 +1,10 @@
 // Tests for the executor-side block cache: LRU semantics, merged location
 // maps, and the end-to-end locality boost it provides.
+#include <algorithm>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -105,6 +110,45 @@ TEST(BlockCache, MergedLocationsShrinkOnEviction) {
   EXPECT_EQ(cache.merged_locations(b0).size(), 2u);
   cache.insert(NodeId(5), f.block(1));  // evicts b0 from node 5
   EXPECT_EQ(cache.merged_locations(b0), f.dfs.locations(b0));
+}
+
+// A node failure moves disk replicas under blocks the cache has entries
+// for.  The merged map must follow them: a stale entry hands remote reads
+// a dead node as their source.
+TEST(BlockCache, MergedLocationsFollowDiskFailover) {
+  CacheFixture f;
+  BlockCache cache(f.dfs, MB(128.0));  // room for exactly one block
+  const BlockId evicted = f.block(0);  // disk replica on node 0
+  const BlockId cached = f.block(2);   // disk replica on node 2
+  cache.insert(NodeId(5), evicted);
+  cache.insert(NodeId(5), f.block(1));  // evicts it; a disk-only entry stays
+  cache.insert(NodeId(6), cached);
+  const auto live_without = [](std::initializer_list<int> dead) {
+    std::vector<NodeId> live;
+    for (int n = 0; n < 8; ++n) {
+      if (std::find(dead.begin(), dead.end(), n) == dead.end()) {
+        live.push_back(NodeId(static_cast<NodeId::value_type>(n)));
+      }
+    }
+    return live;
+  };
+  f.dfs.fail_node(NodeId(0), live_without({0}));
+  cache.fail_node(NodeId(0));
+  f.dfs.fail_node(NodeId(2), live_without({0, 2}));
+  cache.fail_node(NodeId(2));
+
+  for (const BlockId b : {evicted, cached}) {
+    SCOPED_TRACE("block " + std::to_string(b.value()));
+    std::vector<NodeId> expected = f.dfs.locations(b);
+    const auto& holders = cache.cached_holders(b);
+    expected.insert(expected.end(), holders.begin(), holders.end());
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    EXPECT_EQ(cache.merged_locations(b), expected);
+  }
+  const auto& merged = cache.merged_locations(evicted);
+  EXPECT_EQ(std::count(merged.begin(), merged.end(), NodeId(0)), 0);
 }
 
 TEST(BlockCache, StatsCountHitsAndLookups) {

@@ -462,8 +462,8 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
   app_config.shuffle_fan_in = config.shuffle_fan_in;
   app_config.locality_swap = manager_kind == ManagerKind::kCustody;
   // One switch for every demand-driven path: allocator.demand_driven also
-  // selects the kick-sweep verdict replay, so the round-equivalence suite
-  // pins manager rounds and app sweeps against the reference in one flip.
+  // selects the kick walk, so the round-equivalence suite pins manager
+  // rounds and app sweeps against the reference in one flip.
   app_config.demand_driven_kick = config.allocator.demand_driven;
   app_config.speculation = config.speculation;
   app_config.speculation_multiplier = config.speculation_multiplier;

@@ -164,6 +164,20 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
         std::vector<ExecutorId> free;
         cluster.free_held(app, free);
         ASSERT_EQ(free, free_scan);
+        ASSERT_EQ(cluster.free_held_count(app), free_scan.size());
+        // Successor queries walk the same set; per-node lookups partition it.
+        std::vector<ExecutorId> walked;
+        for (ExecutorId e = cluster.next_free_held(app, 0); e.valid();
+             e = cluster.next_free_held(app, e.value() + 1)) {
+          walked.push_back(e);
+        }
+        ASSERT_EQ(walked, free_scan);
+        std::vector<ExecutorId> by_node;
+        for (int n = 0; n < num_nodes; ++n) {
+          cluster.free_held_on(app, NodeId(static_cast<NodeId::value_type>(n)),
+                               by_node);
+        }
+        ASSERT_EQ(by_node, free_scan);
         // Dense per-node held counts == per-node owner scans (null only
         // before the app's first grant, when every count is zero anyway).
         const std::vector<int>* counts = cluster.held_counts(app);

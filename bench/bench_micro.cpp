@@ -12,6 +12,8 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "app/application.h"
 #include "app/ready_index.h"
@@ -167,35 +169,16 @@ BENCHMARK(BM_MaxMinRecompute)
     ->Args({1000, 10000, 0})
     ->Unit(benchmark::kMillisecond);
 
-/// Scoped re-solve after a single-flow churn event, the component
-/// partition's target case.  Topologies: `shared_core:0` gives every flow
-/// its own src/dst pair (F singleton components — the shuffle-disjoint
-/// extreme), `shared_core:1` threads every flow through one core link (one
-/// giant component — the degenerate case where partitioning must cost
-/// nothing).  Each iteration retires one flow, starts an identical one and
-/// solves; `partitioned:1` re-solves only the dirtied component while
-/// `partitioned:0` re-solves the world.  The label's per-solve counters are
-/// the acceptance metric (flows_scanned/solve must drop >= 5x on the
-/// disjoint 10k row).
-void BM_ComponentSolve(benchmark::State& state) {
-  const std::size_t num_flows = static_cast<std::size_t>(state.range(0));
-  const bool shared_core = state.range(1) != 0;
-  const bool partitioned = state.range(2) != 0;
-  const std::size_t num_nodes = 2 * num_flows;  // disjoint src/dst per flow
-  std::vector<double> capacity(2 * num_nodes + 1);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    capacity[i] = units::Gbps(2.0);
-    capacity[num_nodes + i] = units::Gbps(40.0);
-  }
-  capacity[2 * num_nodes] =
-      shared_core ? units::Gbps(400.0) : 0.0;  // unused when not shared
-
+/// Churn loop shared by the component-solve rows: each iteration retires one
+/// flow, starts an identical one and solves; `partitioned:1` re-solves only
+/// the dirtied component while `partitioned:0` re-solves the world.  The
+/// label's per-solve counters are the acceptance metric.
+void ChurnAndSolve(benchmark::State& state, std::vector<double> capacity,
+                   const std::vector<std::vector<std::size_t>>& flow_links,
+                   bool partitioned) {
   net::MaxMinFairSolver solver;
-  solver.reset_links(capacity, partitioned);
-  std::vector<std::vector<std::size_t>> flow_links(num_flows);
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    flow_links[f] = {2 * f, num_nodes + 2 * f + 1};
-    if (shared_core) flow_links[f].push_back(2 * num_nodes);
+  solver.reset_links(std::move(capacity), partitioned);
+  for (std::size_t f = 0; f < flow_links.size(); ++f) {
     solver.add_flow(f, flow_links[f].data(), flow_links[f].size());
   }
   std::vector<double> rates;
@@ -213,7 +196,7 @@ void BM_ComponentSolve(benchmark::State& state) {
                     flow_links[victim].size());
     solver.solve(rates, &counters, partitioned ? &delta : nullptr);
     benchmark::DoNotOptimize(rates.data());
-    victim = (victim + 1) % num_flows;
+    victim = (victim + 1) % flow_links.size();
     ++solves;
   }
   state.SetItemsProcessed(static_cast<int64_t>(solves));
@@ -222,6 +205,34 @@ void BM_ComponentSolve(benchmark::State& state) {
       " links_scanned_per_solve=" + std::to_string(counters.links_scanned / solves) +
       " components=" + std::to_string(solver.live_component_count()) +
       " dirty_per_solve=" + std::to_string(counters.components_dirty / solves));
+}
+
+/// Scoped re-solve after a single-flow churn event, the component
+/// partition's target case.  Topologies: `shared_core:0` gives every flow
+/// its own src/dst pair (F singleton components — the shuffle-disjoint
+/// extreme), `shared_core:1` threads every flow through one 400 Gbps core
+/// link, which can bind at these sizes (1,000 x 2 Gbps > 400 Gbps): one giant
+/// component — the degenerate case where partitioning must cost nothing.
+/// flows_scanned/solve must drop >= 5x on the disjoint 10k row.
+void BM_ComponentSolve(benchmark::State& state) {
+  const std::size_t num_flows = static_cast<std::size_t>(state.range(0));
+  const bool shared_core = state.range(1) != 0;
+  const bool partitioned = state.range(2) != 0;
+  const std::size_t num_nodes = 2 * num_flows;  // disjoint src/dst per flow
+  std::vector<double> capacity(2 * num_nodes + 1);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    capacity[i] = units::Gbps(2.0);
+    capacity[num_nodes + i] = units::Gbps(40.0);
+  }
+  capacity[2 * num_nodes] =
+      shared_core ? units::Gbps(400.0) : 0.0;  // unused when not shared
+
+  std::vector<std::vector<std::size_t>> flow_links(num_flows);
+  for (std::size_t f = 0; f < num_flows; ++f) {
+    flow_links[f] = {2 * f, num_nodes + 2 * f + 1};
+    if (shared_core) flow_links[f].push_back(2 * num_nodes);
+  }
+  ChurnAndSolve(state, std::move(capacity), flow_links, partitioned);
 }
 BENCHMARK(BM_ComponentSolve)
     ->ArgNames({"flows", "shared_core", "partitioned"})
@@ -233,6 +244,40 @@ BENCHMARK(BM_ComponentSolve)
     ->Args({10000, 0, 0})
     ->Args({10000, 1, 1})
     ->Args({10000, 1, 0})
+    ->Unit(benchmark::kMicrosecond);
+
+/// The shuffle shape that dominates steady-state Sort runs: every mapper
+/// node's 2 Gbps uplink feeds every reducer node's 40 Gbps downlink.  With
+/// 16 mappers a downlink carries 16 flows and cannot bind (16 x 2 < 40), so
+/// the partition has one component per uplink and a churn re-solves one
+/// uplink's flows; with 32 mappers every downlink can bind (32 x 2 >= 40)
+/// and the whole shuffle is one component.
+void BM_ComponentSolveShuffle(benchmark::State& state) {
+  const std::size_t mappers = static_cast<std::size_t>(state.range(0));
+  const std::size_t reducers = static_cast<std::size_t>(state.range(1));
+  const bool partitioned = state.range(2) != 0;
+  // Network link layout: [0, N) uplinks, [N, 2N) downlinks; mappers occupy
+  // nodes [0, mappers), reducers the nodes after them.
+  const std::size_t num_nodes = mappers + reducers;
+  std::vector<double> capacity(2 * num_nodes);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    capacity[i] = units::Gbps(2.0);
+    capacity[num_nodes + i] = units::Gbps(40.0);
+  }
+  std::vector<std::vector<std::size_t>> flow_links;
+  for (std::size_t m = 0; m < mappers; ++m) {
+    for (std::size_t r = 0; r < reducers; ++r) {
+      flow_links.push_back({m, num_nodes + mappers + r});
+    }
+  }
+  ChurnAndSolve(state, std::move(capacity), flow_links, partitioned);
+}
+BENCHMARK(BM_ComponentSolveShuffle)
+    ->ArgNames({"mappers", "reducers", "partitioned"})
+    ->Args({16, 32, 1})
+    ->Args({16, 32, 0})
+    ->Args({32, 16, 1})
+    ->Args({32, 16, 0})
     ->Unit(benchmark::kMicrosecond);
 
 /// End-to-end network path under shuffle fan-out: bursts of `fan_in` flows

@@ -19,7 +19,11 @@ void MaxMinFairSolver::reset_links(std::vector<double> capacity,
   round_stamp_ = 0;
   partitioned_ = partitioned;
   comps_.clear();
-  comp_of_link_.assign(partitioned_ ? capacity_.size() : 0, kNoComponent);
+  const std::size_t part_links = partitioned_ ? capacity_.size() : 0;
+  comp_of_link_.assign(part_links, kNoComponent);
+  ceil_max_.assign(part_links, 0.0);
+  ceil_holders_.assign(part_links, 0);
+  binds_.assign(part_links, 0);
   dirty_comps_.clear();
   free_comp_ids_.clear();
   merged_comps_.clear();
@@ -50,47 +54,106 @@ void MaxMinFairSolver::mark_dirty(std::uint32_t comp) {
   dirty_comps_.push_back(comp);
 }
 
+std::uint32_t MaxMinFairSolver::merge_components(std::uint32_t target,
+                                                  std::uint32_t c) {
+  if (c == kNoComponent || c == target) return target;
+  if (target == kNoComponent) return c;
+  // Smaller into larger; the choice only affects which id survives, never
+  // any solved rate.
+  std::uint32_t winner = target;
+  std::uint32_t loser = c;
+  if (comps_[loser].links.size() > comps_[winner].links.size()) {
+    std::swap(winner, loser);
+  }
+  for (const std::uint32_t l : comps_[loser].links) {
+    comp_of_link_[l] = winner;
+  }
+  comps_[winner].links.insert(comps_[winner].links.end(),
+                              comps_[loser].links.begin(),
+                              comps_[loser].links.end());
+  comps_[loser].links.clear();
+  comps_[loser].live = false;
+  --live_comps_;
+  comps_[loser].dirty = false;
+  // Freed at the next solve, after the delta reports the id retired — eager
+  // reuse inside the same burst would alias a consumer's per-component
+  // state.
+  merged_comps_.push_back(loser);
+  return winner;
+}
+
+double MaxMinFairSolver::ceil_of(const FlowEntry& flow,
+                                 std::uint32_t i) const {
+  double ceil = std::numeric_limits<double>::infinity();
+  for (std::uint32_t j = 0; j < flow.degree; ++j) {
+    if (j != i) ceil = std::min(ceil, capacity_[flow.link[j]]);
+  }
+  return ceil;
+}
+
+void MaxMinFairSolver::raise_ceil(std::uint32_t l, double ceil) {
+  if (ceil_holders_[l] == 0 || ceil > ceil_max_[l]) {
+    ceil_max_[l] = ceil;
+    ceil_holders_[l] = 1;
+  } else if (ceil == ceil_max_[l]) {
+    ++ceil_holders_[l];
+  }
+}
+
+void MaxMinFairSolver::lower_ceil(std::uint32_t l, double ceil) {
+  if (ceil != ceil_max_[l] || --ceil_holders_[l] > 0) return;
+  // The last flow holding the maximum left: re-derive it from the rest.
+  ceil_max_[l] = 0.0;
+  for (const std::uint32_t f : link_flows_[l]) {
+    const FlowEntry& flow = flows_[f];
+    for (std::uint32_t i = 0; i < flow.degree; ++i) {
+      if (flow.link[i] == l) raise_ceil(l, ceil_of(flow, i));
+    }
+  }
+}
+
+void MaxMinFairSolver::update_binds(std::uint32_t l) {
+  const std::size_t n = link_flows_[l].size();
+  binds_[l] = n > 0 && (n >= kBindMarginMaxFlows ||
+                        !(static_cast<double>(n) * ceil_max_[l] <
+                          capacity_[l] * (1.0 - kBindMargin)));
+}
+
 void MaxMinFairSolver::partition_add(std::size_t slot) {
-  FlowEntry& flow = flows_[slot];
+  const FlowEntry& flow = flows_[slot];
   if (flow.degree == 0) {
     zero_degree_pending_.push_back(static_cast<std::uint32_t>(slot));
     return;
   }
-  // Merge the components of the flow's links into one (smaller into larger;
-  // the choice only affects which id survives, never any solved rate).
+  // Merge the components of the flow's links that can bind into one.
   std::uint32_t target = kNoComponent;
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
-    const std::uint32_t c = comp_of_link_[flow.link[i]];
-    if (c == kNoComponent || c == target) continue;
-    if (target == kNoComponent) {
-      target = c;
-      continue;
+    const std::uint32_t l = flow.link[i];
+    // Judged before this flow arrived.  Not comp_of_link_[l] != kNoComponent:
+    // a link that stopped binding keeps the stale id of its dirty component
+    // until the next solve.
+    const bool could_bind = binds_[l] != 0;
+    raise_ceil(l, ceil_of(flow, i));
+    update_binds(l);
+    if (!binds_[l]) continue;  // couples nothing
+    target = merge_components(target, comp_of_link_[l]);
+    if (could_bind) continue;
+    // l just started to bind, so it now couples every flow already on it.
+    // Merge each one's component through every id its links carry: a stale
+    // id only over-merges a dirty component, which the next solve re-splits.
+    for (const std::uint32_t f : link_flows_[l]) {
+      const FlowEntry& other = flows_[f];
+      for (std::uint32_t j = 0; j < other.degree; ++j) {
+        target = merge_components(target, comp_of_link_[other.link[j]]);
+      }
     }
-    std::uint32_t winner = target;
-    std::uint32_t loser = c;
-    if (comps_[loser].links.size() > comps_[winner].links.size()) {
-      std::swap(winner, loser);
-    }
-    for (const std::uint32_t l : comps_[loser].links) {
-      comp_of_link_[l] = winner;
-    }
-    comps_[winner].links.insert(comps_[winner].links.end(),
-                                comps_[loser].links.begin(),
-                                comps_[loser].links.end());
-    comps_[loser].links.clear();
-    comps_[loser].live = false;
-    --live_comps_;
-    comps_[loser].dirty = false;
-    // Freed at the next solve, after the delta reports the id retired —
-    // eager reuse inside the same burst would alias a consumer's
-    // per-component state.
-    merged_comps_.push_back(loser);
-    target = winner;
   }
+  // Every flow's smallest-capacity link can bind, so the loop above found
+  // at least one link to claim.
   if (target == kNoComponent) target = alloc_component();
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
     const std::uint32_t l = flow.link[i];
-    if (comp_of_link_[l] == kNoComponent) {
+    if (binds_[l] && comp_of_link_[l] == kNoComponent) {
       comp_of_link_[l] = target;
       comps_[target].links.push_back(l);
     }
@@ -121,10 +184,16 @@ void MaxMinFairSolver::add_flow(std::size_t slot, const std::size_t* links,
 void MaxMinFairSolver::remove_flow(std::size_t slot) {
   assert(slot < flows_.size() && flows_[slot].live);
   FlowEntry& flow = flows_[slot];
-  if (partitioned_ && flow.degree > 0) {
-    // All of a flow's links share one component by construction; removal
-    // may split it, which the next solve discovers by re-partitioning.
-    mark_dirty(comp_of_link_[flow.link[0]]);
+  if (partitioned_) {
+    // All of a flow's links that can bind (judged before removal) share one
+    // component; removal may split it or stop one of its links binding,
+    // which the next solve discovers by re-partitioning.
+    for (std::uint32_t i = 0; i < flow.degree; ++i) {
+      if (!binds_[flow.link[i]]) continue;
+      assert(comp_of_link_[flow.link[i]] != kNoComponent);
+      mark_dirty(comp_of_link_[flow.link[i]]);
+      break;
+    }
   }
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
     std::vector<std::uint32_t>& list = link_flows_[flow.link[i]];
@@ -143,6 +212,12 @@ void MaxMinFairSolver::remove_flow(std::size_t slot) {
       }
     }
   }
+  if (partitioned_) {
+    for (std::uint32_t i = 0; i < flow.degree; ++i) {
+      lower_ceil(flow.link[i], ceil_of(flow, i));
+      update_binds(flow.link[i]);
+    }
+  }
   const std::uint32_t moved_slot = live_slots_.back();
   live_slots_[flow.live_pos] = moved_slot;
   live_slots_.pop_back();
@@ -154,8 +229,10 @@ void MaxMinFairSolver::remove_flow(std::size_t slot) {
 std::uint32_t MaxMinFairSolver::component_of_slot(std::size_t slot) const {
   assert(partitioned_ && slot < flows_.size() && flows_[slot].live);
   const FlowEntry& flow = flows_[slot];
-  if (flow.degree == 0) return kNoComponent;
-  return comp_of_link_[flow.link[0]];
+  for (std::uint32_t i = 0; i < flow.degree; ++i) {
+    if (binds_[flow.link[i]]) return comp_of_link_[flow.link[i]];
+  }
+  return kNoComponent;
 }
 
 void MaxMinFairSolver::SaveTo(snap::SnapshotWriter& w) const {
@@ -231,21 +308,31 @@ void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
 void MaxMinFairSolver::rebuild_partition() {
   // The partition is derived state: snapshots are taken with rates flushed,
   // so every component was clean (fully split) at save time, and rebuilding
-  // the exact connected components here reproduces it.  Component ids and
-  // link/flow discovery order differ from the live run's, but neither is
-  // observable — the restricted solves visit links through the heap (keyed
-  // by share and link index) and flows through link_flows_ order.
+  // the exact connected components here reproduces it — ceil_max_ is exact
+  // for the flow set, so every link's can-bind state matches the live
+  // run's.  Component ids and link/flow discovery order differ from the
+  // live run's, but neither is observable — the restricted solves visit
+  // links through the heap (keyed by share and link index) and flows
+  // through link_flows_ order.
   comps_.clear();
   comp_of_link_.assign(capacity_.size(), kNoComponent);
+  ceil_max_.assign(capacity_.size(), 0.0);
+  ceil_holders_.assign(capacity_.size(), 0);
+  binds_.assign(capacity_.size(), 0);
   dirty_comps_.clear();
   free_comp_ids_.clear();
   merged_comps_.clear();
   zero_degree_pending_.clear();
   live_comps_ = 0;
-  for (std::size_t seed = 0; seed < capacity_.size(); ++seed) {
-    if (comp_of_link_[seed] != kNoComponent || link_flows_[seed].empty()) {
-      continue;
+  for (const std::uint32_t slot : live_slots_) {
+    const FlowEntry& flow = flows_[slot];
+    for (std::uint32_t i = 0; i < flow.degree; ++i) {
+      raise_ceil(flow.link[i], ceil_of(flow, i));
     }
+  }
+  for (std::uint32_t l = 0; l < capacity_.size(); ++l) update_binds(l);
+  for (std::size_t seed = 0; seed < capacity_.size(); ++seed) {
+    if (comp_of_link_[seed] != kNoComponent || !binds_[seed]) continue;
     const std::uint32_t nc = alloc_component();
     ++bfs_epoch_;
     if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size());
@@ -261,7 +348,7 @@ void MaxMinFairSolver::rebuild_partition() {
         const FlowEntry& flow = flows_[f];
         for (std::uint32_t i = 0; i < flow.degree; ++i) {
           const std::uint32_t lk = flow.link[i];
-          if (comp_of_link_[lk] == nc) continue;
+          if (!binds_[lk] || comp_of_link_[lk] == nc) continue;
           assert(comp_of_link_[lk] == kNoComponent);
           comp_of_link_[lk] = nc;
           comps_[nc].links.push_back(lk);
@@ -380,16 +467,18 @@ void MaxMinFairSolver::solve_global(std::vector<double>& rates,
 }
 
 void MaxMinFairSolver::solve_component(
-    const std::vector<std::uint32_t>& links,
-    const std::vector<std::uint32_t>& comp_flows, std::vector<double>& rates,
-    SolveCounters* counters) {
+    std::uint32_t comp, const std::vector<std::uint32_t>& comp_flows,
+    std::vector<double>& rates, SolveCounters* counters) {
   // Identical to the global bottleneck loop, restricted to one component's
   // links and flows.  rem_cap_/unassigned_ persist across components but
-  // only this component's entries are initialized — no flow here touches
-  // any other link, so stale entries elsewhere are never read.  The heap
-  // pop order depends only on its (share, link) contents, never insertion
-  // order (keys are unique per link), so seeding it from BFS-ordered links
-  // matches the global solve's ascending-index seeding bit for bit.
+  // only this component's entries are initialized and updated — a flow's
+  // links outside the component cannot bind, and the global loop never
+  // pops such a link while it has unfrozen flows, so its entries feed no
+  // pop there either.  The heap pop order depends only on its (share, link)
+  // contents, never insertion order (keys are unique per link), so seeding
+  // it from BFS-ordered links matches the global solve's ascending-index
+  // seeding bit for bit.
+  const std::vector<std::uint32_t>& links = comps_[comp].links;
   if (rem_cap_.size() < capacity_.size()) rem_cap_.resize(capacity_.size());
   if (unassigned_.size() < capacity_.size()) {
     unassigned_.resize(capacity_.size());
@@ -428,6 +517,7 @@ void MaxMinFairSolver::solve_component(
       const FlowEntry& flow = flows_[f];
       for (std::uint32_t i = 0; i < flow.degree; ++i) {
         const std::uint32_t lk = flow.link[i];
+        if (comp_of_link_[lk] != comp) continue;  // cannot bind
         rem_cap_[lk] = std::max(0.0, rem_cap_[lk] - share);
         --unassigned_[lk];
         if (touch_stamp_[lk] != round_stamp_) {
@@ -486,11 +576,12 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
     for (const std::uint32_t l : links_scratch_) {
       comp_of_link_[l] = kNoComponent;
     }
-    // Re-partition by BFS: one fresh component per connectivity class,
-    // solved immediately.  Links left with no flows drop out entirely.
+    // Re-partition by BFS over links that can bind: one fresh component per
+    // connectivity class, solved immediately.  Links left with no flows, or
+    // that stopped binding, drop out.
     for (const std::uint32_t seed : links_scratch_) {
       if (comp_of_link_[seed] != kNoComponent) continue;  // already claimed
-      if (link_flows_[seed].empty()) continue;
+      if (!binds_[seed]) continue;
       const std::uint32_t nc = alloc_component();
       ++bfs_epoch_;
       bfs_queue_.clear();
@@ -508,8 +599,9 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
           const FlowEntry& flow = flows_[f];
           for (std::uint32_t i = 0; i < flow.degree; ++i) {
             const std::uint32_t lk = flow.link[i];
-            if (comp_of_link_[lk] == nc) continue;
-            // Every link of a flow in a dirty component was released above.
+            if (!binds_[lk] || comp_of_link_[lk] == nc) continue;
+            // Every link that can bind of a flow in a dirty component was
+            // released above.
             assert(comp_of_link_[lk] == kNoComponent);
             comp_of_link_[lk] = nc;
             comps_[nc].links.push_back(lk);
@@ -517,7 +609,7 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
           }
         }
       }
-      solve_component(comps_[nc].links, comp_flows_, rates, counters);
+      solve_component(nc, comp_flows_, rates, counters);
       delta->fresh_components.push_back(nc);
       delta->changed_slots.insert(delta->changed_slots.end(),
                                   comp_flows_.begin(), comp_flows_.end());

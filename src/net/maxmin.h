@@ -15,12 +15,22 @@
 // division and comparison sees the same operands.  The equivalence is
 // enforced by the multi-seed property suite in tests/net_equivalence_test.
 //
-// Partitioned mode (reset_links(capacity, true)) additionally maintains the
-// connected components of the link-incidence graph and re-solves only the
-// components dirtied since the last solve, leaving clean components' rates
-// untouched — still bit-identical, because disjoint components never share
-// a flow or a link, so the restricted solve performs exactly the divisions
-// the global solve would perform for those flows.  See DESIGN.md §3.
+// Partitioned mode (reset_links(capacity, true)) additionally maintains a
+// partition of the flows and re-solves only the components dirtied since the
+// last solve, leaving clean components' rates untouched.  Components couple
+// flows only through links that can bind: a link l *cannot bind* when
+// n_l * ceil_max(l) < cap_l * (1 - kBindMargin), where ceil_max(l) is the
+// largest, over l's flows, of the smallest capacity among the flow's other
+// links.  Progressive filling never freezes a flow above the capacity of any
+// of its links, so such a link keeps its fair share above the share of
+// another link of each of its unfrozen flows and is never popped as a
+// bottleneck; leaving it out of every component changes no division or
+// subtraction.  Components are
+// the connected components of the graph whose nodes are the links that can
+// bind and whose edges are the flows (every flow's smallest-capacity link
+// can bind), so a shuffle's fetch flows, coupled only through downlinks that
+// cannot bind, split into one component per uplink.  Still bit-identical to
+// the global path; see DESIGN.md §3.
 #pragma once
 
 #include <cstddef>
@@ -88,15 +98,27 @@ class MaxMinFairSolver {
   /// destination downlink and the optional shared core link.
   static constexpr std::size_t kMaxLinksPerFlow = 3;
 
-  /// Component id of a link carrying no flows / a zero-degree flow.
+  /// Component id of a link outside the partition (no flows, or it cannot
+  /// bind) / of a zero-degree flow.
   static constexpr std::uint32_t kNoComponent = 0xffffffffu;
 
+  /// Relative margin δ of the can-bind test.  A link that cannot bind must
+  /// keep its fair share strictly above ceil_max(l) in floating point while
+  /// it has unfrozen flows; that holds when δ covers the rounding of at most
+  /// n clamped subtractions, one division and the test's own two products:
+  /// δ >= (n + 4) * 2^-53.  1e-9 satisfies it below ~9.0e6 flows on one
+  /// link; a link carrying kBindMarginMaxFlows or more always binds.
+  static constexpr double kBindMargin = 1e-9;
+  static constexpr std::size_t kBindMarginMaxFlows =
+      static_cast<std::size_t>(kBindMargin * 0x1p53) - 4;
+
   /// (Re)define the link set; drops every registered flow.  `partitioned`
-  /// turns on connected-component tracking over the link-incidence graph:
-  /// solve() then re-solves only components dirtied by add_flow/remove_flow
-  /// and reports what changed through a SolveDelta.  Results are bit-
-  /// identical either way (components share no flows, so every division
-  /// sees the same operands; enforced by tests/net_equivalence_test.cpp).
+  /// turns on component tracking over the links that can bind: solve() then
+  /// re-solves only components dirtied by add_flow/remove_flow and reports
+  /// what changed through a SolveDelta.  Results are bit-identical either
+  /// way (components share no flow and no link that can bind, so every
+  /// division sees the same operands; enforced by
+  /// tests/net_equivalence_test.cpp).
   void reset_links(std::vector<double> capacity, bool partitioned = false);
 
   /// Register flow `slot` traversing `links[0..count)` (distinct link
@@ -124,8 +146,8 @@ class MaxMinFairSolver {
   /// Upper bound on component ids in use (partitioned mode); sized for
   /// per-component side tables.
   [[nodiscard]] std::size_t component_count() const { return comps_.size(); }
-  /// Component id owning a live flow's links (kNoComponent for a
-  /// zero-degree flow).  Partitioned mode only.
+  /// Component of a live flow: that of its first link that can bind
+  /// (kNoComponent for a zero-degree flow).  Partitioned mode only.
   [[nodiscard]] std::uint32_t component_of_slot(std::size_t slot) const;
   /// Live components right now (partitioned mode; 0 otherwise).
   [[nodiscard]] std::size_t live_component_count() const {
@@ -137,7 +159,8 @@ class MaxMinFairSolver {
   /// from rem_cap in link_flows_ traversal order, and that order depends on
   /// the whole add/remove history (swap-removal), so it cannot be rebuilt
   /// from the live flow set.  Everything else — each flow's link/pos
-  /// entries, the live set, all solve scratch — is derived on restore.
+  /// entries, the live set, the can-bind state and partition, all solve
+  /// scratch — is derived on restore.
   /// Capacities are not serialized: reset_links must already have been
   /// called with the same link layout (it is config-derived).
   void SaveTo(snap::SnapshotWriter& w) const;
@@ -161,9 +184,12 @@ class MaxMinFairSolver {
     bool live = false;
   };
 
-  /// One connectivity component of the link-incidence graph.  Every flow on
-  /// a member link belongs to the component (a flow's links are always all
-  /// in the same component); links carrying no flow belong to none.
+  /// One connected component of the graph of links that can bind.  Every
+  /// flow on a member link belongs to the component (a flow's links that can
+  /// bind are always all in the same component); links that cannot bind
+  /// belong to none once the component is re-solved.  A dirty component may
+  /// still list links that stopped binding since its last solve (their
+  /// comp_of_link_ entry is stale until then).
   struct Component {
     std::vector<std::uint32_t> links;
     bool dirty = false;
@@ -176,19 +202,37 @@ class MaxMinFairSolver {
   std::uint32_t alloc_component();
   /// Mark the component dirty (idempotent) and queue it for the next solve.
   void mark_dirty(std::uint32_t comp);
-  /// Attach a freshly added flow to the partition: merge the components of
-  /// its links (smaller into larger), claim unowned links, mark dirty.
+  /// Merge component `c` with `target` (smaller into larger) and return the
+  /// survivor; either may be kNoComponent.
+  std::uint32_t merge_components(std::uint32_t target, std::uint32_t c);
+  /// ceil(f, l) for l = flow.link[i]: the smallest capacity among the
+  /// flow's other links (infinity for a one-link flow).
+  [[nodiscard]] double ceil_of(const FlowEntry& flow, std::uint32_t i) const;
+  /// Book a flow with ceil `ceil` arriving on link l into ceil_max_.
+  void raise_ceil(std::uint32_t l, double ceil);
+  /// Book a flow with ceil `ceil` that left link l (already swap-removed
+  /// from link_flows_[l]); rescans l's flows when the last holder of the
+  /// maximum leaves.
+  void lower_ceil(std::uint32_t l, double ceil);
+  /// Re-derive binds_[l] from l's flow count and ceil_max_.
+  void update_binds(std::uint32_t l);
+  /// Attach a freshly added flow to the partition: update its links'
+  /// can-bind state, merge the components of its links that can bind (and,
+  /// for a link that just started to bind, of every flow already on it),
+  /// claim unowned links, mark dirty.
   void partition_add(std::size_t slot);
   void solve_global(std::vector<double>& rates, SolveCounters* counters);
   void solve_partitioned(std::vector<double>& rates, SolveCounters* counters,
                          SolveDelta* delta);
-  /// Run the bottleneck loop restricted to `links`/`comp_flows` (the links
-  /// and flows of one freshly built component).
-  void solve_component(const std::vector<std::uint32_t>& links,
+  /// Run the bottleneck loop restricted to the links of freshly built
+  /// component `comp` and its flows `comp_flows`; each flow's links outside
+  /// the component are skipped.
+  void solve_component(std::uint32_t comp,
                        const std::vector<std::uint32_t>& comp_flows,
                        std::vector<double>& rates, SolveCounters* counters);
-  /// Rebuild the partition from link_flows_ (restore path): BFS from each
-  /// owned link in ascending index order.  Deterministic, all clean.
+  /// Rebuild the can-bind state and the partition from link_flows_ (restore
+  /// path): BFS over links that can bind, seeded in ascending index order.
+  /// Deterministic, all clean.
   void rebuild_partition();
 
   std::vector<double> capacity_;
@@ -198,6 +242,12 @@ class MaxMinFairSolver {
 
   // Partition state (partitioned mode only).
   bool partitioned_ = false;
+  /// Per link: max ceil(f, l) over its flows (0 when it has none), how many
+  /// of its flows hold that maximum, and whether it can bind.  Exact for the
+  /// current flow set, so a restore re-derives the live partition.
+  std::vector<double> ceil_max_;
+  std::vector<std::uint32_t> ceil_holders_;
+  std::vector<std::uint8_t> binds_;
   std::vector<Component> comps_;
   std::vector<std::uint32_t> comp_of_link_;   // kNoComponent = unowned
   std::vector<std::uint32_t> dirty_comps_;    // queued for the next solve

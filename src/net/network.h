@@ -54,11 +54,13 @@ struct NetworkConfig {
   /// On (default): batched + incremental rate recomputation.  Off: the
   /// recompute-per-change reference path (test/bench only).
   bool incremental = true;
-  /// On (default): the solver tracks connectivity components of the
-  /// link-incidence graph, re-solves only components dirtied since the last
-  /// solve, and the completion event is re-armed from the rate delta.
-  /// Requires `incremental` (the partition lives on the persistent
-  /// incidence structure); results are bit-identical either way.
+  /// On (default): the solver partitions the flows into components coupled
+  /// only through links that can bind (a 40 Gbps downlink fed by 2 Gbps
+  /// uplinks cannot bind below 20 flows, so it couples none), re-solves
+  /// only components dirtied since the last solve, and the completion event
+  /// is re-armed from the rate delta.  Requires `incremental` (the partition
+  /// lives on the persistent incidence structure); results are bit-identical
+  /// either way.
   bool component_partitioned = true;
 };
 

@@ -8,13 +8,18 @@
 // full-experiment level — and compare with exact double equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "cluster/manager_factory.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
+#include "common/units.h"
 #include "net/maxmin.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -149,6 +154,75 @@ TEST(MaxMinFairSolver, CountersShowSubLinearPerRoundWork) {
 
 // ---------- solver vs. reference, partitioned -------------------------------
 
+/// The partition the solver must report, derived from a live-flow list
+/// alone.  A link can bind unless n * ceil_max < cap * (1 - margin), where
+/// ceil_max is the largest, over the link's flows, of the smallest capacity
+/// among each flow's other links; the classes are a union-find over links
+/// that can bind, joined by the flows.
+struct OraclePartition {
+  static constexpr std::size_t kNoClass = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> flow_class;  ///< per flow; kNoClass when linkless
+  std::size_t classes = 0;
+};
+
+OraclePartition PartitionOracle(
+    const std::vector<std::vector<std::size_t>>& flow_links,
+    const std::vector<double>& capacity) {
+  const std::size_t num_links = capacity.size();
+  std::vector<std::size_t> flows_on(num_links, 0);
+  std::vector<double> ceil_max(num_links, 0.0);
+  for (const auto& links : flow_links) {
+    for (const std::size_t l : links) {
+      double ceil = std::numeric_limits<double>::infinity();
+      for (const std::size_t other : links) {
+        if (other != l) ceil = std::min(ceil, capacity[other]);
+      }
+      ++flows_on[l];
+      ceil_max[l] = std::max(ceil_max[l], ceil);
+    }
+  }
+  std::vector<bool> binds(num_links);
+  for (std::size_t l = 0; l < num_links; ++l) {
+    binds[l] = flows_on[l] > 0 &&
+               !(static_cast<double>(flows_on[l]) * ceil_max[l] <
+                 capacity[l] * (1.0 - MaxMinFairSolver::kBindMargin));
+  }
+  std::vector<std::size_t> parent(num_links);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&parent](std::size_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  OraclePartition out;
+  for (const auto& links : flow_links) {
+    std::size_t first = OraclePartition::kNoClass;
+    for (const std::size_t l : links) {
+      if (!binds[l]) continue;
+      if (first == OraclePartition::kNoClass) {
+        first = l;
+      } else {
+        parent[find(l)] = find(first);
+      }
+    }
+    // Every flow's smallest-capacity link can bind.
+    EXPECT_EQ(first == OraclePartition::kNoClass, links.empty());
+  }
+  for (const auto& links : flow_links) {
+    std::size_t cls = OraclePartition::kNoClass;
+    for (const std::size_t l : links) {
+      if (binds[l]) {
+        cls = find(l);
+        break;
+      }
+    }
+    out.flow_class.push_back(cls);
+  }
+  for (std::size_t l = 0; l < num_links; ++l) {
+    if (binds[l] && find(l) == l) ++out.classes;
+  }
+  return out;
+}
+
 // The partitioned solver under the same randomized churn: rates must stay
 // bitwise equal to the from-scratch reference, AND the SolveDelta must be
 // complete — a shadow rate table updated *only* from reported deltas has to
@@ -246,22 +320,114 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
                   live[i].links.empty())
             << "seed " << seed << " batch " << batch << " flow " << i;
       }
-      // Flows sharing a link must share a component.
-      for (const auto& a : live) {
-        for (const auto& b : live) {
-          for (const std::size_t la : a.links) {
-            if (std::find(b.links.begin(), b.links.end(), la) !=
-                b.links.end()) {
-              EXPECT_EQ(solver.component_of_slot(a.slot),
-                        solver.component_of_slot(b.slot))
-                  << "seed " << seed << " batch " << batch;
-            }
-          }
+      // The partition couples flows only through links that can bind: it
+      // must match an oracle recomputed from the live list.
+      const OraclePartition oracle = PartitionOracle(ref_links, capacity);
+      EXPECT_EQ(solver.live_component_count(), oracle.classes)
+          << "seed " << seed << " batch " << batch;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        if (live[i].links.empty()) continue;
+        for (std::size_t j = 0; j < live.size(); ++j) {
+          if (live[j].links.empty()) continue;
+          EXPECT_EQ(solver.component_of_slot(live[i].slot) ==
+                        solver.component_of_slot(live[j].slot),
+                    oracle.flow_class[i] == oracle.flow_class[j])
+              << "seed " << seed << " batch " << batch << " flows " << i
+              << ", " << j;
         }
       }
     }
     // Across the run, at least as many components existed as were dirty.
     EXPECT_GE(counters.components_total, counters.components_dirty);
+  }
+}
+
+// One 40 Gbps downlink fed by distinct 2 Gbps uplinks cannot bind below 20
+// flows (19 x 2 < 40), so each flow is its own component; the 20th flow makes
+// it bind and couples them all, and removing one splits them again.  Every
+// step matches the reference bitwise, and a snapshot taken after any step
+// restores the same partition and keeps matching through the later steps.
+TEST(MaxMinFairSolver, DownlinkJoinsThePartitionOnlyOnceItCanBind) {
+  constexpr std::size_t kUplinks = 20;
+  constexpr std::size_t kDownlink = kUplinks;
+  std::vector<double> capacity(kUplinks + 1, units::Gbps(2.0));
+  capacity[kDownlink] = units::Gbps(40.0);
+  std::vector<std::vector<std::size_t>> links_of(kUplinks);  // empty = free
+
+  auto add = [&](std::size_t slot) {
+    return [&, slot](MaxMinFairSolver& s) {
+      links_of[slot] = {slot, kDownlink};
+      s.add_flow(slot, links_of[slot].data(), 2);
+    };
+  };
+  struct Step {
+    std::vector<std::function<void(MaxMinFairSolver&)>> changes;
+    std::size_t components;
+  };
+  std::vector<Step> steps(3);
+  for (std::size_t slot = 0; slot < 19; ++slot) {
+    steps[0].changes.push_back(add(slot));
+  }
+  steps[0].components = 19;
+  steps[1] = {{add(19)}, 1};
+  steps[2] = {{[&](MaxMinFairSolver& s) {
+                 s.remove_flow(7);
+                 links_of[7].clear();
+               }},
+              19};
+
+  struct Twin {
+    MaxMinFairSolver solver;
+    std::vector<double> rates;
+  };
+  Twin original;
+  original.solver.reset_links(capacity, /*partitioned=*/true);
+  std::vector<Twin> restored;  // one per earlier step
+  SolveDelta delta;
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<Twin*> instances = {&original};
+    for (Twin& twin : restored) instances.push_back(&twin);
+    for (Twin* twin : instances) {
+      for (const auto& change : steps[step].changes) change(twin->solver);
+      twin->solver.solve(twin->rates, nullptr, &delta);
+    }
+
+    std::vector<std::vector<std::size_t>> live_links;
+    std::vector<std::size_t> live_slots;
+    for (std::size_t slot = 0; slot < kUplinks; ++slot) {
+      if (links_of[slot].empty()) continue;
+      live_links.push_back(links_of[slot]);
+      live_slots.push_back(slot);
+    }
+    const std::vector<double> ref = MaxMinFairRates(live_links, capacity);
+    EXPECT_EQ(original.solver.live_component_count(), steps[step].components);
+    EXPECT_EQ(PartitionOracle(live_links, capacity).classes,
+              steps[step].components);
+    for (std::size_t i = 0; i < live_slots.size(); ++i) {
+      EXPECT_EQ(original.rates[live_slots[i]], ref[i]) << "flow " << i;
+    }
+    for (std::size_t t = 0; t < restored.size(); ++t) {
+      EXPECT_EQ(restored[t].solver.live_component_count(),
+                steps[step].components)
+          << "restored after step " << t;
+      for (const std::size_t slot : live_slots) {
+        EXPECT_EQ(restored[t].rates[slot], original.rates[slot])
+            << "restored after step " << t << " slot " << slot;
+      }
+    }
+
+    // Snapshot this step into a fresh instance; rates travel by copy, as in
+    // Network::RestoreFrom.
+    snap::SnapshotWriter w;
+    original.solver.SaveTo(w);
+    snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
+    restored.emplace_back();
+    restored.back().solver.reset_links(capacity, /*partitioned=*/true);
+    restored.back().solver.RestoreFrom(r);
+    restored.back().rates = original.rates;
+    EXPECT_EQ(restored.back().solver.live_component_count(),
+              steps[step].components);
   }
 }
 
@@ -645,52 +811,66 @@ TEST(NetworkEquivalence, ExperimentResultsIdenticalAcrossRatePaths) {
 }
 
 // The acceptance sweep for the component partition: 20 seeds x all four
-// managers, component_partitioned on vs. off, exact double compare on every
-// reported figure INCLUDING events_processed (same batching + same
-// completion times => the simulators walk identical event sequences).
+// managers x four fabrics, component_partitioned on vs. off, exact double
+// compare on every reported figure INCLUDING events_processed (same
+// batching + same completion times => the simulators walk identical event
+// sequences).  On the paper's 40/2 Gbps fabric no downlink can bind at 10
+// nodes; the three tight fabrics make downlinks and/or the core start and
+// stop binding as flows come and go, so links enter and leave the partition.
 TEST(NetworkEquivalence, PartitionToggleInvariantAcrossManagersAndSeeds) {
   namespace wl = custody::workload;
   using custody::cluster::ManagerKind;
   const ManagerKind kManagers[] = {ManagerKind::kStandalone,
                                    ManagerKind::kCustody, ManagerKind::kOffer,
                                    ManagerKind::kPool};
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    for (const ManagerKind manager : kManagers) {
-      wl::ExperimentConfig config;
-      config.num_nodes = 10;
-      config.manager = manager;
-      config.kinds = {wl::WorkloadKind::kSort};  // shuffle-heavy
-      config.trace.num_apps = 2;
-      config.trace.jobs_per_app = 2;
-      config.trace.files_per_kind = 3;
-      config.seed = 5000 + seed;
+  struct Fabric {
+    double downlink_gbps;
+    double core_gbps;  // 0 = non-blocking
+  };
+  const Fabric kFabrics[] = {{40.0, 0.0}, {4.0, 0.0}, {40.0, 6.0}, {6.0, 9.0}};
+  for (const Fabric fabric : kFabrics) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      for (const ManagerKind manager : kManagers) {
+        wl::ExperimentConfig config;
+        config.num_nodes = 10;
+        config.manager = manager;
+        config.kinds = {wl::WorkloadKind::kSort};  // shuffle-heavy
+        config.trace.num_apps = 2;
+        config.trace.jobs_per_app = 2;
+        config.trace.files_per_kind = 3;
+        config.downlink_gbps = fabric.downlink_gbps;
+        config.core_gbps = fabric.core_gbps;
+        config.seed = 5000 + seed;
 
-      config.component_partitioned_network = true;
-      const wl::ExperimentResult part = wl::RunExperiment(config);
-      config.component_partitioned_network = false;
-      const wl::ExperimentResult flat = wl::RunExperiment(config);
+        config.component_partitioned_network = true;
+        const wl::ExperimentResult part = wl::RunExperiment(config);
+        config.component_partitioned_network = false;
+        const wl::ExperimentResult flat = wl::RunExperiment(config);
 
-      const std::string at = "seed " + std::to_string(config.seed) +
-                             " manager " + part.manager_name;
-      EXPECT_EQ(part.makespan, flat.makespan) << at;
-      EXPECT_EQ(part.jobs_completed, flat.jobs_completed) << at;
-      EXPECT_EQ(part.jct.mean, flat.jct.mean) << at;
-      EXPECT_EQ(part.jct.stddev, flat.jct.stddev) << at;
-      EXPECT_EQ(part.net_bytes_delivered, flat.net_bytes_delivered) << at;
-      EXPECT_EQ(part.events_processed, flat.events_processed) << at;
-      // Identical flow churn and identical batching on both sides; only the
-      // per-solve work differs.
-      EXPECT_EQ(part.net_stats.recomputes_requested,
-                flat.net_stats.recomputes_requested)
-          << at;
-      EXPECT_EQ(part.net_stats.recomputes_run, flat.net_stats.recomputes_run)
-          << at;
-      // The partitioned side must actually report partition work, and must
-      // rewrite no more rates than the full-rewrite path.
-      EXPECT_GT(part.net_stats.components_total, 0u) << at;
-      EXPECT_EQ(flat.net_stats.components_total, 0u) << at;
-      EXPECT_LE(part.net_stats.rates_changed, flat.net_stats.rates_changed)
-          << at;
+        const std::string at = "seed " + std::to_string(config.seed) +
+                               " manager " + part.manager_name + " fabric " +
+                               std::to_string(fabric.downlink_gbps) + "/" +
+                               std::to_string(fabric.core_gbps);
+        EXPECT_EQ(part.makespan, flat.makespan) << at;
+        EXPECT_EQ(part.jobs_completed, flat.jobs_completed) << at;
+        EXPECT_EQ(part.jct.mean, flat.jct.mean) << at;
+        EXPECT_EQ(part.jct.stddev, flat.jct.stddev) << at;
+        EXPECT_EQ(part.net_bytes_delivered, flat.net_bytes_delivered) << at;
+        EXPECT_EQ(part.events_processed, flat.events_processed) << at;
+        // Identical flow churn and identical batching on both sides; only the
+        // per-solve work differs.
+        EXPECT_EQ(part.net_stats.recomputes_requested,
+                  flat.net_stats.recomputes_requested)
+            << at;
+        EXPECT_EQ(part.net_stats.recomputes_run, flat.net_stats.recomputes_run)
+            << at;
+        // The partitioned side must actually report partition work, and must
+        // rewrite no more rates than the full-rewrite path.
+        EXPECT_GT(part.net_stats.components_total, 0u) << at;
+        EXPECT_EQ(flat.net_stats.components_total, 0u) << at;
+        EXPECT_LE(part.net_stats.rates_changed, flat.net_stats.rates_changed)
+            << at;
+      }
     }
   }
 }

@@ -39,12 +39,22 @@
 namespace custody::workload {
 namespace {
 
+/// Network fabric of a run; uplinks stay at the default 2 Gbps.  The
+/// default is the paper's 40 Gbps downlinks on a non-blocking core.
+struct Fabric {
+  double downlink_gbps = 40.0;
+  double core_gbps = 0.0;  ///< 0 = non-blocking
+};
+
 // Small but multi-layer: block cache, speculation, slow nodes and a
 // three-crash failure wave (t = 10, 18, 26) are all live, so a snapshot
 // exercises every layer's dynamic state.
-ExperimentConfig BaseConfig(ManagerKind manager, std::uint64_t seed) {
+ExperimentConfig BaseConfig(ManagerKind manager, std::uint64_t seed,
+                            Fabric fabric = {}) {
   ExperimentConfig config;
   config.num_nodes = 16;
+  config.downlink_gbps = fabric.downlink_gbps;
+  config.core_gbps = fabric.core_gbps;
   config.executors_per_node = 2;
   config.manager = manager;
   config.kinds = {WorkloadKind::kWordCount, WorkloadKind::kSort};
@@ -166,11 +176,11 @@ ExperimentResult RunWithRestore(const SubstrateSnapshot& snapshot,
 constexpr SimTime kSnapshotPoints[] = {5.0, 14.0, 30.0};
 
 void SweepManager(ManagerKind manager, std::uint64_t seed_base,
-                  int num_seeds) {
+                  int num_seeds, Fabric fabric = {}) {
   for (std::uint64_t seed = seed_base;
        seed < seed_base + static_cast<std::uint64_t>(num_seeds); ++seed) {
     const SubstrateSnapshot snapshot =
-        SubstrateSnapshot::Build(BaseConfig(manager, seed));
+        SubstrateSnapshot::Build(BaseConfig(manager, seed, fabric));
     const ExperimentResult straight = RunOnSnapshot(snapshot, manager);
     // The failure wave must actually have fired, or the mid-wave snapshot
     // point is vacuous.
@@ -198,6 +208,20 @@ TEST(SnapshotEquivalence, PoolManySeedsAllPoints) {
 
 TEST(SnapshotEquivalence, OfferManySeedsAllPoints) {
   SweepManager(ManagerKind::kOffer, 2300, 20);
+}
+
+// Tight fabrics, where downlinks and/or the core start and stop binding as
+// flows come and go: the rate solver's partition, which a restore rebuilds
+// from the flow set, must match the live one, or the solver's scan counters
+// (compared by ExpectResultsIdentical) diverge.
+TEST(SnapshotEquivalence, TightFabricsRestoreTheLivePartition) {
+  const Fabric kFabrics[] = {{4.0, 0.0}, {40.0, 6.0}, {6.0, 9.0}};
+  for (const Fabric fabric : kFabrics) {
+    SCOPED_TRACE("downlink_gbps=" + std::to_string(fabric.downlink_gbps) +
+                 " core_gbps=" + std::to_string(fabric.core_gbps));
+    SweepManager(ManagerKind::kCustody, 2600, 5, fabric);
+    SweepManager(ManagerKind::kStandalone, 2700, 5, fabric);
+  }
 }
 
 // The pre-run boundary is a valid snapshot point too: save immediately

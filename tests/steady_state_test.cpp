@@ -114,7 +114,9 @@ TEST(SubmissionStream, DrainIsDeterministicSortedAndComplete) {
     EXPECT_EQ(a[i].app_index, b[i].app_index);
     EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].file_index, b[i].file_index);
-    if (i > 0) EXPECT_GE(a[i].time, a[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(a[i].time, a[i - 1].time);
+    }
     EXPECT_GT(a[i].time, 0.0);
     ++per_app[static_cast<std::size_t>(a[i].app_index)];
   }
@@ -157,7 +159,9 @@ TEST(SubmissionStream, DiurnalModulationReshapesArrivalsDeterministically) {
   bool any_time_differs = false;
   for (std::size_t i = 0; i < b.size(); ++i) {
     EXPECT_EQ(b[i].time, b2[i].time);
-    if (i > 0) EXPECT_GE(b[i].time, b[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(b[i].time, b[i - 1].time);
+    }
     if (a[i].time != b[i].time) any_time_differs = true;
   }
   EXPECT_TRUE(any_time_differs);

@@ -408,7 +408,7 @@ void BM_DinicMaxFlow(benchmark::State& state) {
 BENCHMARK(BM_DinicMaxFlow)->Arg(100)->Arg(1000);
 
 /// Everything one allocation round consumes, pre-built outside the timed
-/// loop so indexed and reference runs see identical inputs.
+/// loop so every iteration sees identical inputs.
 struct AllocationRoundInstance {
   std::vector<std::vector<NodeId>> locations;
   std::vector<core::ExecutorInfo> idle;
@@ -473,23 +473,18 @@ AllocationRoundInstance MakeAllocationRound(std::size_t num_nodes,
 }
 
 void RunAllocationRoundBench(benchmark::State& state,
-                             const AllocationRoundInstance& inst,
-                             bool indexed) {
-  core::AllocatorOptions options;
-  options.indexed = indexed;
+                             const AllocationRoundInstance& inst) {
   const auto locate = inst.locate();
   std::uint64_t grants = 0;
   std::uint64_t scanned = 0;
   for (auto _ : state) {
     const auto result =
-        core::CustodyAllocator::Allocate(inst.demands, inst.idle, locate,
-                                         options);
+        core::CustodyAllocator::Allocate(inst.demands, inst.idle, locate);
     grants = result.stats.grants;
     scanned = result.stats.executors_scanned;
     benchmark::DoNotOptimize(result);
   }
-  // items/s == executor grants/s: the comparable ops/sec column between
-  // the indexed and reference rows at each scale.
+  // items/s == executor grants/s, comparable across scales.
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(grants));
   state.SetLabel(std::to_string(inst.idle.size()) + " execs, " +
@@ -503,29 +498,27 @@ void RunAllocationRoundBench(benchmark::State& state,
 void BM_CustodyAllocationRound(benchmark::State& state) {
   const auto inst = MakeAllocationRound(
       static_cast<std::size_t>(state.range(0)), 4, 4);
-  RunAllocationRoundBench(state, inst, /*indexed=*/true);
+  RunAllocationRoundBench(state, inst);
 }
 BENCHMARK(BM_CustodyAllocationRound)->Arg(25)->Arg(100);
 
 /// Allocation rounds at production scale — 1k/5k/10k executors, 8 apps,
 /// pending tasks ~ 4x the pool (a contended round: every executor is
-/// granted and most tasks stay unsatisfied).  The `indexed:1` rows use the node-
-/// indexed pool + incremental min-locality tracker; `/indexed/0` is the
-/// seed's linear-scan reference path.  Compare items_per_second (executor
-/// grants per second) between the two rows at the same executor count.
+/// granted and most tasks stay unsatisfied).  Each iteration builds a
+/// round-local idle index from the idle vector and runs the round on it
+/// with the incremental min-locality tracker.  items_per_second is executor
+/// grants per second; the label's slots-scanned count is the round's
+/// candidate work, which stays near three per grant at every scale.
 void BM_AllocationRoundAtScale(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
   const auto inst = MakeAllocationRound(execs / 2, 8, execs / 96);
-  RunAllocationRoundBench(state, inst, state.range(1) != 0);
+  RunAllocationRoundBench(state, inst);
 }
 BENCHMARK(BM_AllocationRoundAtScale)
-    ->ArgNames({"execs", "indexed"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
+    ->ArgName("execs")
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 /// A steady-state round instance: demand FIXED (4 apps x one 8-task job,
@@ -571,43 +564,29 @@ AllocationRoundInstance MakeSteadyRound(std::size_t num_nodes) {
   return inst;
 }
 
-/// The PR-7 contract: with demand fixed, a demand-driven round over the
-/// persistent idle index (`demand_driven:1`, AllocateOnIndex) must cost
-/// the same at 10k executors as at 1k, while the reference path
-/// (`demand_driven:0`, per-round IdleExecutorPool rebuild over a
-/// materialized idle vector) scales with the pool.  Round views only stamp
-/// epochs, so every iteration replays an identical round against the
-/// untouched index — exactly what a steady-state manager does between
-/// releases.  Compare time per round down the `execs` column: the
-/// reference grows ~linearly, the index stays flat.
+/// With demand fixed, a round over the persistent idle index
+/// (AllocateOnIndex) must cost the same at 100k executors as at 1k.  Round
+/// views only stamp epochs, so every iteration replays an identical round
+/// against the untouched index — exactly what a steady-state manager does
+/// between releases.  Time per round should stay flat down the `execs`
+/// column.
 void BM_DemandDrivenRound(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
-  const bool demand_driven = state.range(1) != 0;
   const std::size_t num_nodes = execs / 2;
   const auto inst = MakeSteadyRound(num_nodes);
   const auto locate = inst.locate();
   std::uint64_t grants = 0;
   std::uint64_t scanned = 0;
-  if (demand_driven) {
-    core::IdleExecutorIndex index(execs, num_nodes);
-    for (const core::ExecutorInfo& info : inst.idle) {
-      index.add(info.id, info.node);
-    }
-    for (auto _ : state) {
-      const auto result = core::CustodyAllocator::AllocateOnIndex(
-          inst.demands, index, locate);
-      grants = result.stats.grants;
-      scanned = result.stats.executors_scanned;
-      benchmark::DoNotOptimize(result);
-    }
-  } else {
-    for (auto _ : state) {
-      const auto result =
-          core::CustodyAllocator::Allocate(inst.demands, inst.idle, locate);
-      grants = result.stats.grants;
-      scanned = result.stats.executors_scanned;
-      benchmark::DoNotOptimize(result);
-    }
+  core::IdleExecutorIndex index(execs, num_nodes);
+  for (const core::ExecutorInfo& info : inst.idle) {
+    index.add(info.id, info.node);
+  }
+  for (auto _ : state) {
+    const auto result =
+        core::CustodyAllocator::AllocateOnIndex(inst.demands, index, locate);
+    grants = result.stats.grants;
+    scanned = result.stats.executors_scanned;
+    benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations());  // rounds per second
   state.SetLabel(std::to_string(inst.idle.size()) + " idle execs, " +
@@ -616,13 +595,10 @@ void BM_DemandDrivenRound(benchmark::State& state) {
                  std::to_string(scanned) + " candidates enumerated");
 }
 BENCHMARK(BM_DemandDrivenRound)
-    ->ArgNames({"execs", "demand_driven"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0})
+    ->ArgName("execs")
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
 /// Everything the dispatch benches consume, pre-built outside the timed
@@ -656,7 +632,6 @@ struct DispatchInstance {
         task.state = app::TaskState::kReady;
         stage.tasks.push_back(task.id);
         index.task_ready(task);
-        tasks.emplace(task.id, task);
       }
       job->stages.push_back(std::move(stage));
       owned.push_back(std::move(job));
@@ -674,30 +649,22 @@ struct DispatchInstance {
   app::ReadyTaskIndex index;
   std::vector<std::unique_ptr<app::Job>> owned;
   std::vector<app::Job*> jobs;
-  app::TaskTable tasks;
 };
 
 /// One pick() decision for an idle executor on a node with no local ready
 /// work — the per-offer hot path while every job waits out its locality
-/// delay.  `indexed:1` is the ReadyTaskIndex path (two lookups per job);
-/// `indexed:0` is the seed full scan (a task-table probe plus a replica
-/// check per ready task).  Ready tasks ~ 4x the executor pool, the
-/// contended shape of the allocation-round bench.
+/// delay: two ReadyTaskIndex lookups per job.  Ready tasks ~ 4x the
+/// executor pool, the contended shape of the allocation-round bench.
 void BM_SchedulerPick(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
-  const bool indexed = state.range(1) != 0;
   const std::size_t num_jobs = std::max<std::size_t>(execs / 100, 4);
   const int tasks_per_job = static_cast<int>(4 * execs / num_jobs);
   DispatchInstance inst(8, num_jobs, tasks_per_job);
-  app::SchedulerConfig config;
-  config.indexed = indexed;
-  app::TaskScheduler scheduler(config, inst.dfs);
-  if (indexed) scheduler.attach_index(&inst.index);
+  app::TaskScheduler scheduler(app::SchedulerConfig{}, inst.index);
   const NodeId offer_node(8);  // outside the data nodes: nothing is local
   std::optional<SimTime> retry_at;
   for (auto _ : state) {
-    auto pick =
-        scheduler.pick(offer_node, 0.0, inst.jobs, inst.tasks, retry_at);
+    auto pick = scheduler.pick(offer_node, 0.0, inst.jobs, retry_at);
     benchmark::DoNotOptimize(pick);
   }
   state.SetItemsProcessed(state.iterations());
@@ -707,13 +674,10 @@ void BM_SchedulerPick(benchmark::State& state) {
                  " ready tasks");
 }
 BENCHMARK(BM_SchedulerPick)
-    ->ArgNames({"execs", "indexed"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
+    ->ArgName("execs")
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
 /// Stub manager: never grants, so jobs stay pending and every offer
@@ -730,11 +694,9 @@ class NullManager final : public cluster::ClusterManager {
 /// from a node holding none of the app's input blocks while all jobs sit
 /// in their delay-scheduling locality wait, so each offer is rejected
 /// after a full dispatch decision — the OfferManager's steady state on a
-/// contended cluster.  `indexed:0` rescans every task of every job per
-/// offer; `indexed:1` answers each job from the index.
+/// contended cluster.  Each job is answered from the ready index.
 void BM_OfferStorm(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
-  const bool indexed = state.range(1) != 0;
   const std::size_t num_nodes = execs / 2;
   const std::size_t data_nodes = 8;
   const std::size_t num_jobs = std::max<std::size_t>(execs / 100, 4);
@@ -754,7 +716,6 @@ void BM_OfferStorm(benchmark::State& state) {
   app::AppConfig app_config;
   app_config.dynamic_executors = false;
   app_config.locality_swap = false;
-  app_config.scheduler.indexed = indexed;
   app::Application application(AppId(0), sim, network, dfs, cluster, metrics,
                                ids, Rng(12), app_config);
   application.attach_manager(manager);
@@ -786,13 +747,10 @@ void BM_OfferStorm(benchmark::State& state) {
                  " ready tasks, all offers rejected");
 }
 BENCHMARK(BM_OfferStorm)
-    ->ArgNames({"execs", "indexed"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
+    ->ArgName("execs")
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
 /// The span-tracing cost contract, end to end: one full experiment (500

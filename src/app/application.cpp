@@ -40,28 +40,23 @@ Application::Application(AppId id, sim::Simulator& sim, net::Network& net,
       ids_(ids),
       rng_(rng),
       config_(config),
-      scheduler_(config.scheduler, dfs) {
-  if (config_.scheduler.indexed) {
-    index_ = std::make_unique<ReadyTaskIndex>(dfs_);
-    scheduler_.attach_index(index_.get());
-    dfs_listener_ = dfs_.add_replica_listener(
-        [this](BlockId block, NodeId node, bool added) {
-          if (added) {
-            index_->replica_added(block, node);
-          } else {
-            index_->replica_removed(block, node);
-          }
-        });
-  }
+      index_(dfs),
+      scheduler_(config.scheduler, index_) {
+  dfs_listener_ = dfs_.add_replica_listener(
+      [this](BlockId block, NodeId node, bool added) {
+        if (added) {
+          index_.replica_added(block, node);
+        } else {
+          index_.replica_removed(block, node);
+        }
+      });
 }
 
 Application::~Application() {
   for (auto& [id, j] : jobs_by_id_) job_pool_.destroy(j);
   jobs_by_id_.clear();
-  if (index_ != nullptr) {
-    dfs_.remove_replica_listener(dfs_listener_);
-    if (cache_ != nullptr) cache_->remove_change_listener(cache_listener_);
-  }
+  dfs_.remove_replica_listener(dfs_listener_);
+  if (cache_ != nullptr) cache_->remove_change_listener(cache_listener_);
 }
 
 void Application::attach_manager(cluster::ClusterManager& manager) {
@@ -71,15 +66,14 @@ void Application::attach_manager(cluster::ClusterManager& manager) {
 
 void Application::attach_cache(dfs::BlockCache* cache) {
   cache_ = cache;
-  scheduler_.set_cache(cache);
-  if (index_ != nullptr && cache != nullptr) {
-    index_->set_cache(cache);
+  if (cache != nullptr) {
+    index_.set_cache(cache);
     cache_listener_ = cache->add_change_listener(
         [this](BlockId block, NodeId node, bool cached) {
           if (cached) {
-            index_->replica_added(block, node);
+            index_.replica_added(block, node);
           } else {
-            index_->replica_removed(block, node);
+            index_.replica_removed(block, node);
           }
         });
   }
@@ -207,7 +201,7 @@ void Application::mark_stage_ready(Job& j, Stage& stage) {
           sources.size(), static_cast<std::size_t>(config_.shuffle_fan_in));
       t.fetch_sources.assign(sources.begin(), sources.begin() + fan_in);
     }
-    if (index_ != nullptr) index_->task_ready(t);
+    index_.task_ready(t);
   }
 }
 
@@ -224,9 +218,9 @@ std::vector<core::JobDemand> Application::pending_demand() const {
     core::JobDemand jd;
     jd.job = j->id.value();
     jd.total_tasks = j->input_tasks;
-    // Indexed: iterate only the ready input tasks (id order == stage scan
-    // order); reference: scan the whole input stage.
-    auto consider = [&](const Task& t) {
+    // The ready input tasks, in id (== stage scan) order.
+    for (TaskId id : index_.ready_inputs(j->id)) {
+      const Task& t = task(id);
       const auto& locs = locations_of(t.block);
       const bool covered =
           held_counts != nullptr &&
@@ -234,14 +228,6 @@ std::vector<core::JobDemand> Application::pending_demand() const {
             return (*held_counts)[n.value()] > 0;
           });
       if (!covered) jd.unsatisfied.push_back({t.id.value(), t.block});
-    };
-    if (index_ != nullptr) {
-      for (TaskId id : index_->ready_inputs(j->id)) consider(task(id));
-    } else {
-      for (TaskId id : j->stages.front().tasks) {
-        const Task& t = task(id);
-        if (t.state == TaskState::kReady) consider(t);
-      }
     }
     demand.push_back(std::move(jd));
   }
@@ -249,32 +235,9 @@ std::vector<core::JobDemand> Application::pending_demand() const {
 }
 
 int Application::wanted_executors() const {
-  // Every running task belongs to an active job (jobs finish only after all
-  // their tasks do), so the counters cover exactly the scanned sets.
-  if (index_ != nullptr) return index_->ready_count() + running_tasks_;
-  int want = 0;
-  for (const Job* j : active_jobs_) {
-    for (const Stage& stage : j->stages) {
-      for (TaskId id : stage.tasks) {
-        const TaskState s = task(id).state;
-        if (s == TaskState::kReady || s == TaskState::kRunning) ++want;
-      }
-    }
-  }
-  return want;
-}
-
-int Application::count_ready_tasks() const {
-  if (index_ != nullptr) return index_->ready_count();
-  int ready = 0;
-  for (const Job* j : active_jobs_) {
-    for (const Stage& stage : j->stages) {
-      for (TaskId id : stage.tasks) {
-        if (task(id).state == TaskState::kReady) ++ready;
-      }
-    }
-  }
-  return ready;
+  // Ready plus running tasks of the active jobs: every running task belongs
+  // to an active job (jobs finish only after all their tasks do).
+  return index_.ready_count() + running_tasks_;
 }
 
 core::LocalityStats Application::locality() const { return achieved_; }
@@ -287,52 +250,21 @@ void Application::on_executor_granted(ExecutorId exec) {
 
 bool Application::consider_offer(ExecutorId /*exec*/, NodeId node) {
   const SimTime now = sim_.now();
-  if (index_ != nullptr) {
-    // Index-backed mirror of the reference scan below, including its
-    // side-effect order: each scanned job may start its locality-wait
-    // clock before the loop returns or moves on.
-    for (Job* j : active_jobs_) {
-      if (index_->has_ready_other(j->id)) return true;
-      if (j->launched_input_tasks >= j->input_tasks) continue;
-      if (index_->has_local_ready_input(j->id, node)) return true;
-      if (index_->has_ready_input(j->id)) {
-        if (!j->waiting_since_set()) j->wait_start = now;
-        if (scheduler_.config().kind != SchedulerKind::kDelay ||
-            now - j->wait_start >= scheduler_.config().locality_wait) {
-          return true;  // waited long enough; settle for this node
-        }
-      }
-    }
-    return false;
-  }
-  bool has_ready_input = false;
   for (Job* j : active_jobs_) {
     // Downstream work has no locality constraint: accept immediately.
-    for (const Stage& stage : j->stages) {
-      if (stage.index == 0) continue;
-      for (TaskId id : stage.tasks) {
-        if (task(id).state == TaskState::kReady) return true;
-      }
-    }
+    if (index_.has_ready_other(j->id)) return true;
     if (j->launched_input_tasks >= j->input_tasks) continue;
-    if (scheduler_.has_local_ready_input(*j, node, tasks_)) {
-      return true;
-    }
-    for (TaskId id : j->stages.front().tasks) {
-      if (task(id).state == TaskState::kReady) {
-        has_ready_input = true;
-        // A rejected offer starts the job's locality-wait clock, exactly
-        // like skipping a slot under delay scheduling.
-        if (!j->waiting_since_set()) j->wait_start = now;
-        if (scheduler_.config().kind != SchedulerKind::kDelay ||
-            now - j->wait_start >= scheduler_.config().locality_wait) {
-          return true;  // waited long enough; settle for this node
-        }
-        break;
+    if (index_.has_local_ready_input(j->id, node)) return true;
+    if (index_.has_ready_input(j->id)) {
+      // A rejected offer starts the job's locality-wait clock, exactly
+      // like skipping a slot under delay scheduling.
+      if (!j->waiting_since_set()) j->wait_start = now;
+      if (scheduler_.config().kind != SchedulerKind::kDelay ||
+          now - j->wait_start >= scheduler_.config().locality_wait) {
+        return true;  // waited long enough; settle for this node
       }
     }
   }
-  (void)has_ready_input;
   return false;
 }
 
@@ -340,46 +272,17 @@ void Application::kick() {
   if (in_kick_) return;  // avoid re-entrant scheduling storms
   in_kick_ = true;
   std::optional<SimTime> earliest_retry;
-  if (config_.demand_driven_kick && index_ != nullptr) {
-    kick_walk(earliest_retry);
-  } else {
-    kick_reference(earliest_retry);
-  }
+  kick_walk(earliest_retry);
   in_kick_ = false;
   if (earliest_retry) arm_retry(*earliest_retry);
   maybe_release_idle_executors();
 }
 
-void Application::kick_reference(std::optional<SimTime>& earliest_retry) {
-  const SimTime now = sim_.now();
-  // Snapshot of every held executor, ascending by id, as the seed's
-  // full-ledger scan saw them.  Ownership cannot grow mid-kick (grants
-  // arrive via posted manager rounds), and each iteration only flips its
-  // own executor busy, so the snapshot misses no candidate.
-  held_scratch_.clear();
-  cluster_.held_executors(id_, held_scratch_);
-  for (const ExecutorId held : held_scratch_) {
-    const cluster::Executor& snapshot = cluster_.executor(held);
-    if (snapshot.owner != id_ || snapshot.busy) continue;
-    std::optional<SimTime> retry_at;
-    const auto pick =
-        scheduler_.pick(snapshot.node, now, active_jobs_, tasks_, retry_at);
-    if (pick) {
-      Task& t = task(pick->task);
-      t.local = pick->local;
-      launch(t, snapshot.id);
-      continue;
-    }
-    FoldRetry(earliest_retry, retry_at);
-    // Nothing launchable: offer the free slot to a straggler clone.
-    const TaskId slow = pick_speculative(snapshot.node);
-    if (slow.valid()) launch_clone(task(slow), snapshot.id);
-  }
-}
-
 void Application::kick_walk(std::optional<SimTime>& earliest_retry) {
-  // The reference sweep gives every free executor, in id order, a full
-  // pick or — when nothing launched — a straggler offer.  A "nothing
+  // The sweep contract: every free executor, in id order, gets a full pick
+  // or — when nothing launched — a straggler offer (the first candidate
+  // local to its node, else the first candidate).  The walk produces that
+  // outcome without visiting every free executor.  A "nothing
   // launchable" verdict decomposes into node-independent per-job facts (no
   // ready downstream work; input jobs inside their locality wait, with
   // wait_start stamped and the same retry expiry) plus one node-dependent
@@ -398,7 +301,7 @@ void Application::kick_walk(std::optional<SimTime>& earliest_retry) {
   //     kind;
   //   - after every launch, the next free executor in id order, whatever
   //     its node: its full pick re-stamps wait_start for a job whose local
-  //     launch just reset it, as the reference does;
+  //     launch just reset it, as the contract requires;
   //   - while straggler candidates remain, every free executor, because
   //     each null slot clones one candidate.
   // Straggler candidates are collected once, at the first null verdict:
@@ -407,7 +310,7 @@ void Application::kick_walk(std::optional<SimTime>& earliest_retry) {
   const SimTime now = sim_.now();
 #ifndef NDEBUG
   const int owned_at_start = cluster_.owned_by(id_);
-  const std::uint64_t joins_at_start = index_->local_ready_node_joins();
+  const std::uint64_t joins_at_start = index_.local_ready_node_joins();
 #endif
   std::vector<Straggler>& stragglers = straggler_scratch_;
   stragglers.clear();
@@ -440,10 +343,9 @@ void Application::kick_walk(std::optional<SimTime>& earliest_retry) {
     const std::size_t free_before = cluster_.free_held_count(id_);
 #endif
 
-    if (!have_null_verdict || index_->any_local_ready_input(e.node)) {
+    if (!have_null_verdict || index_.any_local_ready_input(e.node)) {
       std::optional<SimTime> retry_at;
-      const auto pick =
-          scheduler_.pick(e.node, now, active_jobs_, tasks_, retry_at);
+      const auto pick = scheduler_.pick(e.node, now, active_jobs_, retry_at);
       have_null_verdict = !pick;
       if (pick) {
         Task& t = task(pick->task);
@@ -465,7 +367,7 @@ void Application::kick_walk(std::optional<SimTime>& earliest_retry) {
     // local-ready node set only shrinks.
     assert(cluster_.owned_by(id_) <= owned_at_start);
     assert(cluster_.free_held_count(id_) + (e.busy ? 1 : 0) == free_before);
-    assert(index_->local_ready_node_joins() == joins_at_start);
+    assert(index_.local_ready_node_joins() == joins_at_start);
   }
 }
 
@@ -473,7 +375,7 @@ void Application::gather_local_ready_free(std::vector<ExecutorId>& out) const {
   // Enumerate from the smaller side: local-ready nodes x executors per
   // node (executor ids are contiguous per node), or the app's free set.
   out.clear();
-  const auto& nodes = index_->local_ready_nodes();
+  const auto& nodes = index_.local_ready_nodes();
   const auto per_node =
       static_cast<std::size_t>(cluster_.config().executors_per_node);
   if (nodes.size() * per_node < cluster_.free_held_count(id_)) {
@@ -484,7 +386,7 @@ void Application::gather_local_ready_free(std::vector<ExecutorId>& out) const {
   } else {
     cluster_.free_held(id_, out);
     std::erase_if(out, [this](ExecutorId exec) {
-      return !index_->any_local_ready_input(cluster_.node_of(exec));
+      return !index_.any_local_ready_input(cluster_.node_of(exec));
     });
   }
 }
@@ -498,8 +400,9 @@ void Application::collect_stragglers(std::vector<Straggler>& out) {
       continue;
     }
     if (j->slow_after_finished != input.finished) {
-      // Summed in task order, exactly as pick_speculative sums: a running
-      // sum in finish order rounds differently, and the picks follow.
+      // Summed in input-task order: a running sum in finish order rounds
+      // differently, which would move the slow threshold, the clone picks
+      // and the golden result digests with them.
       double total_duration = 0.0;
       for (TaskId id : input.tasks) {
         const Task& t = task(id);
@@ -527,7 +430,7 @@ void Application::offer_to_straggler(ExecutorId exec, NodeId node,
   if (candidates.empty()) return;
   auto it = std::find_if(
       candidates.begin(), candidates.end(),
-      [&](const Straggler& s) { return scheduler_.is_local(s.block, node); });
+      [&](const Straggler& s) { return index_.is_local(s.block, node); });
   if (it == candidates.end()) it = candidates.begin();
   const TaskId slow = it->task;
   candidates.erase(it);
@@ -604,7 +507,7 @@ void Application::launch(Task& t, ExecutorId exec) {
   cluster::Executor& e = cluster_.executor(exec);
   assert(!e.busy && e.owner == id_);
   cluster_.set_busy(exec, true);
-  if (index_ != nullptr) index_->task_unready(t);
+  index_.task_unready(t);
   t.state = TaskState::kRunning;
   ++running_tasks_;
   t.executor = exec;
@@ -743,35 +646,6 @@ void Application::start_compute(Task& t) {
   arm_task_timer(t, TimerKind::kCompute, t.compute_secs / speed);
 }
 
-TaskId Application::pick_speculative(NodeId node) const {
-  if (!config_.speculation) return TaskId::invalid();
-  const SimTime now = sim_.now();
-  TaskId fallback = TaskId::invalid();
-  for (const Job* j : active_jobs_) {
-    const Stage& input = j->stages.front();
-    int finished = 0;
-    double total_duration = 0.0;
-    for (TaskId id : input.tasks) {
-      const Task& t = task(id);
-      if (t.state == TaskState::kFinished) {
-        ++finished;
-        total_duration += t.finish_time - t.launch_time;
-      }
-    }
-    if (finished < config_.speculation_min_finished) continue;
-    const double slow_after = config_.speculation_multiplier *
-                              (total_duration / finished);
-    for (TaskId id : input.tasks) {
-      const Task& t = task(id);
-      if (t.state != TaskState::kRunning || t.spec_active) continue;
-      if (now - t.launch_time <= slow_after) continue;
-      if (scheduler_.is_local(t.block, node)) return id;  // best: local clone
-      if (!fallback.valid()) fallback = id;
-    }
-  }
-  return fallback;
-}
-
 void Application::launch_clone(Task& t, ExecutorId exec) {
   assert(t.state == TaskState::kRunning && t.is_input() && !t.spec_active);
   cluster::Executor& e = cluster_.executor(exec);
@@ -779,7 +653,7 @@ void Application::launch_clone(Task& t, ExecutorId exec) {
   cluster_.set_busy(exec, true);
   t.spec_active = true;
   t.spec_executor = exec;
-  t.spec_local = scheduler_.is_local(t.block, e.node);
+  t.spec_local = index_.is_local(t.block, e.node);
   ++spec_launches_;
   if (tracer_ != nullptr) {
     tracer_->instant({.app = obs::IdOf(id_),
@@ -912,7 +786,7 @@ void Application::reset_task(Task& t) {
   t.executor = ExecutorId::invalid();
   t.local = false;
   t.fetches_outstanding = 0;
-  if (index_ != nullptr) index_->task_ready(t);
+  index_.task_ready(t);
 }
 
 void Application::on_executor_lost(ExecutorId exec) {
@@ -1057,7 +931,7 @@ void Application::finish_job(Job& j) {
   for (const Stage& stage : j.stages) {
     for (TaskId id : stage.tasks) tasks_.erase(id);
   }
-  if (index_ != nullptr) index_->job_removed(j.id);
+  index_.job_removed(j.id);
 
   if (config_.retire_finished_jobs) {
     // Steady-state retirement: the job record (stages included) goes back
@@ -1069,14 +943,6 @@ void Application::finish_job(Job& j) {
   }
 
   manager_->on_demand_changed(*this);
-}
-
-bool Application::any_local_ready_input(NodeId node) const {
-  if (index_ != nullptr) return index_->any_local_ready_input(node);
-  for (const Job* j : active_jobs_) {
-    if (scheduler_.has_local_ready_input(*j, node, tasks_)) return true;
-  }
-  return false;
 }
 
 bool Application::pool_has_useful_executor() const {
@@ -1102,25 +968,13 @@ bool Application::pool_has_useful_executor() const {
     }
     return false;
   };
-  if (index_ != nullptr) {
-    // The verdict is a pure existence check and depends on a ready input
-    // task only through its block, so walk the index's distinct blocks with
-    // ready input tasks instead of every task of every job: tasks sharing a
-    // block share the answer, and the map is exactly the ready input tasks
-    // of the per-job scan below (entries are erased when their last ready
-    // task launches).  Visit order doesn't matter for a bool.
-    for (const auto& [block, tasks] : index_->ready_blocks()) {
-      if (useful_block(block)) return true;
-    }
-    return false;
-  }
-  for (const Job* j : active_jobs_) {
-    if (j->launched_input_tasks >= j->input_tasks) continue;
-    for (TaskId id : j->stages.front().tasks) {
-      const Task& t = task(id);
-      if (t.state != TaskState::kReady) continue;
-      if (useful_block(t.block)) return true;
-    }
+  // The verdict is a pure existence check and depends on a ready input task
+  // only through its block, so walk the index's distinct blocks with ready
+  // input tasks instead of every task of every job: tasks sharing a block
+  // share the answer (entries are erased when their last ready task
+  // launches).  Visit order doesn't matter for a bool.
+  for (const auto& [block, tasks] : index_.ready_blocks()) {
+    if (useful_block(block)) return true;
   }
   return false;
 }
@@ -1128,22 +982,16 @@ bool Application::pool_has_useful_executor() const {
 void Application::maybe_release_idle_executors() {
   if (!config_.dynamic_executors) return;
 
+  // Only free executors can be released.  The candidates are copied out of
+  // the scratch buffer first: a release can grant executors back to this
+  // app, whose kick reuses the buffer.
   std::vector<ExecutorId> to_release;
   held_scratch_.clear();
-  // Only free executors can be released, so the demand-driven path sweeps
-  // the free-held set; both snapshots are ascending == ledger order, and
-  // the busy re-checks below make the walks interchangeable.
-  if (config_.demand_driven_kick && index_ != nullptr) {
-    cluster_.free_held(id_, held_scratch_);
-  } else {
-    cluster_.held_executors(id_, held_scratch_);
-  }
-  if (count_ready_tasks() == 0) {
+  cluster_.free_held(id_, held_scratch_);  // ascending == ledger order
+  if (index_.ready_count() == 0) {
     // Nothing to run right now: hand idle executors back so the manager can
     // re-allocate them data-aware (the paper's proactive release message).
-    for (const ExecutorId held : held_scratch_) {
-      if (!cluster_.executor(held).busy) to_release.push_back(held);
-    }
+    to_release = held_scratch_;
   } else if (config_.locality_swap && pool_has_useful_executor()) {
     // An executor with the right data sits unallocated while we hold
     // executors that serve none of our ready input tasks locally: hand the
@@ -1151,8 +999,7 @@ void Application::maybe_release_idle_executors() {
     // (paper Sec. IV-C: "dynamically add or remove executors to adapt to
     // the up-to-date locality requirements").
     for (const ExecutorId held : held_scratch_) {
-      const cluster::Executor& exec = cluster_.executor(held);
-      if (!exec.busy && !any_local_ready_input(exec.node)) {
+      if (!index_.any_local_ready_input(cluster_.node_of(held))) {
         to_release.push_back(held);
       }
     }
@@ -1436,17 +1283,15 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
     tasks_.emplace(t.id, std::move(t));
   }
 
-  // Rebuild the dispatch index from the restored ready tasks.  All index
-  // containers are ordered sets (or order-insensitive aggregates), so
-  // insertion order does not matter; locality derives from the DFS and
-  // cache, which must have been restored before the applications.
-  if (index_ != nullptr) {
-    index_ = std::make_unique<ReadyTaskIndex>(dfs_);
-    if (cache_ != nullptr) index_->set_cache(cache_);
-    scheduler_.attach_index(index_.get());
-    for (const auto& [tid, t] : tasks_) {
-      if (t.state == TaskState::kReady) index_->task_ready(t);
-    }
+  // Rebuild the dispatch index in place from the restored ready tasks (the
+  // scheduler keeps pointing at it).  All index containers are ordered sets
+  // (or order-insensitive aggregates), so insertion order does not matter;
+  // locality derives from the DFS and cache, which must have been restored
+  // before the applications.
+  index_ = ReadyTaskIndex(dfs_);
+  if (cache_ != nullptr) index_.set_cache(cache_);
+  for (const auto& [tid, t] : tasks_) {
+    if (t.state == TaskState::kReady) index_.task_ready(t);
   }
   // Likewise the straggler index, from the restored running input tasks
   // (sorted inserts, so map order does not matter).

@@ -7,7 +7,6 @@
 // cluster::AppHandle, which is the entire surface a manager sees.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -47,18 +46,6 @@ struct AppConfig {
   /// an executor on a node that stores one of our uncovered input blocks,
   /// letting the manager swap it for the right one.
   bool locality_swap = true;
-  /// On (default): the kick sweep enumerates the task-executor locality
-  /// graph from its small side.  Free executors get full picks in id order
-  /// until one comes back "nothing launchable"; after that the sweep
-  /// visits only free executors on nodes with local ready input (the ready
-  /// index's node set), the next free executor after each launch, and —
-  /// while straggler candidates remain — the slots offered to clones.
-  /// Speculation reads a per-job straggler index instead of rescanning
-  /// every input task per executor.  Kick cost then tracks launches, not
-  /// executors held.  Requires scheduler.indexed; results are bit-identical
-  /// either way.  Off: a full pick and a straggler scan for every held
-  /// executor — the equivalence reference path.
-  bool demand_driven_kick = true;
   SchedulerConfig scheduler;
   /// How many distinct source nodes a shuffle task fetches from.
   int shuffle_fan_in = 3;
@@ -193,15 +180,15 @@ class Application final : public cluster::AppHandle {
 
   /// Try to put every idle held executor to work.
   void kick();
-  /// The demand-driven sweep: visits launches, clone offers and free
-  /// executors on nodes with local ready input, not every free executor.
+  /// The kick sweep, enumerated from the small side of the task-executor
+  /// locality graph: it visits launches, clone offers and free executors
+  /// on nodes with local ready input, not every free executor, so its cost
+  /// tracks launches rather than executors held.
   void kick_walk(std::optional<SimTime>& earliest_retry);
-  /// The seed sweep over every held executor (the equivalence reference).
-  void kick_reference(std::optional<SimTime>& earliest_retry);
   /// Free executors `id_` holds on nodes with local ready input, ascending.
   void gather_local_ready_free(std::vector<ExecutorId>& out) const;
-  /// Appends every current straggler candidate, in pick_speculative's
-  /// (job, task) order, refreshing stale per-job slow thresholds.
+  /// Appends every current straggler candidate in (job, task) order,
+  /// refreshing stale per-job slow thresholds.
   void collect_stragglers(std::vector<Straggler>& out);
   /// Clone the first candidate local to `node` (else the first candidate)
   /// onto `exec`, and drop it from `candidates`.  No-op when empty.
@@ -213,10 +200,6 @@ class Application final : public cluster::AppHandle {
   void launch(Task& t, ExecutorId exec);
   void start_compute(Task& t);
   void finish_task(Task& t);
-  /// Speculative execution: pick a slow running input task worth cloning
-  /// onto an idle executor at `node`; invalid id when none qualifies.  The
-  /// seed scan over every input task, used by the reference sweep.
-  [[nodiscard]] TaskId pick_speculative(NodeId node) const;
   void launch_clone(Task& t, ExecutorId exec);
   void start_clone_compute(Task& t);
   /// An attempt (0 = primary, 1 = clone) delivered the task's result.
@@ -235,14 +218,11 @@ class Application final : public cluster::AppHandle {
   /// descriptor (kind, time, original sequence number).
   void arm_task_timer(Task& t, TimerKind kind, double delay);
   void arm_spec_timer(Task& t, TimerKind kind, double delay);
-  [[nodiscard]] int count_ready_tasks() const;
   /// True when an *unallocated* executor sits on a replica node of a ready
   /// input task that no held executor can serve locally.
   [[nodiscard]] bool pool_has_useful_executor() const;
   /// Disk replicas, plus cached copies when a cache is attached.
   [[nodiscard]] const std::vector<NodeId>& locations_of(BlockId block) const;
-  /// True when some active job has a ready input task local to `node`.
-  [[nodiscard]] bool any_local_ready_input(NodeId node) const;
 
   AppId id_;
   sim::Simulator& sim_;
@@ -266,18 +246,17 @@ class Application final : public cluster::AppHandle {
   mutable std::vector<ExecutorId> held_scratch_;
   /// Reused buffer for a kick's straggler candidates.
   std::vector<Straggler> straggler_scratch_;
+  /// Dispatch index, kept fresh via task state transitions here plus Dfs
+  /// replica / BlockCache change listeners.  Declared before scheduler_,
+  /// which holds a pointer to it.
+  ReadyTaskIndex index_;
   TaskScheduler scheduler_;
-  /// Dispatch index (tentpole of the indexed scheduler path); null when
-  /// config_.scheduler.indexed is false — every consumer then falls back
-  /// to the seed scan.  Kept fresh via task state transitions here plus
-  /// Dfs replica / BlockCache change listeners.
-  std::unique_ptr<ReadyTaskIndex> index_;
   dfs::Dfs::ListenerId dfs_listener_ = 0;
   dfs::BlockCache::ListenerId cache_listener_ = 0;
   int running_tasks_ = 0;
 
   int share_ = 0;
-  std::unordered_map<TaskId, Task> tasks_;
+  TaskTable tasks_;
   /// Job storage: jobs live in the chunked pool so steady-state retirement
   /// recycles their memory instead of churning the heap; the id map's nodes
   /// come from the same pool.  Declaration order matters — the pool must

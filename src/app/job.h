@@ -19,9 +19,7 @@ namespace custody::app {
 
 struct Task;
 
-/// The application's task table: every live task keyed by id.  Passed to
-/// the scheduler directly — the seed's per-call std::function resolver
-/// allocated and indirected on the hottest path in the system.
+/// The application's task table: every live task keyed by id.
 using TaskTable = std::unordered_map<TaskId, Task>;
 
 enum class TaskState { kBlocked, kReady, kRunning, kFinished };

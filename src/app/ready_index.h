@@ -1,14 +1,14 @@
 // Incrementally maintained dispatch index over one application's ready
 // tasks — the structure behind the O(1)-ish per-offer scheduler path.
 //
-// The seed scheduler rescans every task of every active job per offer
-// (O(jobs × tasks)).  This index buckets *ready* tasks per job, split into
+// Instead of rescanning every task of every active job per offer
+// (O(jobs × tasks)), this index buckets *ready* tasks per job, split into
 // input (stage-0) and downstream sets, and maintains per node the set of
 // ready input tasks whose block is local there (disk replica or cached
 // copy — the paper's E_u model).  All sets are ordered std::set<TaskId>,
 // and within an application TaskId order equals (job submission, stage,
 // task index) order — ids are assigned sequentially at submit time — so
-// set minima reproduce the reference scan's first-match picks exactly.
+// set minima are the first matches of a scan in stage order.
 //
 // Update triggers:
 //   - task state transitions: task_ready (stage unblocked, task reset
@@ -40,8 +40,14 @@ class ReadyTaskIndex {
  public:
   explicit ReadyTaskIndex(const dfs::Dfs& dfs) : dfs_(&dfs) {}
 
-  /// Cached copies then count as local, mirroring TaskScheduler::set_cache.
+  /// Cached copies then count as local, per the paper's
+  /// E_u = {D_x : stores or caches D_x} executor model.
   void set_cache(const dfs::BlockCache* cache) { cache_ = cache; }
+
+  /// `node` holds a disk replica or (with a cache attached) a cached copy
+  /// of `block`.  A pure inquiry: cache recency and hit counters are not
+  /// touched, so asking cannot perturb LRU state.
+  [[nodiscard]] bool is_local(BlockId block, NodeId node) const;
 
   // --- update triggers ----------------------------------------------------
   /// `t` entered kReady (stage became runnable, or a failed task was reset).
@@ -102,7 +108,6 @@ class ReadyTaskIndex {
     std::unordered_map<NodeId, std::set<TaskId>> local_ready;
   };
 
-  [[nodiscard]] bool is_local(BlockId block, NodeId node) const;
   /// Visits the block's live locations: disk replicas, then cached holders
   /// (a node holding both is visited twice).
   void for_each_location(BlockId block,

@@ -13,36 +13,14 @@ namespace custody::app {
 // at steady-state horizons one ulp of `now` exceeds any absolute constant,
 // and an absolute epsilon re-creates exactly that retry loop.
 
-bool TaskScheduler::is_local(BlockId block, NodeId node) const {
-  if (dfs_->is_local(block, node)) return true;
-  return cache_ != nullptr && cache_->peek_cached(node, block);
-}
-
-bool TaskScheduler::has_local_ready_input(const Job& job, NodeId node,
-                                          const TaskTable& tasks) const {
-  if (index_ != nullptr) return index_->has_local_ready_input(job.id, node);
-  if (job.stages.empty()) return false;
-  for (TaskId id : job.stages.front().tasks) {
-    const Task& task = tasks.at(id);
-    if (task.state == TaskState::kReady && is_local(task.block, node)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::optional<TaskScheduler::Pick> TaskScheduler::pick(
     NodeId node, SimTime now, const std::vector<Job*>& jobs,
-    const TaskTable& tasks, std::optional<SimTime>& retry_at) {
-  retry_at.reset();
-  if (index_ != nullptr) return pick_indexed(node, now, jobs, retry_at);
-  return pick_reference(node, now, jobs, tasks, retry_at);
-}
-
-std::optional<TaskScheduler::Pick> TaskScheduler::pick_indexed(
-    NodeId node, SimTime now, const std::vector<Job*>& jobs,
     std::optional<SimTime>& retry_at) {
+  retry_at.reset();
   if (config_.kind == SchedulerKind::kLocalityPreferred) {
+    // Never wait, but look in *every* job for a local task before giving
+    // the slot to any non-local one — otherwise an earlier job's remote
+    // task steals the slot a later job could have used locally.
     for (Job* job_ptr : jobs) {
       const TaskId local = index_->first_local_input(job_ptr->id, node);
       if (local.valid()) return Pick{local, true};
@@ -51,7 +29,7 @@ std::optional<TaskScheduler::Pick> TaskScheduler::pick_indexed(
       // First ready task in stage order == lowest id (ids are assigned
       // stage by stage at submit time).  No job has a local ready input on
       // `node` — the first pass returned otherwise — so the pick is never
-      // local here, matching the reference scan's is_input && is_local.
+      // local here.
       const TaskId input = index_->first_ready_input(job_ptr->id);
       const TaskId other = index_->first_ready_other(job_ptr->id);
       TaskId choice = input;
@@ -79,89 +57,6 @@ std::optional<TaskScheduler::Pick> TaskScheduler::pick_indexed(
 
     if (local_input.valid()) return Pick{local_input, true};
     const TaskId first_ready_other = index_->first_ready_other(job.id);
-    if (first_ready_other.valid()) return Pick{first_ready_other, false};
-
-    if (first_ready_input.valid()) {
-      // Only non-local input work remains in this job.
-      if (config_.locality_wait <= 0.0) {
-        return Pick{first_ready_input, false};
-      }
-      if (!job.waiting_since_set()) {
-        job.wait_start = now;  // the job starts its locality wait
-      } else if (now - job.wait_start >= config_.locality_wait - TimeEpsilonAt(now)) {
-        return Pick{first_ready_input, false};  // wait expired: go remote
-      }
-      const SimTime expires = job.wait_start + config_.locality_wait;
-      if (!retry_at || expires < *retry_at) retry_at = expires;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<TaskScheduler::Pick> TaskScheduler::pick_reference(
-    NodeId node, SimTime now, const std::vector<Job*>& jobs,
-    const TaskTable& tasks, std::optional<SimTime>& retry_at) {
-  if (config_.kind == SchedulerKind::kLocalityPreferred) {
-    // Never wait, but scan *every* job for a local task before giving the
-    // slot to any non-local one — otherwise an earlier job's remote task
-    // steals the slot a later job could have used locally.
-    for (Job* job_ptr : jobs) {
-      for (TaskId id : job_ptr->stages.front().tasks) {
-        const Task& task = tasks.at(id);
-        if (task.state == TaskState::kReady &&
-            is_local(task.block, node)) {
-          return Pick{id, true};
-        }
-      }
-    }
-    for (Job* job_ptr : jobs) {
-      for (const Stage& stage : job_ptr->stages) {
-        for (TaskId id : stage.tasks) {
-          const Task& task = tasks.at(id);
-          if (task.state != TaskState::kReady) continue;
-          return Pick{id, task.is_input() && is_local(task.block, node)};
-        }
-      }
-    }
-    return std::nullopt;
-  }
-
-  for (Job* job_ptr : jobs) {
-    Job& job = *job_ptr;
-
-    TaskId first_ready_input = TaskId::invalid();
-    TaskId first_ready_other = TaskId::invalid();
-    TaskId local_input = TaskId::invalid();
-    for (const Stage& stage : job.stages) {
-      for (TaskId id : stage.tasks) {
-        const Task& task = tasks.at(id);
-        if (task.state != TaskState::kReady) continue;
-        if (task.is_input()) {
-          if (!first_ready_input.valid()) first_ready_input = id;
-          if (!local_input.valid() && is_local(task.block, node)) {
-            local_input = id;
-          }
-        } else if (!first_ready_other.valid()) {
-          first_ready_other = id;
-        }
-      }
-      if (local_input.valid()) break;  // best possible for this job
-    }
-
-    if (config_.kind == SchedulerKind::kFifo) {
-      // Locality-oblivious: first ready task in stage order.
-      const TaskId choice =
-          first_ready_input.valid() ? first_ready_input : first_ready_other;
-      if (choice.valid()) {
-        const Task& task = tasks.at(choice);
-        const bool local =
-            task.is_input() && is_local(task.block, node);
-        return Pick{choice, local};
-      }
-      continue;
-    }
-
-    if (local_input.valid()) return Pick{local_input, true};
     if (first_ready_other.valid()) return Pick{first_ready_other, false};
 
     if (first_ready_input.valid()) {

@@ -15,13 +15,10 @@
 // Downstream (shuffle) tasks have no locality constraint and always launch
 // immediately.
 //
-// Two dispatch paths produce bit-identical picks:
-//   - indexed (default): index lookups against the application-maintained
-//     ReadyTaskIndex — O(log) per decision instead of O(jobs × tasks);
-//   - reference (SchedulerConfig::indexed = false): the seed full scan,
-//     kept as the equivalence oracle.
-// Locality inquiries use the cache's non-mutating peek so that scanning
-// cannot perturb LRU state — a precondition for the two paths agreeing.
+// Every decision is a lookup against the application-maintained
+// ReadyTaskIndex — O(jobs × log tasks) per pick, never a task scan.  The
+// picks equal a scan of each job's tasks in stage order: index minima are
+// the lowest ready task ids, and ids are assigned stage by stage.
 #pragma once
 
 #include <optional>
@@ -29,8 +26,6 @@
 
 #include "app/job.h"
 #include "app/ready_index.h"
-#include "dfs/cache.h"
-#include "dfs/dfs.h"
 
 namespace custody::app {
 
@@ -40,23 +35,14 @@ struct SchedulerConfig {
   SchedulerKind kind = SchedulerKind::kDelay;
   /// How long a job waits for a local slot before going remote (seconds).
   SimTime locality_wait = 3.0;
-  /// Index-backed dispatch (ReadyTaskIndex); false keeps the seed
-  /// full-scan reference path.  Picks are bit-identical either way.
-  bool indexed = true;
 };
 
 class TaskScheduler {
  public:
-  TaskScheduler(SchedulerConfig config, const dfs::Dfs& dfs)
-      : config_(config), dfs_(&dfs) {}
-
-  /// Attach an executor-side block cache: cached copies then count as
-  /// local, per the paper's E_u = {D_x : stores or caches D_x} model.
-  void set_cache(dfs::BlockCache* cache) { cache_ = cache; }
-
-  /// Attach the application's dispatch index; pick() and
-  /// has_local_ready_input() then use index lookups instead of scans.
-  void attach_index(const ReadyTaskIndex* index) { index_ = index; }
+  /// `index` is the application's dispatch index; it must outlive the
+  /// scheduler.
+  TaskScheduler(SchedulerConfig config, const ReadyTaskIndex& index)
+      : config_(config), index_(&index) {}
 
   struct Pick {
     TaskId task;
@@ -64,12 +50,11 @@ class TaskScheduler {
   };
 
   /// Choose a ready task for an idle executor on `node`.  `jobs` is the
-  /// application's active job list in submission order; `tasks` is the
-  /// application's task table.  When nothing may launch yet, `retry_at`
-  /// (if set) is the earliest time a waiting job's locality timer expires.
+  /// application's active job list in submission order.  When nothing may
+  /// launch yet, `retry_at` (if set) is the earliest time a waiting job's
+  /// locality timer expires.
   [[nodiscard]] std::optional<Pick> pick(NodeId node, SimTime now,
                                          const std::vector<Job*>& jobs,
-                                         const TaskTable& tasks,
                                          std::optional<SimTime>& retry_at);
 
   /// Bookkeeping after a launch chosen by pick(): resets the job's locality
@@ -77,27 +62,15 @@ class TaskScheduler {
   void on_launched(Job& job, const Task& task);
 
   /// True when some ready input task of `job` would run locally on `node`.
-  [[nodiscard]] bool has_local_ready_input(const Job& job, NodeId node,
-                                           const TaskTable& tasks) const;
+  [[nodiscard]] bool has_local_ready_input(const Job& job, NodeId node) const {
+    return index_->has_local_ready_input(job.id, node);
+  }
 
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
-  /// Locality including cached copies when a cache is attached.  A pure
-  /// inquiry: cache recency and hit counters are not touched.
-  [[nodiscard]] bool is_local(BlockId block, NodeId node) const;
-
  private:
-  [[nodiscard]] std::optional<Pick> pick_indexed(
-      NodeId node, SimTime now, const std::vector<Job*>& jobs,
-      std::optional<SimTime>& retry_at);
-  [[nodiscard]] std::optional<Pick> pick_reference(
-      NodeId node, SimTime now, const std::vector<Job*>& jobs,
-      const TaskTable& tasks, std::optional<SimTime>& retry_at);
-
   SchedulerConfig config_;
-  const dfs::Dfs* dfs_;
-  dfs::BlockCache* cache_ = nullptr;
-  const ReadyTaskIndex* index_ = nullptr;
+  const ReadyTaskIndex* index_;
 };
 
 }  // namespace custody::app

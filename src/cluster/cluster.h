@@ -80,9 +80,9 @@ class Cluster {
   [[nodiscard]] std::size_t alive_executor_count() const;
   [[nodiscard]] std::vector<NodeId> alive_nodes() const;
 
-  /// Executors not owned by any application, as allocator input.  This is
-  /// the reference-path materialization: an O(executors) scan per call.
-  /// The demand-driven path reads `idle_index()` instead.
+  /// Executors not owned by any application, from an O(executors) ledger
+  /// scan.  Allocation reads `idle_index()`; tests use this scan as the
+  /// index's oracle.
   [[nodiscard]] std::vector<core::ExecutorInfo> idle_executors() const;
   [[nodiscard]] std::size_t idle_count() const { return idle_index_.count(); }
   /// O(1): maintained incrementally on assign/release/fail_node.

@@ -79,13 +79,13 @@ void CustodyManager::reallocate_now() {
   const std::size_t idle_count = cluster_.idle_count();
   if (idle_count == 0) return;
 
-  if (config_.options.demand_driven && !any_app_below_budget()) {
+  if (!any_app_below_budget()) {
     // Incremental round trigger: every app already holds its demand-capped
     // budget, so the allocator would grant nothing (phase 2 backfills any
     // below-budget app from a non-empty pool, so zero grants implies this
-    // condition — and conversely).  Count the round, skip the O(demands)
-    // rebuild.  The round event itself was still posted and consumed, so
-    // event sequences stay identical to the reference path.
+    // condition — and conversely).  Count the round, skip building the
+    // demands.  The round event itself was still posted and consumed, so
+    // the event sequence is the same as if the allocator had run.
     ++stats_.allocation_rounds;
     ++stats_.rounds_skipped;
     stats_.last_round_wall_seconds = 0.0;
@@ -100,11 +100,6 @@ void CustodyManager::reallocate_now() {
     return;
   }
 
-  // Reference path only: the per-round idle-set materialization the
-  // persistent index exists to avoid.
-  std::vector<core::ExecutorInfo> idle;
-  if (!config_.options.demand_driven) idle = cluster_.idle_executors();
-
   std::vector<core::AppDemand> demands;
   demands.reserve(apps_.size());
   for (AppHandle* app : apps_) {
@@ -118,12 +113,8 @@ void CustodyManager::reallocate_now() {
   }
 
   const auto round_start = std::chrono::steady_clock::now();
-  const auto result =
-      config_.options.demand_driven
-          ? core::CustodyAllocator::AllocateOnIndex(
-                demands, cluster_.idle_index(), locations_, config_.options)
-          : core::CustodyAllocator::Allocate(demands, idle, locations_,
-                                             config_.options);
+  const auto result = core::CustodyAllocator::AllocateOnIndex(
+      demands, cluster_.idle_index(), locations_, config_.options);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     round_start)

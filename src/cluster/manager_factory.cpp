@@ -33,7 +33,6 @@ std::unique_ptr<ClusterManager> MakeManager(const ManagerSpec& spec,
       StandaloneConfig mc;
       mc.expected_apps = spec.expected_apps;
       mc.seed = spec.standalone_seed;
-      mc.indexed_picks = spec.allocator.demand_driven;
       return std::make_unique<StandaloneManager>(sim, cluster, mc);
     }
     case ManagerKind::kCustody: {
@@ -46,14 +45,12 @@ std::unique_ptr<ClusterManager> MakeManager(const ManagerSpec& spec,
     case ManagerKind::kOffer: {
       OfferConfig mc;
       mc.expected_apps = spec.expected_apps;
-      mc.indexed_picks = spec.allocator.demand_driven;
       return std::make_unique<OfferManager>(sim, cluster, mc);
     }
     case ManagerKind::kPool: {
       PoolConfig mc;
       mc.expected_apps = spec.expected_apps;
       mc.seed = spec.pool_seed;
-      mc.indexed_picks = spec.allocator.demand_driven;
       return std::make_unique<PoolManager>(sim, cluster, mc);
     }
   }

@@ -40,10 +40,10 @@ bool OfferManager::any_app_wants_more() const {
 void OfferManager::offer_round() {
   if (apps_.empty()) return;
   const std::size_t idle_count = cluster_.idle_count();
-  if (config_.indexed_picks && idle_count > 0 && !any_app_wants_more()) {
+  if (idle_count > 0 && !any_app_wants_more()) {
     // Such a round offers nothing: every app fails the share/demand checks
     // for every idle executor.  Its only state change is the cursor, which
-    // the reference advances once per idle executor regardless of offers —
+    // the walk advances once per idle executor regardless of offers —
     // replay that and skip the walk.  any_unmet_demand would stay false,
     // so no retry is scheduled either.
     cursor_ = (cursor_ + idle_count) % apps_.size();
@@ -51,15 +51,10 @@ void OfferManager::offer_round() {
     ++stats_.rounds_skipped;
     return;
   }
-  // Snapshot the idle set: grants during the walk mutate the index (the
-  // reference path's `idle_executors()` temporary snapshots likewise).
+  // Snapshot the idle set: grants during the walk mutate the index.
   std::vector<core::ExecutorInfo> idle_snapshot;
-  if (config_.indexed_picks) {
-    idle_snapshot.reserve(idle_count);
-    cluster_.idle_index().append_infos(idle_snapshot);
-  } else {
-    idle_snapshot = cluster_.idle_executors();
-  }
+  idle_snapshot.reserve(idle_count);
+  cluster_.idle_index().append_infos(idle_snapshot);
   bool any_unmet_demand = false;
   for (const core::ExecutorInfo& idle : idle_snapshot) {
     bool accepted = false;

@@ -18,12 +18,6 @@ struct OfferConfig {
   int expected_apps = 4;
   /// Delay before an executor rejected by every application is re-offered.
   SimTime reoffer_interval = 1.0;
-  /// On (default): the offer snapshot comes from the cluster's persistent
-  /// idle index, and rounds where no application is below both its share
-  /// and its demand are short-circuited (such a round makes zero offers;
-  /// only the cursor rotation is replayed).  Off: the seed's full-ledger
-  /// scan every round — the equivalence reference path.
-  bool indexed_picks = true;
 };
 
 class OfferManager final : public ClusterManager {

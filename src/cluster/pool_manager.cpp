@@ -57,16 +57,11 @@ void PoolManager::RestoreFrom(snap::SnapshotReader& r) {
 void PoolManager::distribute() {
   // No skip trigger here, unlike custody/offer: the shuffle below consumes
   // RNG draws on every non-empty round, so eliding a round would shift the
-  // stream and diverge from the reference path.  The indexed path only
-  // cheapens the snapshot (O(idle) vs O(executors)); the draw count depends
-  // only on the vector size, which both paths agree on.
+  // stream and change every later grant.  The snapshot comes from the idle
+  // index in O(idle), ascending by id.
   std::vector<core::ExecutorInfo> idle;
-  if (config_.indexed_picks) {
-    idle.reserve(cluster_.idle_count());
-    cluster_.idle_index().append_infos(idle);
-  } else {
-    idle = cluster_.idle_executors();
-  }
+  idle.reserve(cluster_.idle_count());
+  cluster_.idle_index().append_infos(idle);
   if (idle.empty()) return;
   rng_.shuffle(idle);  // data-unaware: any executor is as good as any other
   ++stats_.allocation_rounds;

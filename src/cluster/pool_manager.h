@@ -19,12 +19,6 @@ namespace custody::cluster {
 struct PoolConfig {
   int expected_apps = 4;
   std::uint64_t seed = 1;
-  /// On (default): the round's idle snapshot is materialized from the
-  /// cluster's persistent idle index in O(idle) instead of an O(executors)
-  /// ledger scan.  Off: the seed's scan — the equivalence reference path.
-  /// Either way the round itself (shuffle + grants) is unchanged, so the
-  /// two paths are bit-identical.
-  bool indexed_picks = true;
 };
 
 class PoolManager final : public ClusterManager {

@@ -37,21 +37,9 @@ void StandaloneManager::allocate_spread(AppHandle& app) {
   while (granted < share_ && nodes_without_idle < num_nodes) {
     const NodeId node(static_cast<NodeId::value_type>(next_node_));
     next_node_ = (next_node_ + 1) % num_nodes;
-    // Lowest-id idle executor on the node — what the reference ledger scan
-    // finds first.  (The index also excludes dead nodes, where the scan
-    // would pick an executor `grant` then refuses to assign; registration
-    // precedes any failure, so the two never diverge in practice.)
-    ExecutorId found = ExecutorId::invalid();
-    if (config_.indexed_picks) {
-      found = cluster_.first_idle_on(node);
-    } else {
-      for (const Executor& exec : cluster_.executors()) {
-        if (exec.node == node && !exec.allocated()) {
-          found = exec.id;
-          break;
-        }
-      }
-    }
+    // Lowest-id idle executor on the node, from the cluster's idle index
+    // (which never holds executors of dead nodes).
+    const ExecutorId found = cluster_.first_idle_on(node);
     if (found.valid()) {
       nodes_without_idle = 0;
       grant(app, found);
@@ -67,14 +55,8 @@ void StandaloneManager::allocate_random(AppHandle& app) {
   // to applications when launching executors" — a uniform draw from the
   // idle executors with no attention to nodes, let alone data.
   std::vector<ExecutorId> idle;
-  if (config_.indexed_picks) {
-    idle.reserve(cluster_.idle_count());
-    cluster_.idle_index().append_ids(idle);  // id order == the scan's
-  } else {
-    for (const Executor& exec : cluster_.executors()) {
-      if (!exec.allocated()) idle.push_back(exec.id);
-    }
-  }
+  idle.reserve(cluster_.idle_count());
+  cluster_.idle_index().append_ids(idle);  // ascending id order
   rng_.shuffle(idle);
   const auto take = std::min<std::size_t>(static_cast<std::size_t>(share_),
                                           idle.size());

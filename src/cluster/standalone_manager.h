@@ -25,10 +25,6 @@ struct StandaloneConfig {
   bool spread_out = false;
   /// Seed for the random allocation order.
   std::uint64_t seed = 1;
-  /// On (default): executor picks come from the cluster's persistent idle
-  /// index (O(1) per-node head / O(idle) enumeration).  Off: the seed's
-  /// full-ledger scans — the equivalence reference path.
-  bool indexed_picks = true;
 };
 
 class StandaloneManager final : public ClusterManager {

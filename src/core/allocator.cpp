@@ -1,21 +1,29 @@
 #include "core/allocator.h"
 
-#include <cassert>
+#include <algorithm>
 #include <optional>
 
 namespace custody::core {
 
-namespace {
+AllocationResult CustodyAllocator::Allocate(
+    const std::vector<AppDemand>& demands,
+    const std::vector<ExecutorInfo>& idle, const BlockLocationsFn& locations,
+    const AllocatorOptions& options) {
+  std::size_t num_executors = 0;
+  std::size_t num_nodes = 0;
+  for (const ExecutorInfo& e : idle) {
+    num_executors = std::max<std::size_t>(num_executors, e.id.value() + 1);
+    num_nodes = std::max<std::size_t>(num_nodes, e.node.value() + 1);
+  }
+  IdleExecutorIndex index(num_executors, num_nodes);
+  for (const ExecutorInfo& e : idle) index.add(e.id, e.node);
+  return AllocateOnIndex(demands, index, locations, options);
+}
 
-/// The round body, shared by both entry points: `Pool` is the round-local
-/// `IdleExecutorPool` (reference) or the persistent index's `RoundView`
-/// (demand-driven).  Claim order is identical, so so is everything below.
-template <class Pool>
-AllocationResult AllocateWithPool(const std::vector<AppDemand>& demands,
-                                  Pool& pool,
-                                  const BlockLocationsFn& locations,
-                                  const AllocatorOptions& options,
-                                  bool use_tracker) {
+AllocationResult CustodyAllocator::AllocateOnIndex(
+    const std::vector<AppDemand>& demands, IdleExecutorIndex& index,
+    const BlockLocationsFn& locations, const AllocatorOptions& options) {
+  IdleExecutorIndex::RoundView pool(index);
   AllocationResult result;
   result.tasks_satisfied.assign(demands.size(), 0);
   result.jobs_satisfied.assign(demands.size(), 0);
@@ -35,19 +43,18 @@ AllocationResult AllocateWithPool(const std::vector<AppDemand>& demands,
     result.stats.demanded_tasks += unsatisfied;
   }
 
-  // The incremental MINLOCALITY index replaces the reference path's
-  // O(apps) rescan per pick and per grant.  While an app is being served
-  // its stats mutate, so it is detached from the tracker for the duration
-  // of its intra-app pass and re-attached afterwards.
+  // The incremental MINLOCALITY index answers each pick and each per-grant
+  // re-check in O(log apps) instead of rescanning the apps.  While an app
+  // is being served its stats mutate, so it is detached from the tracker
+  // for the duration of its intra-app pass and re-attached afterwards.
   std::optional<MinLocalityTracker> tracker;
-  if (use_tracker) tracker.emplace(apps);
+  if (options.locality_fair) tracker.emplace(apps);
 
   // INTER-APP FAIRNESS (Algorithm 1): while executors remain, the app with
-  // the lowest percentage of local jobs picks next.
+  // the lowest percentage of local jobs picks next (under the naive-fair
+  // ablation, the app holding the fewest executors).
   while (!pool.empty()) {
-    const auto pick = tracker ? tracker->min()
-                              : (options.locality_fair ? PickMinLocality(apps)
-                                                       : PickFewestHeld(apps));
+    const auto pick = tracker ? tracker->min() : PickFewestHeld(apps);
     if (!pick) break;  // every app is at its budget
     const std::size_t current = *pick;
     ++result.stats.apps_considered;
@@ -58,8 +65,7 @@ AllocationResult AllocateWithPool(const std::vector<AppDemand>& demands,
     const auto pass = IntraAppAllocate(
         apps, current, jobs[current], pool, locations,
         [&result](const Assignment& a) { result.assignments.push_back(a); },
-        options.priority_jobs, options.locality_fair,
-        tracker ? &*tracker : nullptr);
+        options.priority_jobs, tracker ? &*tracker : nullptr);
     result.tasks_satisfied[current] +=
         apps[current].projected.local_tasks - before_tasks;
     result.jobs_satisfied[current] +=
@@ -69,7 +75,7 @@ AllocationResult AllocateWithPool(const std::vector<AppDemand>& demands,
         pass.executors_taken == 0 &&
         pass.stop != IntraAppStop::kBudgetExhausted) {
       // The app can take more but nothing useful remains for it; taking it
-      // out of the round prevents a livelock on PickMinLocality.
+      // out of the round prevents a livelock on the min-locality pick.
       apps[current].budget = apps[current].held;
     }
     if (tracker) tracker->restore(current);
@@ -98,25 +104,6 @@ AllocationResult AllocateWithPool(const std::vector<AppDemand>& demands,
   result.stats.executors_scanned = pool.scanned();
   result.stats.grants = result.assignments.size();
   return result;
-}
-
-}  // namespace
-
-AllocationResult CustodyAllocator::Allocate(
-    const std::vector<AppDemand>& demands,
-    const std::vector<ExecutorInfo>& idle, const BlockLocationsFn& locations,
-    const AllocatorOptions& options) {
-  IdleExecutorPool pool(idle, options.indexed);
-  return AllocateWithPool(demands, pool, locations, options,
-                          options.locality_fair && options.indexed);
-}
-
-AllocationResult CustodyAllocator::AllocateOnIndex(
-    const std::vector<AppDemand>& demands, IdleExecutorIndex& index,
-    const BlockLocationsFn& locations, const AllocatorOptions& options) {
-  IdleExecutorIndex::RoundView view(index);
-  return AllocateWithPool(demands, view, locations, options,
-                          options.locality_fair);
 }
 
 }  // namespace custody::core

@@ -29,26 +29,13 @@ struct AllocatorOptions {
   /// the next.  Off: round-robin one task per job — the "fairness-based"
   /// intra-application split of Figs. 4–5.
   bool priority_jobs = true;
-  /// On (default): O(replicas) node-indexed executor pool and the
-  /// incremental MINLOCALITY tracker.  Off: the original linear-scan
-  /// reference path — kept only so tests can prove the indexed path emits
-  /// byte-identical assignments and benches can measure the speedup.
-  bool indexed = true;
-  /// On (default): allocation rounds run against the cluster's persistent
-  /// idle-executor index (`AllocateOnIndex`) and managers skip rounds no
-  /// pending demand can use, so round cost is proportional to the work
-  /// granted, not to cluster size.  Off: every round materializes
-  /// `idle_executors()` and rebuilds an `IdleExecutorPool` — the PR-6
-  /// behaviour, kept as the bit-identical equivalence reference path.
-  bool demand_driven = true;
 };
 
-/// What one allocation round cost — the observability half of the indexed
-/// hot path (scanned counts shrink ~100x at 10k executors; wall time is
-/// measured by the manager around the whole round).
+/// What one allocation round cost (wall time is measured by the manager
+/// around the whole round).
 struct RoundStats {
-  /// Pool slots inspected across every claim/has_on during the round
-  /// (demand-driven path: candidates enumerated from the idle index).
+  /// Candidates enumerated from the idle index across every claim/has_on
+  /// during the round.
   std::uint64_t executors_scanned = 0;
   /// Inter-application picks taken (Algorithm 1 loop iterations).
   std::uint64_t apps_considered = 0;
@@ -76,17 +63,17 @@ struct AllocationResult {
 
 class CustodyAllocator {
  public:
-  /// Run one allocation round.  `idle` is consumed greedily; demands are not
-  /// mutated.  Deterministic for identical inputs.
+  /// Run one round over an explicit idle set of distinct executors: builds
+  /// a round-local IdleExecutorIndex from `idle` (sized by its largest
+  /// executor and node ids) and runs AllocateOnIndex on it.  Demands are
+  /// not mutated.  Deterministic for identical inputs.
   [[nodiscard]] static AllocationResult Allocate(
       const std::vector<AppDemand>& demands,
       const std::vector<ExecutorInfo>& idle, const BlockLocationsFn& locations,
       const AllocatorOptions& options = {});
 
-  /// Run one round against the persistent idle index — no idle-set copy, no
-  /// pool rebuild.  Claim order (and therefore every assignment) is
-  /// bit-identical to `Allocate` over the same idle set with
-  /// `options.indexed`.  The index itself is not mutated: claims live in a
+  /// Run one round against a persistent idle index — no idle-set copy, no
+  /// per-round rebuild.  The index itself is not mutated: claims live in a
   /// round-scoped view, and the caller applies `assignments` afterwards
   /// (via Cluster::assign, which updates the index).
   [[nodiscard]] static AllocationResult AllocateOnIndex(

@@ -180,8 +180,8 @@ std::size_t IdleExecutorIndex::uf_find(std::size_t r) {
 }
 
 std::size_t IdleExecutorIndex::find_free(std::size_t r) {
-  // One enumeration per lookup, like the pool's next_free — the relink
-  // loop below is bookkeeping for claim_on thefts, not candidate scanning.
+  // One enumeration per lookup — the relink loop below is bookkeeping for
+  // claim_on thefts, not candidate scanning.
   ++enumerated_;
   while (true) {
     const std::size_t root = uf_find(r);
@@ -195,9 +195,9 @@ std::size_t IdleExecutorIndex::find_free(std::size_t r) {
 }
 
 ExecutorId IdleExecutorIndex::view_claim_any() {
-  // Same rotation as the pool: ranks within the round-start idle set play
-  // the role of positions in the pool's sorted executor array (the Fenwick
-  // tree is frozen while the round is live, so ranks are stable).
+  // The rotation runs over ranks within the round-start idle set, i.e.
+  // positions in the ascending idle-id order (the Fenwick tree is frozen
+  // while the round is live, so ranks are stable).
   if (round_n_ == 0 || round_taken_ == round_n_) return ExecutorId::invalid();
   std::size_t r = find_free(scan_start_);
   if (r == round_n_) r = find_free(0);  // wrap: first idle below the start

@@ -1,15 +1,16 @@
-// Persistent idle-executor index — allocation rounds without the O(cluster)
+// Persistent idle-executor index — allocation rounds without an O(cluster)
 // rebuild.
 //
-// The seed path materializes `cluster_.idle_executors()` and constructs a
-// fresh `IdleExecutorPool` (per-node lists + union-find) on *every* round,
-// so a mostly-idle 10k-node cluster pays ~2 ms/event even when the round
+// Rebuilding per-node idle lists from the executor ledger on every round
+// costs a mostly-idle 10k-node cluster ~2 ms/event even when the round
 // grants nothing.  This index is owned by the cluster and updated
 // incrementally on grant/release/failure; a round borrows an epoch-stamped
-// `RoundView` whose claim order is bit-identical to the pool's
-// (`claim_on` = lowest-id idle executor on any replica node, `claim_any` =
-// first idle executor at or after the rotating scan start, wrapping once)
-// without touching per-executor state up front.
+// `RoundView` without touching per-executor state up front.  The claim
+// contract: `claim_on` takes the lowest-id idle executor on any of the
+// given nodes, `claim_any` the first idle executor at or after a rotating
+// scan start (wrapping once), so backfill grants spread across nodes.
+// CustodyAllocator::Allocate builds a round-local index the same way when
+// a caller holds an explicit idle vector.
 //
 // Internals: per-node ascending idle-id lists (claim_on heads), a Fenwick
 // tree over executor ids (rank/select for claim_any's positional rotation
@@ -71,7 +72,7 @@ class IdleExecutorIndex {
       return index_->view_claim_on(nodes);
     }
     /// Claim the first unclaimed idle executor at or after the rotating
-    /// scan start (wrapping once) — the pool's backfill order.
+    /// scan start (wrapping once); the start moves past each claim.
     ExecutorId claim_any() { return index_->view_claim_any(); }
     [[nodiscard]] bool has_on(const std::vector<NodeId>& nodes) const {
       return index_->view_has_on(nodes);
@@ -82,7 +83,7 @@ class IdleExecutorIndex {
     [[nodiscard]] std::size_t size() const {
       return index_->round_n_ - index_->round_taken_;
     }
-    /// Candidates enumerated so far (counterpart of the pool's scanned()).
+    /// Candidates enumerated so far this round (the round's work counter).
     [[nodiscard]] std::uint64_t scanned() const { return index_->enumerated_; }
 
    private:

@@ -35,12 +35,6 @@ std::optional<std::size_t> PickFewestHeld(
   return best;
 }
 
-bool IsStillMinLocality(const std::vector<AppAllocState>& apps,
-                        std::size_t index) {
-  const auto pick = PickMinLocality(apps);
-  return pick.has_value() && *pick == index;
-}
-
 bool MinLocalityTracker::IndexLess::operator()(std::size_t a,
                                                std::size_t b) const {
   const AppAllocState& sa = (*apps)[a];

@@ -37,7 +37,8 @@ struct AppAllocState {
 bool MinLocalityLess(const AppAllocState& a, const AppAllocState& b);
 
 /// Index of the app that should pick next among those that can take more
-/// executors; nullopt when every app is at budget.
+/// executors; nullopt when every app is at budget.  The linear argmin that
+/// MinLocalityTracker maintains incrementally (kept as its test oracle).
 std::optional<std::size_t> PickMinLocality(
     const std::vector<AppAllocState>& apps);
 
@@ -45,11 +46,6 @@ std::optional<std::size_t> PickMinLocality(
 /// holding the fewest executors, regardless of locality.
 std::optional<std::size_t> PickFewestHeld(
     const std::vector<AppAllocState>& apps);
-
-/// True iff `index` would still be chosen by PickMinLocality — the
-/// ALLOCATEEXECUTOR re-check of Algorithm 2 (line 5).
-bool IsStillMinLocality(const std::vector<AppAllocState>& apps,
-                        std::size_t index);
 
 /// Initialize allocation state from a demand: projected totals include the
 /// pending jobs/tasks, all initially non-local.
@@ -60,8 +56,8 @@ AppAllocState MakeAllocState(const AppDemand& demand, std::size_t index);
 /// ((job %, task %, app id) ascending, then vector index so duplicate app
 /// ids keep the scan's first-wins behaviour).  Picking the next app and the
 /// per-grant ALLOCATEEXECUTOR re-check both become O(log apps) instead of
-/// re-scanning every application — the seed's O(apps) rescan per grant is
-/// what made a round O(executors x apps).
+/// re-scanning every application — an O(apps) rescan per grant would make
+/// a round O(executors x apps).
 ///
 /// Contract: an app's key fields (projected stats, held, budget) may only
 /// be mutated while that app is detached via remove(); everything else in
@@ -79,8 +75,9 @@ class MinLocalityTracker {
   /// The app PickMinLocality would choose among the attached apps.
   [[nodiscard]] std::optional<std::size_t> min() const;
 
-  /// IsStillMinLocality for a *detached* index: true iff re-attaching it
-  /// would make it the pick.  Used after every single allocation.
+  /// The ALLOCATEEXECUTOR re-check of Algorithm 2 (line 5) for a
+  /// *detached* index: true iff re-attaching it would make it the pick.
+  /// Used after every single allocation.
   [[nodiscard]] bool would_pick(std::size_t index) const;
 
  private:

@@ -3,138 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/idle_index.h"
-
 namespace custody::core {
-
-IdleExecutorPool::IdleExecutorPool(std::vector<ExecutorInfo> executors,
-                                   bool indexed)
-    : executors_(std::move(executors)), indexed_(indexed) {
-  std::sort(executors_.begin(), executors_.end(),
-            [](const ExecutorInfo& a, const ExecutorInfo& b) {
-              return a.id < b.id;
-            });
-  taken_.assign(executors_.size(), false);
-  remaining_ = executors_.size();
-  if (!indexed_) return;
-
-  NodeId::value_type max_node = 0;
-  for (const ExecutorInfo& e : executors_) {
-    max_node = std::max(max_node, e.node.value());
-  }
-  by_node_.resize(executors_.empty() ? 0 : max_node + 1);
-  for (std::size_t i = 0; i < executors_.size(); ++i) {
-    by_node_[executors_[i].node.value()].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  node_cursor_.assign(by_node_.size(), 0);
-  // free_parent_[i] == i means "slot i is free"; claiming links i to i+1.
-  // The extra sentinel at size() is its own root ("no free slot here").
-  free_parent_.resize(executors_.size() + 1);
-  for (std::size_t i = 0; i < free_parent_.size(); ++i) {
-    free_parent_[i] = static_cast<std::uint32_t>(i);
-  }
-}
-
-std::size_t IdleExecutorPool::head_on(NodeId node) const {
-  if (node.value() >= by_node_.size()) return kNone;
-  const auto& list = by_node_[node.value()];
-  std::size_t& cursor = node_cursor_[node.value()];
-  while (cursor < list.size() && taken_[list[cursor]]) {
-    ++cursor;  // lazily drop executors claimed via other paths
-    ++scanned_;
-  }
-  if (cursor == list.size()) return kNone;
-  ++scanned_;
-  return list[cursor];
-}
-
-std::size_t IdleExecutorPool::next_free(std::size_t i) {
-  std::size_t root = i;
-  while (free_parent_[root] != root) root = free_parent_[root];
-  while (free_parent_[i] != root) {  // path compression
-    const std::size_t next = free_parent_[i];
-    free_parent_[i] = static_cast<std::uint32_t>(root);
-    i = next;
-  }
-  ++scanned_;
-  return root;
-}
-
-void IdleExecutorPool::take(std::size_t i) {
-  taken_[i] = true;
-  --remaining_;
-  if (indexed_) free_parent_[i] = static_cast<std::uint32_t>(i + 1);
-}
-
-ExecutorId IdleExecutorPool::claim_on(const std::vector<NodeId>& nodes) {
-  if (indexed_) {
-    // Lowest-id idle executor over the replica nodes == minimum over each
-    // node's head, because per-node lists are ascending in executor index.
-    std::size_t best = kNone;
-    for (NodeId node : nodes) {
-      const std::size_t head = head_on(node);
-      if (head < best) best = head;
-    }
-    if (best == kNone) return ExecutorId::invalid();
-    take(best);
-    return executors_[best].id;
-  }
-  for (std::size_t i = 0; i < executors_.size(); ++i) {
-    ++scanned_;
-    if (taken_[i]) continue;
-    if (std::find(nodes.begin(), nodes.end(), executors_[i].node) ==
-        nodes.end()) {
-      continue;
-    }
-    take(i);
-    return executors_[i].id;
-  }
-  return ExecutorId::invalid();
-}
-
-ExecutorId IdleExecutorPool::claim_any() {
-  // Backfill executors carry tasks without locality, so spread them:
-  // rotating the scan start across calls avoids clustering all backfill
-  // grants on the lowest-numbered nodes.
-  const std::size_t n = executors_.size();
-  if (indexed_) {
-    if (n == 0 || remaining_ == 0) return ExecutorId::invalid();
-    std::size_t i = next_free(scan_start_);
-    if (i == n) i = next_free(0);  // wrap: first idle below the scan start
-    assert(i < n);
-    take(i);
-    scan_start_ = (i + 1) % n;
-    return executors_[i].id;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = (scan_start_ + k) % n;
-    ++scanned_;
-    if (taken_[i]) continue;
-    take(i);
-    scan_start_ = (i + 1) % n;
-    return executors_[i].id;
-  }
-  return ExecutorId::invalid();
-}
-
-bool IdleExecutorPool::has_on(const std::vector<NodeId>& nodes) const {
-  if (indexed_) {
-    for (NodeId node : nodes) {
-      if (head_on(node) != kNone) return true;
-    }
-    return false;
-  }
-  for (std::size_t i = 0; i < executors_.size(); ++i) {
-    ++scanned_;
-    if (taken_[i]) continue;
-    if (std::find(nodes.begin(), nodes.end(), executors_[i].node) !=
-        nodes.end()) {
-      return true;
-    }
-  }
-  return false;
-}
 
 bool JobPriorityLess(const JobDemand& a, const JobDemand& b) {
   if (a.unsatisfied.size() != b.unsatisfied.size()) {
@@ -148,29 +17,26 @@ namespace {
 /// ALLOCATEEXECUTOR (Algorithm 2, lines 1-6): record the assignment, update
 /// the projected state, and report whether the app lost its pick position
 /// (TRUE means "return to the inter-application loop").  Under the naive
-/// executor-count fairness ablation every grant yields back to the outer
-/// loop, producing a strict round-robin over applications.
+/// executor-count fairness ablation (no tracker) every grant yields back to
+/// the outer loop, producing a strict round-robin over applications.
 bool AllocateExecutor(std::vector<AppAllocState>& apps, std::size_t current,
                       ExecutorId exec, TaskUid hint,
                       const std::function<void(const Assignment&)>& emit,
-                      bool locality_fair, const MinLocalityTracker* tracker) {
+                      const MinLocalityTracker* tracker) {
   AppAllocState& app = apps[current];
   emit(Assignment{exec, app.app, hint});
   app.held += 1;
-  if (!locality_fair) return true;
-  if (tracker) return !tracker->would_pick(current);
-  return !IsStillMinLocality(apps, current);
+  return tracker == nullptr || !tracker->would_pick(current);
 }
 
 /// Claim a data-local executor for one task of `job`; returns whether any
 /// progress was made and sets `lost_min` when control must return to the
 /// inter-application loop.
-template <class Pool>
 bool ServeOneTask(std::vector<AppAllocState>& apps, std::size_t current,
-                  JobDemand& job, Pool& pool,
+                  JobDemand& job, IdleExecutorIndex::RoundView& pool,
                   const BlockLocationsFn& locations,
                   const std::function<void(const Assignment&)>& emit,
-                  IntraAppPassResult& result, bool locality_fair,
+                  IntraAppPassResult& result,
                   const MinLocalityTracker* tracker, bool& lost_min) {
   AppAllocState& app = apps[current];
   auto& tasks = job.unsatisfied;
@@ -182,8 +48,7 @@ bool ServeOneTask(std::vector<AppAllocState>& apps, std::size_t current,
     app.projected.local_tasks += 1;
     if (tasks.empty()) app.projected.local_jobs += 1;
     ++result.executors_taken;
-    lost_min = AllocateExecutor(apps, current, exec, hint, emit,
-                                locality_fair, tracker);
+    lost_min = AllocateExecutor(apps, current, exec, hint, emit, tracker);
     return true;
   }
   return false;
@@ -191,13 +56,12 @@ bool ServeOneTask(std::vector<AppAllocState>& apps, std::size_t current,
 
 }  // namespace
 
-template <class Pool>
 IntraAppPassResult IntraAppAllocate(
     std::vector<AppAllocState>& apps, std::size_t current,
-    std::vector<JobDemand>& jobs, Pool& pool,
+    std::vector<JobDemand>& jobs, IdleExecutorIndex::RoundView& pool,
     const BlockLocationsFn& locations,
     const std::function<void(const Assignment&)>& emit, bool priority_jobs,
-    bool locality_fair, const MinLocalityTracker* tracker) {
+    const MinLocalityTracker* tracker) {
   AppAllocState& app = apps[current];
   IntraAppPassResult result;
 
@@ -229,8 +93,7 @@ IntraAppPassResult IntraAppAllocate(
         app.projected.local_tasks += 1;
         if (tasks.empty()) app.projected.local_jobs += 1;
         ++result.executors_taken;
-        if (AllocateExecutor(apps, current, exec, hint, emit, locality_fair,
-                             tracker)) {
+        if (AllocateExecutor(apps, current, exec, hint, emit, tracker)) {
           result.stop = IntraAppStop::kLostMinLocality;
           return result;
         }
@@ -258,7 +121,7 @@ IntraAppPassResult IntraAppAllocate(
         }
         bool lost_min = false;
         if (ServeOneTask(apps, current, job, pool, locations, emit, result,
-                         locality_fair, tracker, lost_min)) {
+                         tracker, lost_min)) {
           progress = true;
           if (lost_min) {
             result.stop = IntraAppStop::kLostMinLocality;
@@ -277,8 +140,7 @@ IntraAppPassResult IntraAppAllocate(
     const ExecutorId exec = pool.claim_any();
     assert(exec.valid());
     ++result.executors_taken;
-    if (AllocateExecutor(apps, current, exec, kNoTask, emit, locality_fair,
-                         tracker)) {
+    if (AllocateExecutor(apps, current, exec, kNoTask, emit, tracker)) {
       result.stop = IntraAppStop::kLostMinLocality;
       return result;
     }
@@ -293,17 +155,5 @@ IntraAppPassResult IntraAppAllocate(
   }
   return result;
 }
-
-template IntraAppPassResult IntraAppAllocate<IdleExecutorPool>(
-    std::vector<AppAllocState>&, std::size_t, std::vector<JobDemand>&,
-    IdleExecutorPool&, const BlockLocationsFn&,
-    const std::function<void(const Assignment&)>&, bool, bool,
-    const MinLocalityTracker*);
-
-template IntraAppPassResult IntraAppAllocate<IdleExecutorIndex::RoundView>(
-    std::vector<AppAllocState>&, std::size_t, std::vector<JobDemand>&,
-    IdleExecutorIndex::RoundView&, const BlockLocationsFn&,
-    const std::function<void(const Assignment&)>&, bool, bool,
-    const MinLocalityTracker*);
 
 }  // namespace custody::core

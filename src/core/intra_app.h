@@ -8,71 +8,14 @@
 // straggling with partial locality when full locality was achievable.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "core/idle_index.h"
 #include "core/inter_app.h"
 #include "core/model.h"
 
 namespace custody::core {
-
-/// Tracks which round executors remain idle and where they live.
-///
-/// The default *indexed* mode answers `claim_on`/`has_on` from a node ->
-/// idle-executor index in O(replicas) amortized, and `claim_any` from a
-/// union-find "next free slot" structure in near-O(1) amortized, instead of
-/// the seed's O(pool) scans.  Claim order is bit-identical to the linear
-/// scans in both modes: `claim_on` returns the lowest-id idle executor on
-/// any of the nodes, `claim_any` the first idle executor at or after the
-/// rotating scan start (wrapping once).  The linear-scan mode survives as
-/// the reference implementation for equivalence tests and benchmarks.
-class IdleExecutorPool {
- public:
-  explicit IdleExecutorPool(std::vector<ExecutorInfo> executors,
-                            bool indexed = true);
-
-  /// Claim an idle executor on one of `nodes`; invalid id when none exists.
-  ExecutorId claim_on(const std::vector<NodeId>& nodes);
-  /// Claim any idle executor (deterministically the first idle one at or
-  /// after the rotating scan start).
-  ExecutorId claim_any();
-
-  [[nodiscard]] bool empty() const { return remaining_ == 0; }
-  [[nodiscard]] std::size_t size() const { return remaining_; }
-  /// True when at least one idle executor sits on one of `nodes`.
-  [[nodiscard]] bool has_on(const std::vector<NodeId>& nodes) const;
-
-  /// Pool slots inspected so far (instrumentation: the work a round did).
-  [[nodiscard]] std::uint64_t scanned() const { return scanned_; }
-
- private:
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
-  /// First untaken executor index on `node`, or kNone.  Advances the
-  /// node's cursor past taken entries (amortized O(1) per claim).
-  [[nodiscard]] std::size_t head_on(NodeId node) const;
-  /// Union-find lookup: first untaken executor index >= i (may be the
-  /// one-past-the-end sentinel).  Path-compresses.
-  [[nodiscard]] std::size_t next_free(std::size_t i);
-  /// Mark executor index `i` taken in every structure.
-  void take(std::size_t i);
-
-  std::vector<ExecutorInfo> executors_;  // sorted by executor id
-  std::vector<bool> taken_;
-  std::size_t remaining_ = 0;
-  std::size_t scan_start_ = 0;  ///< rotates claim_any across nodes
-  bool indexed_ = true;
-  mutable std::uint64_t scanned_ = 0;
-
-  // Indexed mode only:
-  /// node value -> executor indices on that node, ascending (== by id).
-  std::vector<std::vector<std::uint32_t>> by_node_;
-  /// Per node: first possibly-untaken position in `by_node_` (lazy skip).
-  mutable std::vector<std::size_t> node_cursor_;
-  /// Union-find parents over executor indices + end sentinel.
-  std::vector<std::uint32_t> free_parent_;
-};
 
 /// Outcome of one intra-application pass.
 enum class IntraAppStop {
@@ -95,26 +38,20 @@ struct IntraAppPassResult {
 ///    compute even when locality is impossible.
 ///
 /// `jobs` is the mutable copy of the app's pending jobs (tasks are erased
-/// from `unsatisfied` as they are satisfied).  `emit` receives every
-/// assignment as it happens.
+/// from `unsatisfied` as they are satisfied).  `pool` is the round's claim
+/// state over the idle index.  `emit` receives every assignment as it
+/// happens.
 ///
-/// When `tracker` is non-null it must hold every competing app except
-/// `current` (detached by the caller); the per-grant MINLOCALITY re-check
-/// then costs O(1) instead of a full rescan of the apps vector.
-///
-/// `Pool` is either a round-local `IdleExecutorPool` (reference path) or a
-/// persistent-index `IdleExecutorIndex::RoundView` (demand-driven path);
-/// both expose the same claim_on/claim_any/empty contract with identical
-/// claim order.  Defined in intra_app.cpp with explicit instantiations for
-/// exactly those two types.
-template <class Pool>
+/// `tracker` holds every competing app except `current` (detached by the
+/// caller), so the per-grant MINLOCALITY re-check costs O(log apps).  Null
+/// under the naive-fair ablation (locality_fair off), where every grant
+/// yields back to the inter-application loop — a strict round-robin.
 IntraAppPassResult IntraAppAllocate(
     std::vector<AppAllocState>& apps, std::size_t current,
-    std::vector<JobDemand>& jobs, Pool& pool,
+    std::vector<JobDemand>& jobs, IdleExecutorIndex::RoundView& pool,
     const BlockLocationsFn& locations,
-    const std::function<void(const Assignment&)>& emit,
-    bool priority_jobs = true, bool locality_fair = true,
-    const MinLocalityTracker* tracker = nullptr);
+    const std::function<void(const Assignment&)>& emit, bool priority_jobs,
+    const MinLocalityTracker* tracker);
 
 /// The job-priority comparator (fewest unsatisfied input tasks first;
 /// deterministic tie-break by job uid — the paper breaks ties randomly).

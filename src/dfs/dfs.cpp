@@ -73,67 +73,19 @@ FileId Dfs::write_file(const std::string& path, double bytes,
 }
 
 void Dfs::fail_node(NodeId node, const std::vector<NodeId>& live_nodes) {
-  // The indexed path needs binary search over live_nodes; callers pass
-  // Cluster::alive_nodes(), which is sorted, but fall back for arbitrary
-  // orderings (the reference scan filters live_nodes in input order, and
-  // candidate order feeds the RNG pick).
-  if (config_.indexed_failover &&
-      std::is_sorted(live_nodes.begin(), live_nodes.end())) {
-    fail_node_indexed(node, live_nodes);
-  } else {
-    fail_node_reference(node, live_nodes);
+  if (!std::is_sorted(live_nodes.begin(), live_nodes.end())) {
+    throw std::invalid_argument("Dfs::fail_node: live_nodes must be sorted");
   }
-}
-
-void Dfs::fail_node_reference(NodeId node,
-                              const std::vector<NodeId>& live_nodes) {
-  for (BlockId b : namenode_.all_blocks()) {
-    if (!namenode_.is_local(b, node)) continue;
-    const double bytes = namenode_.block(b).bytes;
-    // Pick a live target that does not already hold the block.
-    std::vector<NodeId> candidates;
-    for (NodeId live : live_nodes) {
-      if (live != node && !namenode_.is_local(b, live)) {
-        candidates.push_back(live);
-      }
-    }
-    if (!candidates.empty()) {
-      const NodeId target = rng_.pick(candidates);
-      namenode_.add_replica(b, target);
-      node_bytes_[target.value()] += bytes;
-      if (tracer_ != nullptr) {
-        tracer_->instant({.node = obs::IdOf(target),
-                          .block = obs::IdOf(b),
-                          .kind = obs::EventKind::kReReplicate});
-      }
-      notify(b, target, true);
-    }
-    if (namenode_.locations(b).size() > 1) {
-      namenode_.remove_replica(b, node);
-      node_bytes_[node.value()] -= bytes;
-      if (tracer_ != nullptr) {
-        tracer_->instant({.node = obs::IdOf(node),
-                          .block = obs::IdOf(b),
-                          .kind = obs::EventKind::kReplicaLost});
-      }
-      notify(b, node, false);
-    }
-  }
-}
-
-void Dfs::fail_node_indexed(NodeId node,
-                            const std::vector<NodeId>& live_nodes) {
   // Snapshot: remove_replica(b, node) mutates the set we would iterate.
-  // blocks_on(node) is ordered by block id, which is exactly the reference
-  // scan's all_blocks() order filtered by is_local(b, node).
+  // blocks_on(node) is ordered by block id.
   const auto& held_set = namenode_.blocks_on(node);
   const std::vector<BlockId> held(held_set.begin(), held_set.end());
   std::vector<std::size_t> excluded;  // positions in live_nodes
   for (BlockId b : held) {
     const double bytes = namenode_.block(b).bytes;
-    // The reference candidate list is live_nodes minus `node` minus current
-    // replica holders, in live_nodes (= sorted) order.  Instead of building
-    // it, locate the excluded positions (node is a holder of b, so the
+    // The candidates are live_nodes minus `node` minus current replica
+    // holders, in live_nodes (= sorted) order.  Instead of building that
+    // list, locate the excluded positions (node is a holder of b, so the
     // holder pass covers it) ...
     excluded.clear();
     for (NodeId holder : namenode_.locations(b)) {
@@ -145,9 +97,9 @@ void Dfs::fail_node_indexed(NodeId node,
     }
     const std::size_t count = live_nodes.size() - excluded.size();
     if (count > 0) {
-      // ... draw the same order statistic the reference path draws, then
-      // skip it past the excluded positions (ascending, since locations()
-      // and live_nodes are both sorted) to land on the k-th candidate.
+      // ... draw the candidate's rank, then skip it past the excluded
+      // positions (ascending, since locations() and live_nodes are both
+      // sorted) to land on the k-th candidate.
       std::size_t j = rng_.index(count);
       for (std::size_t pos : excluded) {
         if (pos <= j) {

@@ -25,13 +25,6 @@ struct DfsConfig {
   std::size_t num_nodes = 0;
   double block_bytes = units::MB(128.0);  ///< paper default
   int default_replication = 3;            ///< paper default
-  /// fail_node re-replication via the NameNode's node->blocks index and
-  /// order-statistics target sampling (O(blocks-on-node × replication))
-  /// instead of the seed's full-block-map scan with a candidates vector per
-  /// block (O(all-blocks × live-nodes)).  Both paths consume identical RNG
-  /// draws and choose identical targets; false keeps the seed scan as the
-  /// reference implementation.
-  bool indexed_failover = true;
 };
 
 class Dfs final : public PlacementView {
@@ -57,10 +50,14 @@ class Dfs final : public PlacementView {
   /// popularity boosting).  No-op when extra <= 0.
   void boost_replication(FileId file, int extra);
 
-  /// A DataNode died: every replica it held is re-replicated onto a random
-  /// node from `live_nodes` (not already holding the block) and the dead
-  /// copy is dropped.  Blocks whose last copy lived there keep it (the
-  /// cluster would restore them from cold storage).
+  /// A DataNode died: every replica it held, in block-id order, is
+  /// re-replicated onto a node drawn uniformly from `live_nodes` minus the
+  /// block's current holders, and the dead copy is dropped.  Blocks whose
+  /// last copy lived there keep it (the cluster would restore them from
+  /// cold storage).  Costs O(blocks on the node × replication × log nodes):
+  /// the target is drawn as an order statistic of the sorted live list, so
+  /// `live_nodes` must be ascending (Cluster::alive_nodes() is); an
+  /// unsorted list throws std::invalid_argument before anything changes.
   void fail_node(NodeId node, const std::vector<NodeId>& live_nodes);
 
   // --- reading / inquiry (what Custody asks the NameNode) -----------------
@@ -104,8 +101,6 @@ class Dfs final : public PlacementView {
 
  private:
   void place_block(const BlockInfo& block, int replicas);
-  void fail_node_indexed(NodeId node, const std::vector<NodeId>& live_nodes);
-  void fail_node_reference(NodeId node, const std::vector<NodeId>& live_nodes);
   void notify(BlockId block, NodeId node, bool added);
 
   DfsConfig config_;

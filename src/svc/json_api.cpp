@@ -200,8 +200,6 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
     ObjectScope allocator(*v, "allocator");
     allocator.boolean("locality_fair", config.allocator.locality_fair);
     allocator.boolean("priority_jobs", config.allocator.priority_jobs);
-    allocator.boolean("indexed", config.allocator.indexed);
-    allocator.boolean("demand_driven", config.allocator.demand_driven);
     allocator.finish();
   }
   if (const JsonValue* v = root.claim("scheduler")) {
@@ -210,7 +208,6 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
       config.scheduler.kind = SchedulerKindFromName(name);
     });
     scheduler.number("locality_wait", config.scheduler.locality_wait);
-    scheduler.boolean("indexed", config.scheduler.indexed);
     scheduler.finish();
   }
   root.integer("shuffle_fan_in", [&](long long v) {
@@ -348,16 +345,12 @@ std::string ConfigToJson(const ExperimentConfig& config) {
   out += "\"manager\":" + JsonQuote(ManagerName(config.manager)) + ",";
   out += "\"allocator\":{";
   boolean("locality_fair", config.allocator.locality_fair);
-  boolean("priority_jobs", config.allocator.priority_jobs);
-  boolean("indexed", config.allocator.indexed);
-  out += "\"demand_driven\":";
-  out += config.allocator.demand_driven ? "true" : "false";
+  out += "\"priority_jobs\":";
+  out += config.allocator.priority_jobs ? "true" : "false";
   out += "},";
   out += "\"scheduler\":{";
   out += "\"kind\":" + JsonQuote(SchedulerName(config.scheduler.kind)) + ",";
-  num("locality_wait", config.scheduler.locality_wait);
-  out += "\"indexed\":";
-  out += config.scheduler.indexed ? "true" : "false";
+  num("locality_wait", config.scheduler.locality_wait, /*comma=*/false);
   out += "},";
   num("shuffle_fan_in", config.shuffle_fan_in);
   boolean("speculation", config.speculation);

@@ -342,7 +342,7 @@ struct HashSink {
 
 std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   HashSink h;
-  h.u64(1);  // hash-layout salt: bump when fields are added or reordered
+  h.u64(2);  // hash-layout salt: bump when fields are added, removed or moved
   // Cluster.
   h.u64(config.num_nodes);
   h.i64(config.executors_per_node);
@@ -366,11 +366,8 @@ std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   h.u64(static_cast<std::uint64_t>(manager));
   h.b(config.allocator.locality_fair);
   h.b(config.allocator.priority_jobs);
-  h.b(config.allocator.indexed);
-  h.b(config.allocator.demand_driven);
   h.u64(static_cast<std::uint64_t>(config.scheduler.kind));
   h.f64(config.scheduler.locality_wait);
-  h.b(config.scheduler.indexed);
   h.i64(config.shuffle_fan_in);
   h.b(config.speculation);
   h.f64(config.speculation_multiplier);
@@ -461,10 +458,6 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
   app_config.scheduler = config.scheduler;
   app_config.shuffle_fan_in = config.shuffle_fan_in;
   app_config.locality_swap = manager_kind == ManagerKind::kCustody;
-  // One switch for every demand-driven path: allocator.demand_driven also
-  // selects the kick walk, so the round-equivalence suite pins manager
-  // rounds and app sweeps against the reference in one flip.
-  app_config.demand_driven_kick = config.allocator.demand_driven;
   app_config.speculation = config.speculation;
   app_config.speculation_multiplier = config.speculation_multiplier;
   app_config.retire_finished_jobs =

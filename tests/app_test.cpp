@@ -277,50 +277,46 @@ TEST(Application, DelayWaitExpiryLaunchesRemoteWithoutSpinning) {
   // epsilon in the expiry test, pick() re-arms a zero-delay retry at the
   // same instant forever and sim.run() never returns.  The job is
   // submitted at an awkward time so the sum actually rounds.
-  for (const bool indexed : {true, false}) {
-    SCOPED_TRACE(indexed ? "indexed" : "reference");
-    Harness h(4, 1);
-    // Job A monopolises node 0 for ~26 s; job B has one block on the busy
-    // node 0 and one on node 1, so its node-0 task must wait out the
-    // locality timer on an idle foreign executor and then go remote.
-    auto& nn = const_cast<dfs::NameNode&>(h.dfs.namenode());
-    auto pin = [&nn](BlockId b, NodeId target) {
-      if (!nn.is_local(b, target)) nn.add_replica(b, target);
-      for (NodeId existing : std::vector<NodeId>(nn.locations(b))) {
-        if (existing != target) nn.remove_replica(b, existing);
-      }
-    };
-    const FileId file_a = h.dfs.write_file("/a", MB(128.0), 1);
-    pin(h.dfs.blocks_of(file_a).front(), NodeId(0));
-    const FileId file_b = h.dfs.write_file("/b", MB(256.0), 1);
-    pin(h.dfs.blocks_of(file_b)[0], NodeId(0));
-    pin(h.dfs.blocks_of(file_b)[1], NodeId(1));
+  Harness h(4, 1);
+  // Job A monopolises node 0 for ~26 s; job B has one block on the busy
+  // node 0 and one on node 1, so its node-0 task must wait out the
+  // locality timer on an idle foreign executor and then go remote.
+  auto& nn = const_cast<dfs::NameNode&>(h.dfs.namenode());
+  auto pin = [&nn](BlockId b, NodeId target) {
+    if (!nn.is_local(b, target)) nn.add_replica(b, target);
+    for (NodeId existing : std::vector<NodeId>(nn.locations(b))) {
+      if (existing != target) nn.remove_replica(b, existing);
+    }
+  };
+  const FileId file_a = h.dfs.write_file("/a", MB(128.0), 1);
+  pin(h.dfs.blocks_of(file_a).front(), NodeId(0));
+  const FileId file_b = h.dfs.write_file("/b", MB(256.0), 1);
+  pin(h.dfs.blocks_of(file_b)[0], NodeId(0));
+  pin(h.dfs.blocks_of(file_b)[1], NodeId(1));
 
-    AppConfig config;
-    config.dynamic_executors = false;
-    config.locality_swap = false;
-    config.scheduler.kind = SchedulerKind::kDelay;
-    config.scheduler.locality_wait = 3.0;
-    config.scheduler.indexed = indexed;
-    Application& app = h.make_app(AppId(0), config);
+  AppConfig config;
+  config.dynamic_executors = false;
+  config.locality_swap = false;
+  config.scheduler.kind = SchedulerKind::kDelay;
+  config.scheduler.locality_wait = 3.0;
+  Application& app = h.make_app(AppId(0), config);
 
-    JobSpec spec_a;
-    spec_a.name = "/a";
-    spec_a.input_file = file_a;
-    spec_a.input_compute_secs_per_byte = 2e-7;  // ~26.8 s on node 0
-    app.submit_job(spec_a);
-    JobSpec spec_b;
-    spec_b.name = "/b";
-    spec_b.input_file = file_b;
-    spec_b.input_compute_secs_per_byte = 1e-9;  // fast
-    h.sim.post_at(0.734561892337, [&app, spec_b] { app.submit_job(spec_b); });
+  JobSpec spec_a;
+  spec_a.name = "/a";
+  spec_a.input_file = file_a;
+  spec_a.input_compute_secs_per_byte = 2e-7;  // ~26.8 s on node 0
+  app.submit_job(spec_a);
+  JobSpec spec_b;
+  spec_b.name = "/b";
+  spec_b.input_file = file_b;
+  spec_b.input_compute_secs_per_byte = 1e-9;  // fast
+  h.sim.post_at(0.734561892337, [&app, spec_b] { app.submit_job(spec_b); });
 
-    h.sim.run();  // hangs on a zero-delay retry loop if the edge regresses
-    EXPECT_EQ(app.jobs_completed(), 2);
-    const auto& breakdown = app.launch_breakdown();
-    // B's node-0 task launched remotely after its wait expired.
-    EXPECT_GE(breakdown.covered_busy + breakdown.uncovered, 1);
-  }
+  h.sim.run();  // hangs on a zero-delay retry loop if the edge regresses
+  EXPECT_EQ(app.jobs_completed(), 2);
+  const auto& breakdown = app.launch_breakdown();
+  // B's node-0 task launched remotely after its wait expired.
+  EXPECT_GE(breakdown.covered_busy + breakdown.uncovered, 1);
 }
 
 TEST(Application, BreakdownClassifiesNonLocalLaunches) {

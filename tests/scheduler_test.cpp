@@ -1,7 +1,5 @@
 // Tests for the in-application task schedulers: delay scheduling semantics,
-// locality-preferred and FIFO variants.  Every pick test runs twice — once
-// against the seed full-scan reference path and once against the
-// ReadyTaskIndex-backed path — and must behave identically in both.
+// locality-preferred and FIFO variants, answered from the ReadyTaskIndex.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -102,22 +100,16 @@ SchedulerConfig Delay(double wait = 3.0) {
   return {SchedulerKind::kDelay, wait};
 }
 
-/// Parametrized over the dispatch path: false = reference scan, true =
-/// ReadyTaskIndex lookups.  make() must be called after the scenario is
-/// built — it snapshots the ready tasks into the index.
-class SchedulerPath : public testing::TestWithParam<bool> {
+/// make() must be called after the scenario is built — it snapshots the
+/// ready tasks into the index the scheduler reads.
+class Scheduler : public testing::Test {
  protected:
   TaskScheduler make(SchedulerConfig cfg) {
-    cfg.indexed = GetParam();
-    TaskScheduler sched(cfg, f.dfs());
-    if (cfg.indexed) {
-      index_ = std::make_unique<ReadyTaskIndex>(f.dfs());
-      for (const auto& [id, t] : f.tasks()) {
-        if (t.state == TaskState::kReady) index_->task_ready(t);
-      }
-      sched.attach_index(index_.get());
+    index_ = std::make_unique<ReadyTaskIndex>(f.dfs());
+    for (const auto& [id, t] : f.tasks()) {
+      if (t.state == TaskState::kReady) index_->task_ready(t);
     }
-    return sched;
+    return TaskScheduler(cfg, *index_);
   }
 
   SchedulerFixture f;
@@ -126,12 +118,7 @@ class SchedulerPath : public testing::TestWithParam<bool> {
   std::unique_ptr<ReadyTaskIndex> index_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Paths, SchedulerPath, testing::Bool(),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? "indexed" : "reference";
-                         });
-
-TEST_P(SchedulerPath, DelayPrefersLocalInputTask) {
+TEST_F(Scheduler, DelayPrefersLocalInputTask) {
   Job& j = f.add_job();
   const BlockId remote = f.add_block({NodeId(5)});
   const BlockId local = f.add_block({NodeId(1)});
@@ -140,32 +127,32 @@ TEST_P(SchedulerPath, DelayPrefersLocalInputTask) {
 
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, local_task.id);
   EXPECT_TRUE(pick->local);
 }
 
-TEST_P(SchedulerPath, DelayWaitsBeforeGoingRemote) {
+TEST_F(Scheduler, DelayWaitsBeforeGoingRemote) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
 
   TaskScheduler sched = make(Delay(3.0));
   std::optional<SimTime> retry;
   // First ask at t=0: nothing local -> the job starts its wait.
-  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
   EXPECT_TRUE(j.waiting_since_set());
   ASSERT_TRUE(retry.has_value());
   EXPECT_DOUBLE_EQ(*retry, 3.0);
   // Still within the wait: refuse again.
-  EXPECT_FALSE(sched.pick(NodeId(1), 2.9, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), 2.9, f.jobs(), retry));
   // Wait expired: accept the remote slot.
-  const auto pick = sched.pick(NodeId(1), 3.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 3.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_FALSE(pick->local);
 }
 
-TEST_P(SchedulerPath, DelayWaitExpiryExactTimeDoesNotSpin) {
+TEST_F(Scheduler, DelayWaitExpiryExactTimeDoesNotSpin) {
   // Regression: the retry event fires at exactly wait_start + wait; the
   // comparison must treat that instant as expired despite fp rounding.
   Job& j = f.add_job();
@@ -173,14 +160,14 @@ TEST_P(SchedulerPath, DelayWaitExpiryExactTimeDoesNotSpin) {
   TaskScheduler sched = make(Delay(3.0));
   std::optional<SimTime> retry;
   const double start = 9.133414204015;  // awkward binary representation
-  EXPECT_FALSE(sched.pick(NodeId(1), start, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), start, f.jobs(), retry));
   ASSERT_TRUE(retry.has_value());
   const auto pick =
-      sched.pick(NodeId(1), *retry, f.jobs(), f.tasks(), retry);
+      sched.pick(NodeId(1), *retry, f.jobs(), retry);
   EXPECT_TRUE(pick.has_value());
 }
 
-TEST_P(SchedulerPath, DelayWaitExpiryStillFiresAtSteadyStateHorizons) {
+TEST_F(Scheduler, DelayWaitExpiryStillFiresAtSteadyStateHorizons) {
   // Regression for long horizons: one ulp of the clock at t ~ 1e9 is
   // ~2.4e-7 s, so `(wait_start + wait) - wait_start` can round short of
   // `wait` by far more than the historical absolute 1e-9 tolerance.  With
@@ -204,12 +191,12 @@ TEST_P(SchedulerPath, DelayWaitExpiryStillFiresAtSteadyStateHorizons) {
     TaskScheduler sched = make(Delay(c.wait));
     std::vector<Job*> only{c.job};
     std::optional<SimTime> retry;
-    EXPECT_FALSE(sched.pick(NodeId(1), c.start, only, f.tasks(), retry));
+    EXPECT_FALSE(sched.pick(NodeId(1), c.start, only, retry));
     ASSERT_TRUE(retry.has_value());
     // Confirm the scenario bites: the retry instant minus the wait start is
     // genuinely short of the wait by more than the old absolute epsilon.
     ASSERT_LT(*retry - c.start, c.wait - 1e-9);
-    const auto pick = sched.pick(NodeId(1), *retry, only, f.tasks(), retry);
+    const auto pick = sched.pick(NodeId(1), *retry, only, retry);
     EXPECT_TRUE(pick.has_value());
     EXPECT_FALSE(pick->local);
   }
@@ -221,7 +208,8 @@ TEST(DelayScheduler, LocalLaunchResetsWait) {
   Task& t = f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   j.wait_start = 5.0;
   t.local = true;
-  TaskScheduler sched(Delay(), f.dfs());
+  const ReadyTaskIndex index(f.dfs());
+  TaskScheduler sched(Delay(), index);
   sched.on_launched(j, t);
   EXPECT_FALSE(j.waiting_since_set());
 }
@@ -232,23 +220,24 @@ TEST(DelayScheduler, NonLocalLaunchKeepsExpiredTimer) {
   Task& t = f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   j.wait_start = 5.0;
   t.local = false;
-  TaskScheduler sched(Delay(), f.dfs());
+  const ReadyTaskIndex index(f.dfs());
+  TaskScheduler sched(Delay(), index);
   sched.on_launched(j, t);
   // The expired timer persists so follow-up tasks launch without re-waiting.
   EXPECT_TRUE(j.waiting_since_set());
 }
 
-TEST_P(SchedulerPath, DelayDownstreamTasksLaunchAnywhere) {
+TEST_F(Scheduler, DelayDownstreamTasksLaunchAnywhere) {
   Job& j = f.add_job();
   Task& reduce = f.add_downstream_task(j, TaskState::kReady);
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(7), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(7), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, reduce.id);
 }
 
-TEST_P(SchedulerPath, DelaySkipsJobButServesNextOne) {
+TEST_F(Scheduler, DelaySkipsJobButServesNextOne) {
   Job& first = f.add_job();
   f.add_input_task(first, f.add_block({NodeId(5)}), TaskState::kReady);
   Job& second = f.add_job();
@@ -256,83 +245,83 @@ TEST_P(SchedulerPath, DelaySkipsJobButServesNextOne) {
                                  TaskState::kReady);
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, local.id);  // job 1 skipped, job 2 local served
   EXPECT_TRUE(first.waiting_since_set());
 }
 
-TEST_P(SchedulerPath, DelayIgnoresNonReadyTasks) {
+TEST_F(Scheduler, DelayIgnoresNonReadyTasks) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kBlocked);
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kRunning);
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kFinished);
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
   EXPECT_FALSE(retry.has_value());  // nothing will become pickable by time
 }
 
-TEST_P(SchedulerPath, LocalityPreferredNeverWaits) {
+TEST_F(Scheduler, LocalityPreferredNeverWaits) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kLocalityPreferred, 3.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_FALSE(pick->local);
   EXPECT_FALSE(j.waiting_since_set());
 }
 
-TEST_P(SchedulerPath, LocalityPreferredStillPrefersLocal) {
+TEST_F(Scheduler, LocalityPreferredStillPrefersLocal) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   Task& local = f.add_input_task(j, f.add_block({NodeId(1)}),
                                  TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kLocalityPreferred, 0.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, local.id);
 }
 
-TEST_P(SchedulerPath, FifoIgnoresLocalityEntirely) {
+TEST_F(Scheduler, FifoIgnoresLocalityEntirely) {
   Job& j = f.add_job();
   Task& first = f.add_input_task(j, f.add_block({NodeId(5)}),
                                  TaskState::kReady);
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kFifo, 3.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, first.id);  // stage order, not locality
   EXPECT_FALSE(pick->local);
 }
 
-TEST_P(SchedulerPath, FifoStillReportsLocalityForMetrics) {
+TEST_F(Scheduler, FifoStillReportsLocalityForMetrics) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kFifo, 0.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_TRUE(pick->local);  // happened to be local
 }
 
-TEST_P(SchedulerPath, HasLocalReadyInput) {
+TEST_F(Scheduler, HasLocalReadyInput) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(2)}), TaskState::kReady);
   TaskScheduler sched = make(Delay());
-  EXPECT_TRUE(sched.has_local_ready_input(j, NodeId(2), f.tasks()));
-  EXPECT_FALSE(sched.has_local_ready_input(j, NodeId(3), f.tasks()));
+  EXPECT_TRUE(sched.has_local_ready_input(j, NodeId(2)));
+  EXPECT_FALSE(sched.has_local_ready_input(j, NodeId(3)));
 }
 
-TEST_P(SchedulerPath, ZeroWaitDelayActsLikeLocalityPreferred) {
+TEST_F(Scheduler, ZeroWaitDelayActsLikeLocalityPreferred) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   TaskScheduler sched = make(Delay(0.0));
   std::optional<SimTime> retry;
-  EXPECT_TRUE(sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry));
+  EXPECT_TRUE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
 }
 
 }  // namespace

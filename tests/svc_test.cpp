@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,6 +192,22 @@ TEST(JsonApi, RejectsUnknownAndMistypedFields) {
                std::invalid_argument);
   EXPECT_THROW(ConfigFromJsonText("[1,2]"), std::invalid_argument);
   EXPECT_NO_THROW(ConfigFromJsonText("{}"));
+  // Removed simulator-internal switches: an old client gets an error that
+  // names the field, not a silently different run.
+  for (const auto& [text, path] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"{\"scheduler\":{\"indexed\":false}}", "scheduler.indexed"},
+           {"{\"allocator\":{\"indexed\":true}}", "allocator.indexed"},
+           {"{\"allocator\":{\"demand_driven\":false}}",
+            "allocator.demand_driven"}}) {
+    try {
+      (void)ConfigFromJsonText(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                path + " is not a recognized config field");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,19 +11,13 @@
 // Every configuration uses the default values of everything it does not
 // set, so the table pins what a default run does.
 //
-// A digest is snap::Fnv1a over svc::ResultToJson of the result, after the
-// cost counters are zeroed: manager_stats.executors_scanned,
-// manager_stats.apps_considered and every field of net_stats.  Those count
-// work, not outcomes, so a change that does less work for the same
-// simulation keeps its digests.  Every other deterministic field — JCT and
-// locality summaries, grants, offers, round counts, bytes, launches,
-// events, makespan — is covered.  Wall-clock fields are not in the JSON.
+// A digest is OutcomeDigest (tests/outcome_digest.h): snap::Fnv1a over
+// svc::ResultToJson of the result with the cost counters zeroed.
 //
 // A mismatch prints the case name and the digest the run produced.  A
 // change that alters simulated behaviour on purpose must replace the
 // affected constants and say why; nothing regenerates them automatically.
 #include <cstdint>
-#include <cstdio>
 #include <initializer_list>
 #include <map>
 #include <set>
@@ -33,8 +27,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/snapshot.h"
-#include "svc/json_api.h"
+#include "outcome_digest.h"
 #include "workload/harness.h"
 
 namespace custody::workload {
@@ -444,22 +437,6 @@ const std::map<std::string, std::uint64_t>& GoldenTable() {
   return kGolden;
 }
 // clang-format on
-
-std::uint64_t OutcomeDigest(ExperimentResult result) {
-  result.manager_stats.executors_scanned = 0;
-  result.manager_stats.apps_considered = 0;
-  result.net_stats = {};
-  const std::string json = svc::ResultToJson(result);
-  return snap::Fnv1a(reinterpret_cast<const std::uint8_t*>(json.data()),
-                     json.size());
-}
-
-std::string Hex(std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llxULL",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 /// Runs every case, checks its digest against the table and returns the
 /// results for the non-vacuity checks.

@@ -113,71 +113,14 @@ void BM_MaxMinFairRates(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinFairRates)->Arg(16)->Arg(128)->Arg(512);
 
-/// One rate solve at scale: the persistent heap solver (`incremental:1`)
-/// against the from-scratch progressive-filling scan (`incremental:0`) over
-/// the same random flow set.  Compare the time columns row-pairwise; the
-/// label carries the per-solve work counters that explain the gap.
-void BM_MaxMinRecompute(benchmark::State& state) {
-  const std::size_t num_nodes = static_cast<std::size_t>(state.range(0));
-  const std::size_t num_flows = static_cast<std::size_t>(state.range(1));
-  const bool incremental = state.range(2) != 0;
-  Rng rng(2);
-  std::vector<std::vector<std::size_t>> flow_links(num_flows);
-  for (auto& links : flow_links) {
-    const std::size_t src = rng.index(num_nodes);
-    std::size_t dst = rng.index(num_nodes);
-    if (dst == src) dst = (dst + 1) % num_nodes;
-    links = {src, num_nodes + dst};
-  }
-  std::vector<double> capacity(2 * num_nodes);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    capacity[i] = units::Gbps(2.0);
-    capacity[num_nodes + i] = units::Gbps(40.0);
-  }
-
-  net::MaxMinFairSolver solver;
-  solver.reset_links(capacity);
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    solver.add_flow(f, flow_links[f].data(), flow_links[f].size());
-  }
-  std::vector<double> rates;
-  net::SolveCounters counters;
-  if (incremental) {
-    for (auto _ : state) {
-      counters = {};
-      solver.solve(rates, &counters);
-      benchmark::DoNotOptimize(rates.data());
-    }
-  } else {
-    for (auto _ : state) {
-      counters = {};
-      benchmark::DoNotOptimize(
-          net::MaxMinFairRates(flow_links, capacity, &counters));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(num_flows));
-  state.SetLabel("rounds=" + std::to_string(counters.rounds) +
-                 " links_scanned=" + std::to_string(counters.links_scanned) +
-                 " flows_scanned=" + std::to_string(counters.flows_scanned));
-}
-BENCHMARK(BM_MaxMinRecompute)
-    ->ArgNames({"nodes", "flows", "incremental"})
-    ->Args({100, 1000, 1})
-    ->Args({100, 1000, 0})
-    ->Args({1000, 10000, 1})
-    ->Args({1000, 10000, 0})
-    ->Unit(benchmark::kMillisecond);
-
 /// Churn loop shared by the component-solve rows: each iteration retires one
-/// flow, starts an identical one and solves; `partitioned:1` re-solves only
-/// the dirtied component while `partitioned:0` re-solves the world.  The
-/// label's per-solve counters are the acceptance metric.
+/// flow, starts an identical one and solves, which re-solves only the
+/// dirtied component.  The label's per-solve counters are the acceptance
+/// metric.
 void ChurnAndSolve(benchmark::State& state, std::vector<double> capacity,
-                   const std::vector<std::vector<std::size_t>>& flow_links,
-                   bool partitioned) {
+                   const std::vector<std::vector<std::size_t>>& flow_links) {
   net::MaxMinFairSolver solver;
-  solver.reset_links(std::move(capacity), partitioned);
+  solver.reset_links(std::move(capacity));
   for (std::size_t f = 0; f < flow_links.size(); ++f) {
     solver.add_flow(f, flow_links[f].data(), flow_links[f].size());
   }
@@ -185,7 +128,7 @@ void ChurnAndSolve(benchmark::State& state, std::vector<double> capacity,
   net::SolveCounters counters;
   net::SolveDelta delta;
   // Warm solve: afterwards every component is clean.
-  solver.solve(rates, &counters, partitioned ? &delta : nullptr);
+  solver.solve(rates, delta, &counters);
 
   counters = {};
   std::uint64_t solves = 0;
@@ -194,7 +137,7 @@ void ChurnAndSolve(benchmark::State& state, std::vector<double> capacity,
     solver.remove_flow(victim);
     solver.add_flow(victim, flow_links[victim].data(),
                     flow_links[victim].size());
-    solver.solve(rates, &counters, partitioned ? &delta : nullptr);
+    solver.solve(rates, delta, &counters);
     benchmark::DoNotOptimize(rates.data());
     victim = (victim + 1) % flow_links.size();
     ++solves;
@@ -213,11 +156,9 @@ void ChurnAndSolve(benchmark::State& state, std::vector<double> capacity,
 /// extreme), `shared_core:1` threads every flow through one 400 Gbps core
 /// link, which can bind at these sizes (1,000 x 2 Gbps > 400 Gbps): one giant
 /// component — the degenerate case where partitioning must cost nothing.
-/// flows_scanned/solve must drop >= 5x on the disjoint 10k row.
 void BM_ComponentSolve(benchmark::State& state) {
   const std::size_t num_flows = static_cast<std::size_t>(state.range(0));
   const bool shared_core = state.range(1) != 0;
-  const bool partitioned = state.range(2) != 0;
   const std::size_t num_nodes = 2 * num_flows;  // disjoint src/dst per flow
   std::vector<double> capacity(2 * num_nodes + 1);
   for (std::size_t i = 0; i < num_nodes; ++i) {
@@ -232,18 +173,14 @@ void BM_ComponentSolve(benchmark::State& state) {
     flow_links[f] = {2 * f, num_nodes + 2 * f + 1};
     if (shared_core) flow_links[f].push_back(2 * num_nodes);
   }
-  ChurnAndSolve(state, std::move(capacity), flow_links, partitioned);
+  ChurnAndSolve(state, std::move(capacity), flow_links);
 }
 BENCHMARK(BM_ComponentSolve)
-    ->ArgNames({"flows", "shared_core", "partitioned"})
-    ->Args({1000, 0, 1})
-    ->Args({1000, 0, 0})
-    ->Args({1000, 1, 1})
-    ->Args({1000, 1, 0})
-    ->Args({10000, 0, 1})
-    ->Args({10000, 0, 0})
-    ->Args({10000, 1, 1})
-    ->Args({10000, 1, 0})
+    ->ArgNames({"flows", "shared_core"})
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
     ->Unit(benchmark::kMicrosecond);
 
 /// The shuffle shape that dominates steady-state Sort runs: every mapper
@@ -255,7 +192,6 @@ BENCHMARK(BM_ComponentSolve)
 void BM_ComponentSolveShuffle(benchmark::State& state) {
   const std::size_t mappers = static_cast<std::size_t>(state.range(0));
   const std::size_t reducers = static_cast<std::size_t>(state.range(1));
-  const bool partitioned = state.range(2) != 0;
   // Network link layout: [0, N) uplinks, [N, 2N) downlinks; mappers occupy
   // nodes [0, mappers), reducers the nodes after them.
   const std::size_t num_nodes = mappers + reducers;
@@ -270,26 +206,22 @@ void BM_ComponentSolveShuffle(benchmark::State& state) {
       flow_links.push_back({m, num_nodes + mappers + r});
     }
   }
-  ChurnAndSolve(state, std::move(capacity), flow_links, partitioned);
+  ChurnAndSolve(state, std::move(capacity), flow_links);
 }
 BENCHMARK(BM_ComponentSolveShuffle)
-    ->ArgNames({"mappers", "reducers", "partitioned"})
-    ->Args({16, 32, 1})
-    ->Args({16, 32, 0})
-    ->Args({32, 16, 1})
-    ->Args({32, 16, 0})
+    ->ArgNames({"mappers", "reducers"})
+    ->Args({16, 32})
+    ->Args({32, 16})
     ->Unit(benchmark::kMicrosecond);
 
 /// End-to-end network path under shuffle fan-out: bursts of `fan_in` flows
 /// converge on one destination per burst, all started in a single event —
-/// the Application's shuffle pattern at scale.  `incremental:1` is the
-/// batched + heap-solver path, `incremental:0` the recompute-per-change
-/// reference.  The label's NetStats counters show where the speedup comes
-/// from: solves batched away and sub-linear per-solve link work.
+/// the Application's shuffle pattern at scale.  The label's NetStats
+/// counters show where the time goes: solves batched away and per-solve
+/// link work.
 void BM_NetworkShuffleFanOut(benchmark::State& state) {
   const std::size_t num_nodes = static_cast<std::size_t>(state.range(0));
   const std::size_t num_flows = static_cast<std::size_t>(state.range(1));
-  const bool incremental = state.range(2) != 0;
   const std::size_t fan_in = std::min<std::size_t>(num_nodes - 1, 100);
   const std::size_t bursts = num_flows / fan_in;
   std::uint64_t recomputes_run = 0;
@@ -299,8 +231,6 @@ void BM_NetworkShuffleFanOut(benchmark::State& state) {
     sim::Simulator sim;
     net::NetworkConfig config;
     config.num_nodes = num_nodes;
-    config.incremental = incremental;
-    config.component_partitioned = incremental;
     net::Network network(sim, config);
     Rng rng(9);
     std::size_t completed = 0;
@@ -336,11 +266,9 @@ void BM_NetworkShuffleFanOut(benchmark::State& state) {
                  " links_scanned=" + std::to_string(links_scanned));
 }
 BENCHMARK(BM_NetworkShuffleFanOut)
-    ->ArgNames({"nodes", "flows", "incremental"})
-    ->Args({100, 1000, 1})
-    ->Args({100, 1000, 0})
-    ->Args({1000, 10000, 1})
-    ->Args({1000, 10000, 0})
+    ->ArgNames({"nodes", "flows"})
+    ->Args({100, 1000})
+    ->Args({1000, 10000})
     ->Unit(benchmark::kMillisecond);
 
 std::vector<core::MatchEdge> RandomEdges(int nl, int nr, double density,

@@ -208,12 +208,6 @@ int main(int argc, char** argv) {
     for (const long long sweep_nodes : {100LL, 1000LL, 10000LL}) {
       if (!run_row("node-sweep", sweep_config(sweep_nodes))) return 1;
     }
-    // The before/after row for the component partition: the same 10k-node
-    // run on the unpartitioned (global re-solve) rate path.  Compare its
-    // events/s and net_solve_share against the node-sweep row above.
-    ExperimentConfig global_net = sweep_config(10000);
-    global_net.component_partitioned_network = false;
-    if (!run_row("node-sweep-globalnet", global_net)) return 1;
     // The kick-sweep rows: standalone holds every executor, and
     // speculation offers free slots to straggler clones.
     ExperimentConfig standalone = sweep_config(10000);

@@ -81,10 +81,9 @@ struct NetworkStatsRecord {
   std::uint64_t flows_scanned = 0;
   std::uint64_t links_scanned = 0;
   std::uint64_t rounds = 0;
-  /// Component-partitioned solves: live components after each solve
-  /// (summed), dirty components re-solved, flow rates rewritten, and
-  /// completion re-arms that fell back to a full flow rescan.  All zero on
-  /// the non-partitioned rate paths.
+  /// Live components after each solve (summed), dirty components
+  /// re-solved, flow rates rewritten, and completion re-arms that fell back
+  /// to a full flow rescan.
   std::uint64_t components_total = 0;
   std::uint64_t components_dirty = 0;
   std::uint64_t rates_changed = 0;

@@ -9,21 +9,18 @@
 
 namespace custody::net {
 
-void MaxMinFairSolver::reset_links(std::vector<double> capacity,
-                                   bool partitioned) {
+void MaxMinFairSolver::reset_links(std::vector<double> capacity) {
   capacity_ = std::move(capacity);
   link_flows_.assign(capacity_.size(), {});
   flows_.clear();
   live_slots_.clear();
   touch_stamp_.assign(capacity_.size(), 0);
   round_stamp_ = 0;
-  partitioned_ = partitioned;
   comps_.clear();
-  const std::size_t part_links = partitioned_ ? capacity_.size() : 0;
-  comp_of_link_.assign(part_links, kNoComponent);
-  ceil_max_.assign(part_links, 0.0);
-  ceil_holders_.assign(part_links, 0);
-  binds_.assign(part_links, 0);
+  comp_of_link_.assign(capacity_.size(), kNoComponent);
+  ceil_max_.assign(capacity_.size(), 0.0);
+  ceil_holders_.assign(capacity_.size(), 0);
+  binds_.assign(capacity_.size(), 0);
   dirty_comps_.clear();
   free_comp_ids_.clear();
   merged_comps_.clear();
@@ -178,22 +175,20 @@ void MaxMinFairSolver::add_flow(std::size_t slot, const std::size_t* links,
   flow.live = true;
   flow.live_pos = static_cast<std::uint32_t>(live_slots_.size());
   live_slots_.push_back(static_cast<std::uint32_t>(slot));
-  if (partitioned_) partition_add(slot);
+  partition_add(slot);
 }
 
 void MaxMinFairSolver::remove_flow(std::size_t slot) {
   assert(slot < flows_.size() && flows_[slot].live);
   FlowEntry& flow = flows_[slot];
-  if (partitioned_) {
-    // All of a flow's links that can bind (judged before removal) share one
-    // component; removal may split it or stop one of its links binding,
-    // which the next solve discovers by re-partitioning.
-    for (std::uint32_t i = 0; i < flow.degree; ++i) {
-      if (!binds_[flow.link[i]]) continue;
-      assert(comp_of_link_[flow.link[i]] != kNoComponent);
-      mark_dirty(comp_of_link_[flow.link[i]]);
-      break;
-    }
+  // All of a flow's links that can bind (judged before removal) share one
+  // component; removal may split it or stop one of its links binding,
+  // which the next solve discovers by re-partitioning.
+  for (std::uint32_t i = 0; i < flow.degree; ++i) {
+    if (!binds_[flow.link[i]]) continue;
+    assert(comp_of_link_[flow.link[i]] != kNoComponent);
+    mark_dirty(comp_of_link_[flow.link[i]]);
+    break;
   }
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
     std::vector<std::uint32_t>& list = link_flows_[flow.link[i]];
@@ -212,11 +207,9 @@ void MaxMinFairSolver::remove_flow(std::size_t slot) {
       }
     }
   }
-  if (partitioned_) {
-    for (std::uint32_t i = 0; i < flow.degree; ++i) {
-      lower_ceil(flow.link[i], ceil_of(flow, i));
-      update_binds(flow.link[i]);
-    }
+  for (std::uint32_t i = 0; i < flow.degree; ++i) {
+    lower_ceil(flow.link[i], ceil_of(flow, i));
+    update_binds(flow.link[i]);
   }
   const std::uint32_t moved_slot = live_slots_.back();
   live_slots_[flow.live_pos] = moved_slot;
@@ -227,7 +220,7 @@ void MaxMinFairSolver::remove_flow(std::size_t slot) {
 }
 
 std::uint32_t MaxMinFairSolver::component_of_slot(std::size_t slot) const {
-  assert(partitioned_ && slot < flows_.size() && flows_[slot].live);
+  assert(flow_live(slot));
   const FlowEntry& flow = flows_[slot];
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
     if (binds_[flow.link[i]]) return comp_of_link_[flow.link[i]];
@@ -302,7 +295,7 @@ void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
   round_stamp_ = 0;
   flow_stamp_.clear();
   bfs_epoch_ = 0;
-  if (partitioned_) rebuild_partition();
+  rebuild_partition();
 }
 
 void MaxMinFairSolver::rebuild_partition() {
@@ -359,7 +352,7 @@ void MaxMinFairSolver::rebuild_partition() {
   }
 }
 
-// Min-heap ordering on (share, link index): the reference scan keeps the
+// Min-heap ordering on (share, link index): the oracle's scan keeps the
 // *first* strictly-smallest share, i.e. the lowest-indexed link among the
 // minima, so ties must break toward the lower link index here too.
 static bool HeapAfter(const MaxMinFairSolver::HeapEntry& a,
@@ -380,104 +373,18 @@ MaxMinFairSolver::HeapEntry MaxMinFairSolver::heap_pop() {
   return entry;
 }
 
-void MaxMinFairSolver::solve(std::vector<double>& rates,
-                             SolveCounters* counters, SolveDelta* delta) {
-  if (rates.size() < flows_.size()) rates.resize(flows_.size(), 0.0);
-  if (partitioned_) {
-    assert(delta != nullptr);
-    solve_partitioned(rates, counters, delta);
-  } else {
-    solve_global(rates, counters);
-  }
-}
-
-void MaxMinFairSolver::solve_global(std::vector<double>& rates,
-                                    SolveCounters* counters) {
-  const std::size_t num_links = capacity_.size();
-  if (live_slots_.empty()) return;
-
-  rem_cap_.assign(capacity_.begin(), capacity_.end());
-  unassigned_.resize(num_links);
-  if (assigned_.size() < flows_.size()) assigned_.resize(flows_.size(), 1);
-  heap_.clear();
-
-  for (std::size_t l = 0; l < num_links; ++l) {
-    unassigned_[l] = static_cast<std::uint32_t>(link_flows_[l].size());
-  }
-  std::size_t remaining = 0;
-  for (const std::uint32_t slot : live_slots_) {
-    if (flows_[slot].degree == 0) {
-      // Unconstrained by any bottleneck: unbounded rate, as in the
-      // reference (a zero-degree flow would otherwise never be frozen).
-      rates[slot] = std::numeric_limits<double>::infinity();
-    } else {
-      assigned_[slot] = 0;
-      ++remaining;
-    }
-  }
-  for (std::size_t l = 0; l < num_links; ++l) {
-    if (unassigned_[l] == 0) continue;
-    heap_push({rem_cap_[l] / unassigned_[l], static_cast<std::uint32_t>(l)});
-  }
-  if (counters != nullptr) counters->links_scanned += num_links;
-
-  while (remaining > 0) {
-    assert(!heap_.empty());
-    const HeapEntry top = heap_pop();
-    if (counters != nullptr) ++counters->links_scanned;
-    const std::uint32_t l = top.link;
-    if (unassigned_[l] == 0) continue;  // drained since it was pushed
-    const double share = rem_cap_[l] / unassigned_[l];
-    if (share != top.share) {
-      // Stale entry: the link's share grew after this push (shares are
-      // monotone non-decreasing).  Re-queue it at its current share.
-      heap_push({share, l});
-      continue;
-    }
-    // `l` is the bottleneck: freeze every unassigned flow that crosses it.
-    if (counters != nullptr) ++counters->rounds;
-    ++round_stamp_;
-    touched_.clear();
-    for (const std::uint32_t f : link_flows_[l]) {
-      if (counters != nullptr) ++counters->flows_scanned;
-      if (assigned_[f]) continue;
-      rates[f] = share;
-      assigned_[f] = 1;
-      --remaining;
-      const FlowEntry& flow = flows_[f];
-      for (std::uint32_t i = 0; i < flow.degree; ++i) {
-        const std::uint32_t lk = flow.link[i];
-        rem_cap_[lk] = std::max(0.0, rem_cap_[lk] - share);
-        --unassigned_[lk];
-        if (touch_stamp_[lk] != round_stamp_) {
-          touch_stamp_[lk] = round_stamp_;
-          touched_.push_back(lk);
-        }
-      }
-    }
-    for (const std::uint32_t lk : touched_) {
-      if (unassigned_[lk] == 0) continue;
-      heap_push({rem_cap_[lk] / unassigned_[lk], lk});
-      if (counters != nullptr) ++counters->links_scanned;
-    }
-  }
-
-  // Leave assigned_ all-ones so the next solve only clears live slots.
-  for (const std::uint32_t slot : live_slots_) assigned_[slot] = 1;
-}
-
 void MaxMinFairSolver::solve_component(
     std::uint32_t comp, const std::vector<std::uint32_t>& comp_flows,
     std::vector<double>& rates, SolveCounters* counters) {
-  // Identical to the global bottleneck loop, restricted to one component's
+  // The oracle's bottleneck loop on a heap, restricted to one component's
   // links and flows.  rem_cap_/unassigned_ persist across components but
   // only this component's entries are initialized and updated — a flow's
-  // links outside the component cannot bind, and the global loop never
-  // pops such a link while it has unfrozen flows, so its entries feed no
-  // pop there either.  The heap pop order depends only on its (share, link)
-  // contents, never insertion order (keys are unique per link), so seeding
-  // it from BFS-ordered links matches the global solve's ascending-index
-  // seeding bit for bit.
+  // links outside the component cannot bind, and progressive filling over
+  // the whole flow set never picks such a link as the bottleneck while it
+  // has unfrozen flows, so its entries decide nothing.  The heap pop order
+  // depends only on its (share, link) contents, never insertion order (keys
+  // are unique per link), so seeding it from BFS-ordered links matches the
+  // oracle's ascending-index scan bit for bit.
   const std::vector<std::uint32_t>& links = comps_[comp].links;
   if (rem_cap_.size() < capacity_.size()) rem_cap_.resize(capacity_.size());
   if (unassigned_.size() < capacity_.size()) {
@@ -499,12 +406,15 @@ void MaxMinFairSolver::solve_component(
     const HeapEntry top = heap_pop();
     if (counters != nullptr) ++counters->links_scanned;
     const std::uint32_t l = top.link;
-    if (unassigned_[l] == 0) continue;
+    if (unassigned_[l] == 0) continue;  // drained since it was pushed
     const double share = rem_cap_[l] / unassigned_[l];
     if (share != top.share) {
+      // Stale entry: the link's share grew after this push (shares are
+      // monotone non-decreasing).  Re-queue it at its current share.
       heap_push({share, l});
       continue;
     }
+    // `l` is the bottleneck: freeze every unassigned flow that crosses it.
     if (counters != nullptr) ++counters->rounds;
     ++round_stamp_;
     touched_.clear();
@@ -535,10 +445,10 @@ void MaxMinFairSolver::solve_component(
   for (const std::uint32_t f : comp_flows) assigned_[f] = 1;
 }
 
-void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
-                                         SolveCounters* counters,
-                                         SolveDelta* delta) {
-  delta->clear();
+void MaxMinFairSolver::solve(std::vector<double>& rates, SolveDelta& delta,
+                             SolveCounters* counters) {
+  if (rates.size() < flows_.size()) rates.resize(flows_.size(), 0.0);
+  delta.clear();
   if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size());
 
   for (const std::uint32_t slot : zero_degree_pending_) {
@@ -548,13 +458,13 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
     if (slot < flows_.size() && flows_[slot].live &&
         flows_[slot].degree == 0) {
       rates[slot] = std::numeric_limits<double>::infinity();
-      delta->unconstrained_slots.push_back(slot);
+      delta.unconstrained_slots.push_back(slot);
     }
   }
   zero_degree_pending_.clear();
 
   for (const std::uint32_t c : merged_comps_) {
-    delta->retired_components.push_back(c);
+    delta.retired_components.push_back(c);
     free_comp_ids_.push_back(c);
   }
   merged_comps_.clear();
@@ -571,7 +481,7 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
     comps_[c].dirty = false;
     --live_comps_;
     free_comp_ids_.push_back(c);
-    delta->retired_components.push_back(c);
+    delta.retired_components.push_back(c);
     if (counters != nullptr) ++counters->components_dirty;
     for (const std::uint32_t l : links_scratch_) {
       comp_of_link_[l] = kNoComponent;
@@ -610,11 +520,11 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
         }
       }
       solve_component(nc, comp_flows_, rates, counters);
-      delta->fresh_components.push_back(nc);
-      delta->changed_slots.insert(delta->changed_slots.end(),
+      delta.fresh_components.push_back(nc);
+      delta.changed_slots.insert(delta.changed_slots.end(),
                                   comp_flows_.begin(), comp_flows_.end());
-      delta->component_ends.push_back(
-          static_cast<std::uint32_t>(delta->changed_slots.size()));
+      delta.component_ends.push_back(
+          static_cast<std::uint32_t>(delta.changed_slots.size()));
     }
   }
   dirty_comps_.clear();

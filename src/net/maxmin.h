@@ -1,36 +1,34 @@
 // Incremental max-min fair rate solver.
 //
-// The reference algorithm (`MaxMinFairRates` in network.h) rescans every
-// flow and every link per bottleneck round: O(rounds x (F + L)) per
-// recompute, and the Network rebuilds its capacity and flow->link vectors
-// from scratch on every call.  This solver keeps the flow->link incidence
-// persistent across recomputes (flows are added/removed as they start,
-// cancel, or complete) and replaces the scan-everything bottleneck search
-// with a lazy min-heap of links keyed by fair share, so one solve costs
-// ~O((F*d + L) log L) with d <= kMaxLinksPerFlow links per flow.
+// The pure oracle (`MaxMinFairRates` in network.h) rescans every flow and
+// every link per bottleneck round: O(rounds x (F + L)) per solve.  This
+// solver keeps the flow->link incidence persistent across solves (flows
+// are added/removed as they start, cancel, or complete) and replaces the
+// scan-everything bottleneck search with a lazy min-heap of links keyed by
+// fair share, so one solve costs ~O((F*d + L) log L) with
+// d <= kMaxLinksPerFlow links per flow.
 //
-// The solver is bit-identical to the reference: it processes bottleneck
-// links in the same order (smallest fair share first, lowest link index on
-// ties) and performs the same per-link capacity subtractions, so every
-// division and comparison sees the same operands.  The equivalence is
-// enforced by the multi-seed property suite in tests/net_equivalence_test.
+// It also maintains a partition of the flows and re-solves only the
+// components dirtied since the last solve, leaving clean components' rates
+// untouched.  Components couple flows only through links that can bind: a
+// link l *cannot bind* when n_l * ceil_max(l) < cap_l * (1 - kBindMargin),
+// where ceil_max(l) is the largest, over l's flows, of the smallest
+// capacity among the flow's other links.  Progressive filling never freezes
+// a flow above the capacity of any of its links, so such a link keeps its
+// fair share above the share of another link of each of its unfrozen flows
+// and is never popped as a bottleneck; leaving it out of every component
+// changes no division or subtraction.  Components are the connected
+// components of the graph whose nodes are the links that can bind and
+// whose edges are the flows (every flow's smallest-capacity link can bind),
+// so a shuffle's fetch flows, coupled only through downlinks that cannot
+// bind, split into one component per uplink.
 //
-// Partitioned mode (reset_links(capacity, true)) additionally maintains a
-// partition of the flows and re-solves only the components dirtied since the
-// last solve, leaving clean components' rates untouched.  Components couple
-// flows only through links that can bind: a link l *cannot bind* when
-// n_l * ceil_max(l) < cap_l * (1 - kBindMargin), where ceil_max(l) is the
-// largest, over l's flows, of the smallest capacity among the flow's other
-// links.  Progressive filling never freezes a flow above the capacity of any
-// of its links, so such a link keeps its fair share above the share of
-// another link of each of its unfrozen flows and is never popped as a
-// bottleneck; leaving it out of every component changes no division or
-// subtraction.  Components are
-// the connected components of the graph whose nodes are the links that can
-// bind and whose edges are the flows (every flow's smallest-capacity link
-// can bind), so a shuffle's fetch flows, coupled only through downlinks that
-// cannot bind, split into one component per uplink.  Still bit-identical to
-// the global path; see DESIGN.md §3.
+// The rates are bit-identical to the oracle's: bottleneck links are
+// processed in the same order (smallest fair share first, lowest link index
+// on ties) and every link sees the same capacity subtractions, so every
+// division and comparison sees the same operands (DESIGN.md §3).  The
+// solver churn properties in tests/net_equivalence_test.cpp compare against
+// the oracle bit for bit and check a max-min certificate after every solve.
 #pragma once
 
 #include <cstddef>
@@ -49,19 +47,18 @@ namespace custody::net {
 struct SolveCounters {
   /// Flow-incidence entries visited while freezing bottlenecked flows.
   std::uint64_t flows_scanned = 0;
-  /// Link inspections: per-round share scans (reference) or heap pushes,
-  /// pops and initializations (incremental).
+  /// Link inspections: per-round share scans (oracle) or heap pushes, pops
+  /// and initializations (solver).
   std::uint64_t links_scanned = 0;
   /// Bottleneck rounds executed.
   std::uint64_t rounds = 0;
-  /// Live connectivity components after each partitioned solve (summed
-  /// across solves; 0 on the non-partitioned paths).
+  /// Live connectivity components after each solve, summed across solves.
   std::uint64_t components_total = 0;
-  /// Dirty components actually re-solved (partitioned path only).
+  /// Dirty components actually re-solved.
   std::uint64_t components_dirty = 0;
 };
 
-/// What one partitioned solve changed: the slots whose rates were
+/// What one solve changed: the slots whose rates were
 /// (re)written, grouped by the freshly built component that owns them, plus
 /// the component ids retired since the previous solve.  Clean components'
 /// slots never appear here — their rates are untouched by the solve — so
@@ -112,14 +109,8 @@ class MaxMinFairSolver {
   static constexpr std::size_t kBindMarginMaxFlows =
       static_cast<std::size_t>(kBindMargin * 0x1p53) - 4;
 
-  /// (Re)define the link set; drops every registered flow.  `partitioned`
-  /// turns on component tracking over the links that can bind: solve() then
-  /// re-solves only components dirtied by add_flow/remove_flow and reports
-  /// what changed through a SolveDelta.  Results are bit-identical either
-  /// way (components share no flow and no link that can bind, so every
-  /// division sees the same operands; enforced by
-  /// tests/net_equivalence_test.cpp).
-  void reset_links(std::vector<double> capacity, bool partitioned = false);
+  /// (Re)define the link set; drops every registered flow.
+  void reset_links(std::vector<double> capacity);
 
   /// Register flow `slot` traversing `links[0..count)` (distinct link
   /// indices, count <= kMaxLinksPerFlow).  Slots are caller-managed dense
@@ -129,27 +120,30 @@ class MaxMinFairSolver {
   /// Unregister a flow; O(degree) via swap-removal from its link lists.
   void remove_flow(std::size_t slot);
 
-  /// Compute max-min fair rates for every registered flow into
-  /// `rates[slot]` (resized to cover the highest slot; dead slots keep
-  /// their previous values).  Allocation-free after warmup: all scratch
-  /// buffers are reused across calls.  In partitioned mode only dirty
-  /// components are re-solved — clean components' entries in `rates` are
-  /// left untouched — and `delta` (required then) reports exactly which
-  /// slots were rewritten and which component ids were built/retired.
-  void solve(std::vector<double>& rates, SolveCounters* counters = nullptr,
-             SolveDelta* delta = nullptr);
+  /// Bring `rates[slot]` up to date with the max-min fair rates of every
+  /// registered flow (resized to cover the highest slot; dead slots keep
+  /// their previous values).  Only components dirtied by add_flow /
+  /// remove_flow since the last solve are re-solved — clean components'
+  /// entries in `rates` are left untouched — and `delta` reports exactly
+  /// which slots were rewritten and which component ids were built/retired.
+  /// Allocation-free after warmup: all scratch buffers are reused.
+  void solve(std::vector<double>& rates, SolveDelta& delta,
+             SolveCounters* counters = nullptr);
 
   [[nodiscard]] std::size_t flow_count() const { return live_slots_.size(); }
   [[nodiscard]] std::size_t link_count() const { return capacity_.size(); }
-  [[nodiscard]] bool partitioned() const { return partitioned_; }
+  /// True when `slot` holds a registered flow.
+  [[nodiscard]] bool flow_live(std::size_t slot) const {
+    return slot < flows_.size() && flows_[slot].live;
+  }
 
-  /// Upper bound on component ids in use (partitioned mode); sized for
-  /// per-component side tables.
+  /// Upper bound on component ids in use; sized for per-component side
+  /// tables.
   [[nodiscard]] std::size_t component_count() const { return comps_.size(); }
   /// Component of a live flow: that of its first link that can bind
-  /// (kNoComponent for a zero-degree flow).  Partitioned mode only.
+  /// (kNoComponent for a zero-degree flow).
   [[nodiscard]] std::uint32_t component_of_slot(std::size_t slot) const;
-  /// Live components right now (partitioned mode; 0 otherwise).
+  /// Live components right now.
   [[nodiscard]] std::size_t live_component_count() const {
     return live_comps_;
   }
@@ -221,9 +215,6 @@ class MaxMinFairSolver {
   /// for a link that just started to bind, of every flow already on it),
   /// claim unowned links, mark dirty.
   void partition_add(std::size_t slot);
-  void solve_global(std::vector<double>& rates, SolveCounters* counters);
-  void solve_partitioned(std::vector<double>& rates, SolveCounters* counters,
-                         SolveDelta* delta);
   /// Run the bottleneck loop restricted to the links of freshly built
   /// component `comp` and its flows `comp_flows`; each flow's links outside
   /// the component are skipped.
@@ -240,8 +231,7 @@ class MaxMinFairSolver {
   std::vector<FlowEntry> flows_;           // indexed by slot
   std::vector<std::uint32_t> live_slots_;  // unordered; swap-removed
 
-  // Partition state (partitioned mode only).
-  bool partitioned_ = false;
+  // Partition state.
   /// Per link: max ceil(f, l) over its flows (0 when it has none), how many
   /// of its flows hold that maximum, and whether it can bind.  Exact for the
   /// current flow set, so a restore re-derives the live partition.
@@ -266,8 +256,8 @@ class MaxMinFairSolver {
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint64_t> touch_stamp_;
   std::uint64_t round_stamp_ = 0;
-  // Partitioned-solve scratch: BFS frontier, the dirty component's link
-  // list (moved out so its id can be reused), per-flow visit stamps.
+  // Re-partition scratch: BFS frontier, the dirty component's link list
+  // (moved out so its id can be reused), per-flow visit stamps.
   std::vector<std::uint32_t> bfs_queue_;
   std::vector<std::uint32_t> links_scratch_;
   std::vector<std::uint32_t> comp_flows_;

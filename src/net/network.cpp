@@ -109,33 +109,24 @@ Network::Network(sim::Simulator& sim, NetworkConfig config)
   if (config_.uplink_bps <= 0.0 || config_.downlink_bps <= 0.0) {
     throw std::invalid_argument("Network: link capacities must be positive");
   }
-  if (config_.component_partitioned && !config_.incremental) {
-    throw std::invalid_argument(
-        "Network: component_partitioned requires incremental (the partition "
-        "lives on the persistent link-incidence solver)");
-  }
   last_update_ = sim_.now();
-  if (config_.incremental) {
-    // Link layout: [0, N) uplinks, [N, 2N) downlinks, optional 2N = core.
-    const std::size_t n = config_.num_nodes;
-    const bool has_core = config_.core_bps > 0.0;
-    std::vector<double> capacity(2 * n + (has_core ? 1 : 0));
-    for (std::size_t i = 0; i < n; ++i) {
-      capacity[i] = config_.uplink_bps;
-      capacity[n + i] = config_.downlink_bps;
-    }
-    if (has_core) capacity[2 * n] = config_.core_bps;
-    solver_.reset_links(std::move(capacity), config_.component_partitioned);
-    // End-of-burst flush: the simulator runs this between events, so any
-    // number of same-timestamp start/cancel/completion mutations collapse
-    // into one recompute before the next event (or rate observation).
-    hook_ = sim_.add_post_event_hook([this] { flush(); });
+  // Link layout: [0, N) uplinks, [N, 2N) downlinks, optional 2N = core.
+  const std::size_t n = config_.num_nodes;
+  const bool has_core = config_.core_bps > 0.0;
+  std::vector<double> capacity(2 * n + (has_core ? 1 : 0));
+  for (std::size_t i = 0; i < n; ++i) {
+    capacity[i] = config_.uplink_bps;
+    capacity[n + i] = config_.downlink_bps;
   }
+  if (has_core) capacity[2 * n] = config_.core_bps;
+  solver_.reset_links(std::move(capacity));
+  // End-of-burst flush: the simulator runs this between events, so any
+  // number of same-timestamp start/cancel/completion mutations collapse
+  // into one recompute before the next event (or rate observation).
+  hook_ = sim_.add_post_event_hook([this] { flush(); });
 }
 
-Network::~Network() {
-  if (hook_ != 0) sim_.remove_post_event_hook(hook_);
-}
+Network::~Network() { sim_.remove_post_event_hook(hook_); }
 
 double Network::uncontended_transfer_time(double bytes) const {
   double rate = std::min(config_.uplink_bps, config_.downlink_bps);
@@ -204,12 +195,10 @@ FlowId Network::start_flow(NodeId src, NodeId dst, double bytes,
   ++live_count_;
   slot_of_.emplace(id, slot);
 
-  if (config_.incremental) {
-    const std::size_t n = config_.num_nodes;
-    const std::size_t links[MaxMinFairSolver::kMaxLinksPerFlow] = {
-        src.value(), n + dst.value(), 2 * n};
-    solver_.add_flow(slot, links, config_.core_bps > 0.0 ? 3 : 2);
-  }
+  const std::size_t n = config_.num_nodes;
+  const std::size_t links[MaxMinFairSolver::kMaxLinksPerFlow] = {
+      src.value(), n + dst.value(), 2 * n};
+  solver_.add_flow(slot, links, config_.core_bps > 0.0 ? 3 : 2);
   request_recompute();
   return id;
 }
@@ -221,7 +210,7 @@ void Network::cancel_flow(FlowId id) {
   const std::uint32_t slot = it->second;
   slot_of_.erase(it);
   forget_rate(slots_[slot].rate);
-  if (config_.incremental) solver_.remove_flow(slot);
+  solver_.remove_flow(slot);
   unlink_slot(slot);
   request_recompute();
 }
@@ -259,18 +248,13 @@ void Network::advance_progress() {
 }
 
 void Network::forget_rate(double rate) {
-  if (!config_.component_partitioned) return;
   if (rate > 0.0) --positive_rate_count_;
   if (std::isinf(rate)) --unconstrained_live_;
 }
 
 void Network::request_recompute() {
   ++stats_.recomputes_requested;
-  if (config_.incremental) {
-    dirty_ = true;  // flushed by the post-event hook or a rate observation
-  } else {
-    recompute();
-  }
+  dirty_ = true;  // flushed by the post-event hook or a rate observation
 }
 
 void Network::flush() {
@@ -283,66 +267,29 @@ void Network::recompute() {
   ++stats_.recomputes_run;
   const auto wall_start = std::chrono::steady_clock::now();
   SolveCounters counters;
-  if (config_.incremental && config_.component_partitioned) {
-    // Partitioned path: only dirty components were re-solved, so only
-    // their slots' rates can have changed — copy those, keep the
-    // positive-rate census current, and leave clean components untouched.
-    solver_.solve(rates_scratch_, &counters, &delta_);
-    for (const std::uint32_t s : delta_.changed_slots) {
-      Slot& flow = slots_[s];
-      const double fresh = rates_scratch_[s];
-      positive_rate_count_ += (fresh > 0.0 ? 1 : 0) -
-                              (flow.rate > 0.0 ? 1 : 0);
-      flow.rate = fresh;
-    }
-    for (const std::uint32_t s : delta_.unconstrained_slots) {
-      Slot& flow = slots_[s];
-      const double fresh = rates_scratch_[s];
-      positive_rate_count_ += (fresh > 0.0 ? 1 : 0) -
-                              (flow.rate > 0.0 ? 1 : 0);
-      unconstrained_live_ += (std::isinf(fresh) ? 1 : 0) -
-                             (std::isinf(flow.rate) ? 1 : 0);
-      flow.rate = fresh;
-    }
-    stats_.rates_changed +=
-        delta_.changed_slots.size() + delta_.unconstrained_slots.size();
-    stats_.components_total += counters.components_total;
-    stats_.components_dirty += counters.components_dirty;
-  } else if (config_.incremental) {
-    solver_.solve(rates_scratch_, &counters);
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      slots_[s].rate = rates_scratch_[s];
-    }
-    stats_.rates_changed += live_count_;
-  } else {
-    // Reference path: rebuild the solver inputs from scratch and rescan
-    // everything, exactly like the seed implementation.
-    const std::size_t n = config_.num_nodes;
-    const bool has_core = config_.core_bps > 0.0;
-    std::vector<double> capacity(2 * n + (has_core ? 1 : 0));
-    for (std::size_t i = 0; i < n; ++i) {
-      capacity[i] = config_.uplink_bps;
-      capacity[n + i] = config_.downlink_bps;
-    }
-    if (has_core) capacity[2 * n] = config_.core_bps;
-
-    std::vector<std::vector<std::size_t>> flow_links;
-    flow_links.reserve(live_count_);
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      const Slot& flow = slots_[s];
-      std::vector<std::size_t> links{flow.src.value(), n + flow.dst.value()};
-      if (has_core) links.push_back(2 * n);
-      flow_links.push_back(std::move(links));
-    }
-
-    const std::vector<double> rates =
-        MaxMinFairRates(flow_links, capacity, &counters);
-    std::size_t i = 0;
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      slots_[s].rate = rates[i++];
-    }
-    stats_.rates_changed += live_count_;
+  // Only dirty components were re-solved, so only their slots' rates can
+  // have changed — copy those, keep the rate censuses current, and leave
+  // clean components untouched.
+  solver_.solve(rates_scratch_, delta_, &counters);
+  for (const std::uint32_t s : delta_.changed_slots) {
+    Slot& flow = slots_[s];
+    const double fresh = rates_scratch_[s];
+    positive_rate_count_ += (fresh > 0.0 ? 1 : 0) - (flow.rate > 0.0 ? 1 : 0);
+    flow.rate = fresh;
   }
+  for (const std::uint32_t s : delta_.unconstrained_slots) {
+    Slot& flow = slots_[s];
+    const double fresh = rates_scratch_[s];
+    positive_rate_count_ += (fresh > 0.0 ? 1 : 0) - (flow.rate > 0.0 ? 1 : 0);
+    unconstrained_live_ +=
+        (std::isinf(fresh) ? 1 : 0) - (std::isinf(flow.rate) ? 1 : 0);
+    flow.rate = fresh;
+  }
+  const std::size_t changed =
+      delta_.changed_slots.size() + delta_.unconstrained_slots.size();
+  stats_.rates_changed += changed;
+  stats_.components_total += counters.components_total;
+  stats_.components_dirty += counters.components_dirty;
   stats_.flows_scanned += counters.flows_scanned;
   stats_.links_scanned += counters.links_scanned;
   stats_.rounds += counters.rounds;
@@ -352,14 +299,9 @@ void Network::recompute() {
           .count();
   stats_.wall_seconds += solve_wall;
   if (tracer_ != nullptr) {
-    const std::int32_t changed =
-        config_.component_partitioned
-            ? static_cast<std::int32_t>(delta_.changed_slots.size() +
-                                        delta_.unconstrained_slots.size())
-            : static_cast<std::int32_t>(live_count_);
     tracer_->instant({.value = solve_wall,
                       .id = static_cast<std::int32_t>(live_count_),
-                      .aux = changed,
+                      .aux = static_cast<std::int32_t>(changed),
                       .kind = obs::EventKind::kRateSolve});
   }
   arm_completion_event();
@@ -385,99 +327,86 @@ void Network::arm_completion_event() {
     completion_cache_valid_ = false;
     return;
   }
+  // The stranded check comes from the positive-rate census, and `soonest`
+  // from per-component minima — patched from the solve's delta while no
+  // simulated time has passed (a min over disjoint groups is the min of the
+  // group minima, so this is the exact value a scan of every flow would
+  // produce), rebuilt by a full rescan otherwise (elapsed time shifts every
+  // remaining/rate, and recomputing each delay fresh keeps the value
+  // bit-identical to that scan).
+  if (AllFlowsStranded(live_count_, positive_rate_count_ > 0 ? 1.0 : 0.0)) {
+    throw_stranded();
+  }
   double soonest = std::numeric_limits<double>::infinity();
-  if (!config_.component_partitioned) {
-    double max_rate = 0.0;
+  // Infinite-rate (zero-degree) flows belong to no component; while any is
+  // live the patch path cannot see its 0 delay, so force the rescan.  The
+  // Network itself never creates them (every flow crosses >= 2 links); this
+  // keeps the solver-level generality safe.
+  if (unconstrained_live_ > 0) completion_cache_valid_ = false;
+  if (!completion_cache_valid_) {
+    ++stats_.completion_rescans;
+    comp_min_.assign(solver_.component_count(),
+                     std::numeric_limits<double>::quiet_NaN());
+    comp_heap_.clear();
     for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
       const Slot& flow = slots_[s];
-      max_rate = std::max(max_rate, flow.rate);
       if (flow.rate <= 0.0) continue;
-      soonest = std::min(soonest, flow.remaining / flow.rate);
+      const double d = flow.remaining / flow.rate;
+      const std::uint32_t c = solver_.component_of_slot(s);
+      if (c == MaxMinFairSolver::kNoComponent) {
+        soonest = std::min(soonest, d);
+        continue;
+      }
+      double& m = comp_min_[c];
+      if (std::isnan(m) || d < m) m = d;
     }
-    if (AllFlowsStranded(live_count_, max_rate)) throw_stranded();
+    for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(comp_min_.size());
+         ++c) {
+      if (std::isnan(comp_min_[c])) continue;
+      comp_heap_.push_back({comp_min_[c], c});
+      std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
+    }
+    completion_cache_valid_ = true;
   } else {
-    // Partitioned: the stranded check comes from the positive-rate census,
-    // and `soonest` from per-component minima — patched from the solve's
-    // delta while no simulated time has passed (a min over disjoint groups
-    // is the min of the group minima, so this is the exact value the full
-    // scan would produce), rebuilt by a full rescan otherwise (elapsed time
-    // shifts every remaining/rate, and recomputing each delay fresh is
-    // what keeps the value bit-identical to the reference scan).
-    if (AllFlowsStranded(live_count_,
-                         positive_rate_count_ > 0 ? 1.0 : 0.0)) {
-      throw_stranded();
+    for (const std::uint32_t c : delta_.retired_components) {
+      if (c < comp_min_.size()) {
+        comp_min_[c] = std::numeric_limits<double>::quiet_NaN();
+      }
     }
-    // Infinite-rate (zero-degree) flows belong to no component; while any
-    // is live the patch path cannot see its 0 delay, so force the rescan.
-    // The Network itself never creates them (every flow crosses >= 2
-    // links); this keeps the solver-level generality safe.
-    if (unconstrained_live_ > 0) completion_cache_valid_ = false;
-    if (!completion_cache_valid_) {
-      ++stats_.completion_rescans;
-      comp_min_.assign(solver_.component_count(),
+    if (comp_min_.size() < solver_.component_count()) {
+      comp_min_.resize(solver_.component_count(),
                        std::numeric_limits<double>::quiet_NaN());
-      comp_heap_.clear();
-      for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-        const Slot& flow = slots_[s];
+    }
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < delta_.fresh_components.size(); ++i) {
+      const std::uint32_t c = delta_.fresh_components[i];
+      const std::size_t end = delta_.component_ends[i];
+      double m = std::numeric_limits<double>::quiet_NaN();
+      for (std::size_t k = begin; k < end; ++k) {
+        const Slot& flow = slots_[delta_.changed_slots[k]];
         if (flow.rate <= 0.0) continue;
         const double d = flow.remaining / flow.rate;
-        const std::uint32_t c = solver_.component_of_slot(s);
-        if (c == MaxMinFairSolver::kNoComponent) {
-          soonest = std::min(soonest, d);
-          continue;
-        }
-        double& m = comp_min_[c];
         if (std::isnan(m) || d < m) m = d;
       }
-      for (std::uint32_t c = 0;
-           c < static_cast<std::uint32_t>(comp_min_.size()); ++c) {
-        if (std::isnan(comp_min_[c])) continue;
-        comp_heap_.push_back({comp_min_[c], c});
+      comp_min_[c] = m;
+      if (!std::isnan(m)) {
+        comp_heap_.push_back({m, c});
         std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
       }
-      completion_cache_valid_ = true;
-    } else {
-      for (const std::uint32_t c : delta_.retired_components) {
-        if (c < comp_min_.size()) {
-          comp_min_[c] = std::numeric_limits<double>::quiet_NaN();
-        }
-      }
-      if (comp_min_.size() < solver_.component_count()) {
-        comp_min_.resize(solver_.component_count(),
-                         std::numeric_limits<double>::quiet_NaN());
-      }
-      std::size_t begin = 0;
-      for (std::size_t i = 0; i < delta_.fresh_components.size(); ++i) {
-        const std::uint32_t c = delta_.fresh_components[i];
-        const std::size_t end = delta_.component_ends[i];
-        double m = std::numeric_limits<double>::quiet_NaN();
-        for (std::size_t k = begin; k < end; ++k) {
-          const Slot& flow = slots_[delta_.changed_slots[k]];
-          if (flow.rate <= 0.0) continue;
-          const double d = flow.remaining / flow.rate;
-          if (std::isnan(m) || d < m) m = d;
-        }
-        comp_min_[c] = m;
-        if (!std::isnan(m)) {
-          comp_heap_.push_back({m, c});
-          std::push_heap(comp_heap_.begin(), comp_heap_.end(),
-                         CompHeapAfter);
-        }
-        begin = end;
-      }
+      begin = end;
     }
-    // Lazy peek: drop entries whose component was retired or re-solved to
-    // a different minimum since they were pushed.
-    while (!comp_heap_.empty()) {
-      const CompMinEntry top = comp_heap_.front();
-      if (top.comp < comp_min_.size() && !std::isnan(comp_min_[top.comp]) &&
-          comp_min_[top.comp] == top.delay) {
-        soonest = std::min(soonest, top.delay);
-        break;
-      }
-      std::pop_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
-      comp_heap_.pop_back();
+  }
+  // Lazy peek: drop entries whose component was retired or re-solved to a
+  // different minimum since they were pushed.
+  while (!comp_heap_.empty()) {
+    const CompMinEntry top = comp_heap_.front();
+    if (top.comp < comp_min_.size() && !std::isnan(comp_min_[top.comp]) &&
+        comp_min_[top.comp] == top.delay) {
+      soonest = std::min(soonest, top.delay);
+      break;
     }
+    std::pop_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
+    comp_heap_.pop_back();
   }
   if (!std::isfinite(soonest)) return;
   const double delay = std::max(0.0, soonest);
@@ -538,7 +467,7 @@ void Network::SaveTo(snap::SnapshotWriter& w) const {
     w.f64(completion_time_);
     w.u64(completion_seq_);
   }
-  if (config_.incremental) solver_.SaveTo(w);
+  solver_.SaveTo(w);
 }
 
 void Network::RestoreFrom(snap::SnapshotReader& r,
@@ -546,10 +475,12 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
   const std::size_t num_slots = r.size();
   slots_.assign(num_slots, Slot{});
   slot_of_.clear();
+  std::size_t live_slots = 0;
   for (std::uint32_t s = 0; s < num_slots; ++s) {
     Slot& f = slots_[s];
     f.live = r.b();
     if (!f.live) continue;
+    ++live_slots;
     f.src = NodeId(r.u32());
     f.dst = NodeId(r.u32());
     f.remaining = r.f64();
@@ -570,18 +501,11 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
     slot_of_.emplace(f.id, s);
   }
   free_slots_.assign(r.size(), 0);
-  for (std::uint32_t& s : free_slots_) {
-    s = r.u32();
-    if (s >= num_slots || slots_[s].live) {
-      throw snap::SnapshotError("Network: free list names a live slot");
-    }
-  }
+  for (std::uint32_t& s : free_slots_) s = r.u32();
   head_ = r.u32();
   tail_ = r.u32();
   live_count_ = static_cast<std::size_t>(r.u64());
-  if (live_count_ != slot_of_.size()) {
-    throw snap::SnapshotError("Network: live flow count mismatch");
-  }
+  validate_restored_lists(live_slots);
   next_flow_ = r.u32();
   bytes_delivered_ = r.f64();
   last_update_ = r.f64();
@@ -597,14 +521,29 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
   stats_.wall_seconds = r.f64();
   dirty_ = false;
   const bool pending = r.b();
-  completion_event_ = sim::EventHandle();
   if (pending) {
     completion_time_ = r.f64();
     completion_seq_ = r.u64();
+  }
+  solver_.RestoreFrom(r);
+  // The solver's link lists name their slots independently of the flow
+  // table; they must name exactly the live flows.
+  if (solver_.flow_count() != live_count_) {
+    throw snap::SnapshotError(
+        "Network: solver holds " + std::to_string(solver_.flow_count()) +
+        " flows, the flow table " + std::to_string(live_count_));
+  }
+  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+    if (!solver_.flow_live(s)) {
+      throw snap::SnapshotError("Network: live flow slot " +
+                                std::to_string(s) + " is not in the solver");
+    }
+  }
+  completion_event_ = sim::EventHandle();
+  if (pending) {
     completion_event_ = sim_.rearm_at(completion_time_, completion_seq_,
                                       [this] { on_completion_event(); });
   }
-  if (config_.incremental) solver_.RestoreFrom(r);
   // The partition itself was rebuilt inside the solver (it is derived
   // state); the completion-minima cache and the rate censuses are rebuilt
   // here.  The cache starts cold — the first arm rescans.
@@ -619,6 +558,51 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
   comp_min_.clear();
   comp_heap_.clear();
   delta_.clear();
+}
+
+void Network::validate_restored_lists(std::size_t live_slots) const {
+  // Every later walk (the census in RestoreFrom, progress, completions,
+  // arms) follows these links unchecked, so a corrupt snapshot must not
+  // leave one out of range, dangling at a dead slot, or in a cycle.
+  if (live_count_ != live_slots || slot_of_.size() != live_slots) {
+    throw snap::SnapshotError("Network: live flow count mismatch");
+  }
+  const auto live_or_nil = [this](std::uint32_t s) {
+    return s == kNil || (s < slots_.size() && slots_[s].live);
+  };
+  if (!live_or_nil(head_) || !live_or_nil(tail_)) {
+    throw snap::SnapshotError("Network: flow list head or tail names no live "
+                              "slot");
+  }
+  for (const Slot& f : slots_) {
+    if (f.live && (!live_or_nil(f.prev) || !live_or_nil(f.next))) {
+      throw snap::SnapshotError("Network: flow list link names no live slot");
+    }
+  }
+  // Every step must be its predecessor's successor; more steps than live
+  // flows means a cycle.  Ending at the tail after exactly live_count_
+  // steps then covers every live slot once.
+  std::uint32_t prev = kNil;
+  std::size_t visited = 0;
+  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+    if (++visited > live_count_ || slots_[s].prev != prev) {
+      throw snap::SnapshotError("Network: flow list is not a chain");
+    }
+    prev = s;
+  }
+  if (prev != tail_ || visited != live_count_) {
+    throw snap::SnapshotError(
+        "Network: flow list does not reach every live flow and end at its "
+        "tail");
+  }
+  std::vector<bool> freed(slots_.size(), false);
+  for (const std::uint32_t s : free_slots_) {
+    if (s >= slots_.size() || slots_[s].live || freed[s]) {
+      throw snap::SnapshotError(
+          "Network: free list names a live, missing or repeated slot");
+    }
+    freed[s] = true;
+  }
 }
 
 void Network::on_completion_event() {
@@ -641,7 +625,7 @@ void Network::on_completion_event() {
       callbacks.push_back(std::move(flow.on_complete));
       slot_of_.erase(flow.id);
       forget_rate(flow.rate);
-      if (config_.incremental) solver_.remove_flow(s);
+      solver_.remove_flow(s);
       unlink_slot(s);
     }
     s = next;

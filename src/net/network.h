@@ -1,26 +1,19 @@
 // Fluid network model with max-min fair bandwidth sharing.
 //
 // Every remote block read and shuffle fetch is a *flow* from a source node's
-// uplink to a destination node's downlink.  Whenever the set of active flows
-// changes, rates are recomputed with progressive filling (water-filling),
-// which yields the classic max-min fair allocation over link capacities.  A
-// single pending completion event tracks the next flow to finish; it is
-// re-derived after every rate change.
+// uplink to a destination node's downlink.  Rates are the classic max-min
+// fair allocation over link capacities (progressive filling, or
+// water-filling).  A single pending completion event tracks the next flow to
+// finish; it is re-derived after every rate change.
 //
-// Two rate paths produce identical results (bit-for-bit, enforced by the
-// multi-seed property suite in tests/net_equivalence_test.cpp):
-//
-//  * incremental (default) — flow-set changes only mark the rates dirty;
-//    one recompute runs per simulator event ("same-timestamp batching": a
-//    shuffle fan-out that starts k flows in one event costs one solve, not
-//    k), flushed by a simulator post-event hook or lazily when a rate is
-//    observed.  The solve itself runs on MaxMinFairSolver's persistent
-//    link-incidence structure: ~O((F*d + L) log L) per recompute and
-//    allocation-free.
-//  * reference (NetworkConfig::incremental = false) — the seed behavior:
-//    a full O(rounds x (F + L)) progressive-filling pass on every start,
-//    cancel and completion, rebuilding its inputs each time.  Kept only so
-//    tests can prove equivalence and benches can measure the speedup.
+// Flow-set changes only mark the rates dirty.  One solve runs per simulator
+// event ("same-timestamp batching": a shuffle fan-out that starts k flows in
+// one event costs one solve, not k), flushed by a simulator post-event hook
+// or lazily when a rate is observed.  The solve runs on MaxMinFairSolver's
+// persistent link-incidence structure and re-solves only the components
+// dirtied since the last one; the completion event is re-armed from the
+// solve's delta while no simulated time has passed.  The rates equal the
+// pure oracle MaxMinFairRates bit for bit (see maxmin.h).
 //
 // The default capacities mirror the paper's Linode nodes (Sec. VI-A):
 // 40 Gbps downlink and 2 Gbps uplink per node.  An optional aggregate core
@@ -51,25 +44,13 @@ struct NetworkConfig {
   double downlink_bps = units::Gbps(40.0);
   /// Aggregate fabric capacity shared by all flows; 0 disables the bottleneck.
   double core_bps = 0.0;
-  /// On (default): batched + incremental rate recomputation.  Off: the
-  /// recompute-per-change reference path (test/bench only).
-  bool incremental = true;
-  /// On (default): the solver partitions the flows into components coupled
-  /// only through links that can bind (a 40 Gbps downlink fed by 2 Gbps
-  /// uplinks cannot bind below 20 flows, so it couples none), re-solves
-  /// only components dirtied since the last solve, and the completion event
-  /// is re-armed from the rate delta.  Requires `incremental` (the partition
-  /// lives on the persistent incidence structure); results are bit-identical
-  /// either way.
-  bool component_partitioned = true;
 };
 
 /// What the rate path cost — surfaced through the experiment runner next to
 /// the allocation-round records so the batching and the asymptotic solver
 /// win show up as counters, not just wall time.
 struct NetStats {
-  /// Flow-set changes that requested a rate recompute (each one would have
-  /// been a full recompute on the reference path).
+  /// Flow-set changes that requested a rate recompute.
   std::uint64_t recomputes_requested = 0;
   /// Rate solves actually executed.
   std::uint64_t recomputes_run = 0;
@@ -79,17 +60,15 @@ struct NetStats {
   std::uint64_t links_scanned = 0;
   /// Bottleneck rounds across all solves.
   std::uint64_t rounds = 0;
-  /// Live connectivity components after each partitioned solve, summed
-  /// across solves (0 on the other paths).
+  /// Live connectivity components after each solve, summed across solves.
   std::uint64_t components_total = 0;
-  /// Dirty components re-solved across all partitioned solves.
+  /// Dirty components re-solved across all solves.
   std::uint64_t components_dirty = 0;
-  /// Flow rates (re)written by solves — every live flow per solve on the
-  /// non-partitioned paths, only dirty components' flows when partitioned.
+  /// Flow rates (re)written by solves: the dirty components' flows.
   std::uint64_t rates_changed = 0;
   /// Completion re-arms that had to rescan every live flow (time advanced
-  /// since the last arm, or the minima cache was cold).  Partitioned mode
-  /// only; same-timestamp bursts re-arm from the rate delta instead.
+  /// since the last arm, or the minima cache was cold); same-timestamp
+  /// bursts re-arm from the rate delta instead.
   std::uint64_t completion_rescans = 0;
   /// Wall-clock seconds spent inside rate solves.
   double wall_seconds = 0.0;
@@ -175,7 +154,9 @@ class Network {
   /// Rebuild from a snapshot taken on an identically-configured network:
   /// callbacks are re-created through `resolve`, rates are restored (not
   /// re-solved) and the completion event is re-armed under its original
-  /// sequence number.
+  /// sequence number.  The flow list and the solver's slot set are
+  /// validated before anything walks them; an inconsistent snapshot throws
+  /// snap::SnapshotError.
   void RestoreFrom(snap::SnapshotReader& r, const CompletionResolver& resolve);
 
  private:
@@ -203,8 +184,8 @@ class Network {
 
   /// Account progress of all active flows since `last_update_`.
   void advance_progress();
-  /// A flow-set change happened: recompute now (reference) or mark dirty
-  /// and let the end-of-event hook / next observation flush (incremental).
+  /// A flow-set change happened: mark the rates dirty and let the
+  /// end-of-event hook / next observation flush.
   void request_recompute();
   /// Run the pending recompute, if any.
   void flush();
@@ -213,8 +194,11 @@ class Network {
   void arm_completion_event();
   void on_completion_event();
   [[noreturn]] void throw_stranded() const;
-  /// Book a live flow's removal into the rate censuses (partitioned mode).
+  /// Book a live flow's removal into the rate censuses.
   void forget_rate(double rate);
+  /// Check the restored flow table's intrusive list and free list; throws
+  /// snap::SnapshotError unless both are consistent with the live slots.
+  void validate_restored_lists(std::size_t live_slots) const;
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -231,11 +215,10 @@ class Network {
   bool dirty_ = false;
   sim::Simulator::HookId hook_ = 0;
 
-  /// What the last partitioned solve changed (consumed by the completion
-  /// re-arm; valid only between recompute() and arm_completion_event()).
+  /// What the last solve changed (consumed by the completion re-arm; valid
+  /// only between recompute() and arm_completion_event()).
   SolveDelta delta_;
-  /// Live flows with rate > 0 — replaces the arm-time max-rate scan for
-  /// the stranded check in partitioned mode.
+  /// Live flows with rate > 0, for the stranded check at arm time.
   std::size_t positive_rate_count_ = 0;
   /// Live flows with an infinite (unconstrained, zero-degree) rate; any
   /// forces the completion re-arm onto the full-rescan path.
@@ -276,8 +259,8 @@ class Network {
 /// `flow_links[i]` lists the link indices flow i traverses; `capacity[l]` is
 /// the capacity of link l.  Returns one rate per flow.  Exposed separately so
 /// the fairness property can be unit-tested without a simulator.  This is the
-/// reference implementation the incremental MaxMinFairSolver must match
-/// bit-for-bit; `counters` (optional) accumulates the work it performed.
+/// oracle MaxMinFairSolver must match bit for bit; `counters` (optional)
+/// accumulates the work it performed.
 std::vector<double> MaxMinFairRates(
     const std::vector<std::vector<std::size_t>>& flow_links,
     const std::vector<double>& capacity, SolveCounters* counters = nullptr);

@@ -168,9 +168,6 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
   root.number("uplink_gbps", config.uplink_gbps);
   root.number("downlink_gbps", config.downlink_gbps);
   root.number("core_gbps", config.core_gbps);
-  root.boolean("incremental_network", config.incremental_network);
-  root.boolean("component_partitioned_network",
-               config.component_partitioned_network);
 
   // DFS.
   root.number("block_mb", config.block_mb);
@@ -279,8 +276,6 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
   if (const JsonValue* v = root.claim("steady")) {
     ObjectScope steady(*v, "steady");
     steady.boolean("enabled", config.steady.enabled);
-    steady.boolean("materialize_submissions",
-                   config.steady.materialize_submissions);
     steady.boolean("retire_jobs", config.steady.retire_jobs);
     steady.boolean("streaming_metrics", config.steady.streaming_metrics);
     steady.number("warmup", config.steady.warmup);
@@ -329,9 +324,6 @@ std::string ConfigToJson(const ExperimentConfig& config) {
   num("uplink_gbps", config.uplink_gbps);
   num("downlink_gbps", config.downlink_gbps);
   num("core_gbps", config.core_gbps);
-  boolean("incremental_network", config.incremental_network);
-  boolean("component_partitioned_network",
-          config.component_partitioned_network);
   num("block_mb", config.block_mb);
   num("replication", config.replication);
   num("cache_mb_per_node", config.cache_mb_per_node);
@@ -389,7 +381,6 @@ std::string ConfigToJson(const ExperimentConfig& config) {
   out += "},";
   out += "\"steady\":{";
   boolean("enabled", config.steady.enabled);
-  boolean("materialize_submissions", config.steady.materialize_submissions);
   boolean("retire_jobs", config.steady.retire_jobs);
   boolean("streaming_metrics", config.steady.streaming_metrics);
   num("warmup", config.steady.warmup);

@@ -56,14 +56,6 @@ struct ExperimentConfig {
   double uplink_gbps = 2.0;
   double downlink_gbps = 40.0;
   double core_gbps = 0.0;  ///< 0 = non-blocking fabric
-  /// Batched + incremental network rate recomputation (default).  Off runs
-  /// the recompute-per-change reference path — kept for equivalence tests;
-  /// results are identical either way.
-  bool incremental_network = true;
-  /// Component-partitioned rate solves + rate-delta completion re-arming
-  /// (default).  Requires incremental_network; results are identical
-  /// either way (enforced by the net equivalence suite).
-  bool component_partitioned_network = true;
 
   // DFS.
   double block_mb = 128.0;

@@ -51,13 +51,6 @@ void ValidateConfig(const ExperimentConfig& config) {
     FailConfig("core_gbps must be >= 0, where 0 means non-blocking (got " +
                Num(config.core_gbps) + ")");
   }
-  if (config.component_partitioned_network && !config.incremental_network) {
-    FailConfig(
-        "component_partitioned_network requires incremental_network (the "
-        "component partition lives on the persistent-incidence solver); set "
-        "component_partitioned_network=false to run the reference rate "
-        "path");
-  }
   // DFS.
   if (config.block_mb <= 0.0) {
     FailConfig("block_mb must be > 0 (got " + Num(config.block_mb) + ")");
@@ -148,9 +141,6 @@ void ValidateConfig(const ExperimentConfig& config) {
       config.steady.diurnal_period <= 0.0) {
     FailConfig("steady.diurnal_period must be > 0 when diurnal_amplitude is"
                " set (got " + Num(config.steady.diurnal_period) + ")");
-  }
-  if (config.steady.materialize_submissions && !config.steady.enabled) {
-    FailConfig("steady.materialize_submissions requires steady.enabled");
   }
   if (config.steady.enabled && config.steady.retire_jobs &&
       !config.steady.streaming_metrics) {
@@ -267,8 +257,6 @@ net::NetworkConfig MakeNetConfig(const ExperimentConfig& config) {
   net_config.downlink_bps = units::Gbps(config.downlink_gbps);
   net_config.core_bps =
       config.core_gbps > 0.0 ? units::Gbps(config.core_gbps) : 0.0;
-  net_config.incremental = config.incremental_network;
-  net_config.component_partitioned = config.component_partitioned_network;
   return net_config;
 }
 
@@ -342,7 +330,7 @@ struct HashSink {
 
 std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   HashSink h;
-  h.u64(2);  // hash-layout salt: bump when fields are added, removed or moved
+  h.u64(3);  // hash-layout salt: bump when fields are added, removed or moved
   // Cluster.
   h.u64(config.num_nodes);
   h.i64(config.executors_per_node);
@@ -350,8 +338,6 @@ std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   h.f64(config.uplink_gbps);
   h.f64(config.downlink_gbps);
   h.f64(config.core_gbps);
-  h.b(config.incremental_network);
-  h.b(config.component_partitioned_network);
   // DFS.
   h.f64(config.block_mb);
   h.i64(config.replication);
@@ -399,7 +385,6 @@ std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   h.f64(config.params.sort_reduce_compute_per_byte);
   // Steady state.
   h.b(config.steady.enabled);
-  h.b(config.steady.materialize_submissions);
   h.b(config.steady.retire_jobs);
   h.b(config.steady.streaming_metrics);
   h.f64(config.steady.warmup);
@@ -476,13 +461,6 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
   // --- arm the submission schedule -----------------------------------------
   if (!config.steady.enabled) {
     schedule_ = &snapshot.trace();
-  } else if (config.steady.materialize_submissions) {
-    // Reference sub-mode: same stream, drained up front and posted like the
-    // classic trace.  The equivalence tests pin the lazy pump against this.
-    drained_ = DrainStream(snapshot.make_submission_stream());
-    schedule_ = &drained_;
-  }
-  if (schedule_ != nullptr) {
     // The schedule is time-sorted and the posts are consecutive, so entries
     // fire exactly in index order with seq = first_submission_seq_ + i —
     // which is all a snapshot needs to re-arm the unfired tail.
@@ -610,9 +588,9 @@ void LiveRun::set_arrival_rate_scale(double factor) {
   }
   if (stream_ == nullptr) {
     throw std::invalid_argument(
-        "arrival-rate perturbation requires a steady-state lazy-stream run "
-        "(steady.enabled with materialize_submissions off): the classic "
-        "schedule is posted up front and cannot be rescaled");
+        "arrival-rate perturbation requires a steady-state run "
+        "(steady.enabled): the classic schedule is posted up front and "
+        "cannot be rescaled");
   }
   stream_->set_rate_scale(factor);
 }
@@ -766,7 +744,7 @@ void LiveRun::restore(const std::vector<std::uint8_t>& bytes) {
   }
   if ((mode == 0) != (schedule_ != nullptr)) {
     throw snap::SnapshotError(
-        "submission-source mode disagrees with the config (materialized vs"
+        "submission-source mode disagrees with the config (classic trace vs"
         " lazy stream)");
   }
   if (mode == 0) {

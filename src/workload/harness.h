@@ -263,7 +263,7 @@ class LiveRun {
 
  private:
   void submit_one(const Submission& s);
-  /// Fire the `i`-th entry of the posted schedule (classic/materialized).
+  /// Fire the `i`-th entry of the posted classic schedule.
   void fire_submission(std::size_t i);
   /// Fire the `k`-th failure injection.
   void fire_failure(int k);
@@ -281,10 +281,9 @@ class LiveRun {
   std::vector<std::unique_ptr<app::Application>> apps_;
 
   // --- submission source ---------------------------------------------------
-  // Classic trace and the materialized steady-state reference post every
-  // submission up front (consecutive seqs, fired in index order); the lazy
-  // pump holds one future arrival and re-arms itself.
-  std::vector<Submission> drained_;  ///< materialize-mode storage
+  // The classic trace posts every submission up front (consecutive seqs,
+  // fired in index order); the steady-state lazy pump holds one future
+  // arrival and re-arms itself.
   const std::vector<Submission>* schedule_ = nullptr;
   std::uint64_t submissions_fired_ = 0;
   std::uint64_t first_submission_seq_ = 0;

@@ -11,8 +11,9 @@
 // same kind of schedule *lazily*: each application owns a forked rng stream
 // and the merged arrival sequence is pulled one submission at a time, so a
 // million-job horizon never holds more than one pending submission in
-// memory.  Determinism contract: draining a stream yields the identical
-// schedule whether it is consumed lazily or materialized up front.
+// memory.  Determinism contract: consuming a stream lazily yields the
+// identical schedule to draining it up front (DrainStream), and the harness
+// pumps it one event ahead without changing any scheduling decision.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +54,6 @@ struct TraceConfig {
 struct SteadyStateConfig {
   /// Master switch.  Off (the default) runs the classic materialized trace.
   bool enabled = false;
-  /// Reference sub-mode for equivalence tests: drain the stream up front
-  /// and post every submission before the run starts, exactly like the
-  /// classic path does with its trace.  Scheduling decisions must be
-  /// bit-identical to the lazy pump.
-  bool materialize_submissions = false;
   /// Destroy finished jobs (stages and task records included) through the
   /// application's job pool the moment they complete.
   bool retire_jobs = true;
@@ -137,7 +133,8 @@ class SubmissionStream {
   double rate_scale_ = 1.0;
 };
 
-/// Drain a stream into a vector (equivalence tests, reference sub-mode).
+/// Drain a stream into a vector: the up-front schedule lazy consumption must
+/// reproduce.
 std::vector<Submission> DrainStream(SubmissionStream stream);
 
 /// Generate the submission schedule for a single-workload experiment.

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -318,69 +320,70 @@ TEST(Network, FanOutInOneEventBatchesToOneRecompute) {
 }
 
 TEST(Network, FanOutIdenticalWithAndWithoutBatching) {
-  // N flows started in one event must produce identical completion times
-  // whether recomputes are batched (incremental) or not (reference).
-  auto run = [](bool incremental) {
+  // N flows started in one event (one batched solve) must produce the same
+  // completion times, bit for bit, as the same N starts spread over N
+  // events at the same timestamp (one solve each).
+  auto run = [](bool one_event, std::uint64_t* solves) {
     sim::Simulator sim;
-    NetworkConfig config = SmallConfig(10);
-    config.incremental = incremental;
-    config.component_partitioned = incremental;
-    Network net(sim, config);
+    Network net(sim, SmallConfig(10));
     std::vector<double> done(9, -1.0);
-    sim.schedule(0.5, [&] {
-      for (int i = 0; i < 9; ++i) {
-        net.start_flow(NodeId(0),
-                       NodeId(static_cast<NodeId::value_type>(i + 1)),
-                       100.0 * (i + 1), [&done, &sim, i] {
-                         done[static_cast<std::size_t>(i)] = sim.now();
-                       });
-      }
-    });
+    auto start = [&](int i) {
+      net.start_flow(NodeId(0), NodeId(static_cast<NodeId::value_type>(i + 1)),
+                     100.0 * (i + 1), [&done, &sim, i] {
+                       done[static_cast<std::size_t>(i)] = sim.now();
+                     });
+    };
+    if (one_event) {
+      sim.schedule(0.5, [&] {
+        for (int i = 0; i < 9; ++i) start(i);
+      });
+    } else {
+      for (int i = 0; i < 9; ++i) sim.schedule(0.5, [&, i] { start(i); });
+    }
     sim.run();
+    *solves = net.stats().recomputes_run;
     return done;
   };
-  const auto batched = run(true);
-  const auto reference = run(false);
+  std::uint64_t batched_solves = 0;
+  std::uint64_t spread_solves = 0;
+  const auto batched = run(true, &batched_solves);
+  const auto spread = run(false, &spread_solves);
+  // Nine flows share the 100 B/s uplink; flow k needs 100 more bytes than
+  // flow k-1, so it finishes (10 - k) s after it: 9 s, then 8 s, ...
+  double expected = 0.5;
   for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i], reference[i]) << "flow " << i;  // bit-identical
+    expected += static_cast<double>(9 - i);
+    EXPECT_NEAR(batched[i], expected, 1e-9) << "flow " << i;
+    EXPECT_EQ(batched[i], spread[i]) << "flow " << i;  // bit-identical
   }
+  EXPECT_EQ(spread_solves, batched_solves + 8);  // 9 start solves, not 1
 }
 
 TEST(Network, CancelInsideCompletionCallback) {
   // A completion callback cancelling a sibling flow mid-burst must not
-  // disturb the remaining flows, on either rate path.
-  auto run = [](bool incremental) {
-    sim::Simulator sim;
-    NetworkConfig config = SmallConfig(8);
-    config.incremental = incremental;
-    config.component_partitioned = incremental;
-    Network net(sim, config);
-    FlowId victim;
-    bool victim_completed = false;
-    double survivor_done = -1.0;
-    double first_done = -1.0;
-    // Same uplink: 3 flows at 100/3 B/s each.
-    net.start_flow(NodeId(0), NodeId(1), 100.0, [&] {
-      first_done = sim.now();
-      net.cancel_flow(victim);
-    });
-    victim =
-        net.start_flow(NodeId(0), NodeId(2), 900.0, [&] { victim_completed = true; });
-    net.start_flow(NodeId(0), NodeId(3), 400.0,
-                   [&] { survivor_done = sim.now(); });
-    sim.run();
-    EXPECT_NEAR(first_done, 3.0, 1e-9);
-    EXPECT_FALSE(victim_completed);
-    // Survivor: 3 s at 100/3 B/s = 100 bytes, then 300 bytes alone at
-    // 100 B/s -> done at t = 6.
-    EXPECT_NEAR(survivor_done, 6.0, 1e-9);
-    EXPECT_EQ(net.active_flow_count(), 0u);
-    return std::pair{first_done, survivor_done};
-  };
-  const auto batched = run(true);
-  const auto reference = run(false);
-  EXPECT_EQ(batched.first, reference.first);
-  EXPECT_EQ(batched.second, reference.second);
+  // disturb the remaining flows.
+  sim::Simulator sim;
+  Network net(sim, SmallConfig(8));
+  FlowId victim;
+  bool victim_completed = false;
+  double survivor_done = -1.0;
+  double first_done = -1.0;
+  // Same uplink: 3 flows at 100/3 B/s each.
+  net.start_flow(NodeId(0), NodeId(1), 100.0, [&] {
+    first_done = sim.now();
+    net.cancel_flow(victim);
+  });
+  victim = net.start_flow(NodeId(0), NodeId(2), 900.0,
+                          [&] { victim_completed = true; });
+  net.start_flow(NodeId(0), NodeId(3), 400.0,
+                 [&] { survivor_done = sim.now(); });
+  sim.run();
+  EXPECT_NEAR(first_done, 3.0, 1e-9);
+  EXPECT_FALSE(victim_completed);
+  // Survivor: 3 s at 100/3 B/s = 100 bytes, then 300 bytes alone at
+  // 100 B/s -> done at t = 6.
+  EXPECT_NEAR(survivor_done, 6.0, 1e-9);
+  EXPECT_EQ(net.active_flow_count(), 0u);
 }
 
 // ---------- cancel churn ----------------------------------------------------
@@ -448,7 +451,7 @@ TEST(Network, StrandedFlowsFailLoudly) {
   NetworkConfig config = SmallConfig(4);
   config.uplink_bps = std::numeric_limits<double>::denorm_min();
 
-  {  // incremental path: the batched recompute flushes at the next step.
+  {  // the batched recompute flushes at the next step.
     sim::Simulator sim;
     Network net(sim, config);
     net.start_flow(NodeId(0), NodeId(1), 10.0, [] {});
@@ -461,15 +464,6 @@ TEST(Network, StrandedFlowsFailLoudly) {
     const FlowId a = net.start_flow(NodeId(0), NodeId(1), 10.0, [] {});
     net.start_flow(NodeId(0), NodeId(2), 10.0, [] {});
     EXPECT_THROW((void)net.flow_rate(a), std::runtime_error);
-  }
-  {  // reference path recomputes eagerly inside start_flow.
-    config.incremental = false;
-    config.component_partitioned = false;
-    sim::Simulator sim;
-    Network net(sim, config);
-    net.start_flow(NodeId(0), NodeId(1), 10.0, [] {});
-    EXPECT_THROW(net.start_flow(NodeId(0), NodeId(2), 10.0, [] {}),
-                 std::runtime_error);
   }
 }
 
@@ -539,6 +533,99 @@ TEST(Network, FlowsCompleteAtSteadyStateHorizons) {
     EXPECT_EQ(net.active_flow_count(), 0u);
     EXPECT_GT(sim.now(), t0);
   }
+}
+
+// ---------- snapshot restore validation ------------------------------------
+
+/// A snapshot of a 4-node network (no core) with two flows in flight,
+/// 0 -> 1 in slot 0 and 2 -> 3 in slot 1, written outside any section.
+std::vector<std::uint8_t> TwoFlowSnapshot() {
+  sim::Simulator sim;
+  Network net(sim, SmallConfig(4));
+  const FlowLabel label{.kind = 1};
+  const FlowId a = net.start_flow(NodeId(0), NodeId(1), 500.0, [] {}, label);
+  net.start_flow(NodeId(2), NodeId(3), 700.0, [] {}, label);
+  (void)net.flow_rate(a);  // flush: snapshots need settled rates
+  snap::SnapshotWriter w;
+  net.SaveTo(w);
+  return w.finish(/*config_hash=*/0, /*sim_time=*/0.0);
+}
+
+// Byte offsets inside TwoFlowSnapshot: the 24-byte header, the slot count,
+// two live slots (flag, src, dst, remaining, rate, label kind/a/b/c, id,
+// prev, next), the empty free list's count, then head, tail, live count,
+// next id, bytes, last update, ten stats, the pending-event flag with its
+// time and seq, and the solver's flow count, link count and link lists.
+constexpr std::size_t kSlotBytes = 1 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 4 + 4;
+constexpr std::size_t kSlot1Next = 24 + 8 + 2 * kSlotBytes - 4;
+constexpr std::size_t kHead = 24 + 8 + 2 * kSlotBytes + 8;
+constexpr std::size_t kSolverFlows =
+    kHead + 4 + 4 + 8 + 4 + 8 + 8 + 10 * 8 + 1 + 8 + 8;
+// Uplink 2's list holds slot 1, after the lists of uplinks 0 ({0}) and 1 ({}).
+constexpr std::size_t kUplink2Entry = kSolverFlows + 8 + 8 + (8 + 4) + 8 + 8;
+
+std::uint64_t ReadLe(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                     int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= std::uint64_t{bytes[at + static_cast<std::size_t>(i)]} << (8 * i);
+  }
+  return v;
+}
+
+void WriteLe(std::vector<std::uint8_t>& bytes, std::size_t at, int width,
+             std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Recompute the FNV-1a footer so the patch reaches Network::RestoreFrom.
+void Reseal(std::vector<std::uint8_t>& bytes) {
+  WriteLe(bytes, bytes.size() - 8, 8,
+          snap::Fnv1a(bytes.data(), bytes.size() - 8));
+}
+
+void Restore(std::vector<std::uint8_t> bytes) {
+  sim::Simulator sim;
+  Network net(sim, SmallConfig(4));
+  snap::SnapshotReader r(std::move(bytes));
+  net.RestoreFrom(r, [](FlowId, const FlowLabel&, NodeId, NodeId) {
+    return Network::CompletionFn([] {});
+  });
+}
+
+TEST(NetworkSnapshot, TwoFlowSnapshotRestoresAtTheExpectedOffsets) {
+  const std::vector<std::uint8_t> bytes = TwoFlowSnapshot();
+  ASSERT_EQ(ReadLe(bytes, kHead, 4), 0u);         // head: slot 0
+  ASSERT_EQ(ReadLe(bytes, kHead + 4, 4), 1u);     // tail: slot 1
+  ASSERT_EQ(ReadLe(bytes, kSlot1Next, 4), 0xffffffffu);  // slot 1: no next
+  ASSERT_EQ(ReadLe(bytes, kSolverFlows, 8), 2u);
+  ASSERT_EQ(ReadLe(bytes, kUplink2Entry, 4), 1u);
+  EXPECT_NO_THROW(Restore(bytes));
+}
+
+TEST(NetworkSnapshot, HeadOutsideTheFlowTableThrows) {
+  std::vector<std::uint8_t> bytes = TwoFlowSnapshot();
+  WriteLe(bytes, kHead, 4, 65536);
+  Reseal(bytes);
+  EXPECT_THROW(Restore(std::move(bytes)), snap::SnapshotError);
+}
+
+TEST(NetworkSnapshot, CyclicFlowListThrows) {
+  std::vector<std::uint8_t> bytes = TwoFlowSnapshot();
+  WriteLe(bytes, kSlot1Next, 4, 0);  // slot 1 -> slot 0 -> slot 1 -> ...
+  Reseal(bytes);
+  EXPECT_THROW(Restore(std::move(bytes)), snap::SnapshotError);
+}
+
+TEST(NetworkSnapshot, SolverSlotOutsideTheFlowTableThrows) {
+  std::vector<std::uint8_t> bytes = TwoFlowSnapshot();
+  WriteLe(bytes, kSolverFlows, 8, 3);  // the solver table grows a slot 2 ...
+  WriteLe(bytes, kUplink2Entry, 4, 2);  // ... which uplink 2 now carries
+  Reseal(bytes);
+  EXPECT_THROW(Restore(std::move(bytes)), snap::SnapshotError);
 }
 
 }  // namespace

@@ -199,7 +199,12 @@ TEST(JsonApi, RejectsUnknownAndMistypedFields) {
            {"{\"scheduler\":{\"indexed\":false}}", "scheduler.indexed"},
            {"{\"allocator\":{\"indexed\":true}}", "allocator.indexed"},
            {"{\"allocator\":{\"demand_driven\":false}}",
-            "allocator.demand_driven"}}) {
+            "allocator.demand_driven"},
+           {"{\"incremental_network\":false}", "incremental_network"},
+           {"{\"component_partitioned_network\":false}",
+            "component_partitioned_network"},
+           {"{\"steady\":{\"materialize_submissions\":true}}",
+            "steady.materialize_submissions"}}) {
     try {
       (void)ConfigFromJsonText(text);
       ADD_FAILURE() << text << " was accepted";
@@ -283,11 +288,6 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
       {[](auto& c) { c.uplink_gbps = 0.0; }, "uplink_gbps"},
       {[](auto& c) { c.downlink_gbps = -2.0; }, "downlink_gbps"},
       {[](auto& c) { c.core_gbps = -1.0; }, "core_gbps"},
-      {[](auto& c) {
-         c.incremental_network = false;
-         c.component_partitioned_network = true;
-       },
-       "component_partitioned_network"},
       {[](auto& c) { c.block_mb = 0.0; }, "block_mb"},
       {[](auto& c) { c.replication = 0; }, "replication"},
       {[](auto& c) { c.cache_mb_per_node = -1.0; }, "cache_mb_per_node"},
@@ -325,8 +325,6 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
       {[](auto& c) { c.steady.warmup = -1.0; }, "steady.warmup"},
       {[](auto& c) { c.steady.diurnal_amplitude = -0.2; },
        "steady.diurnal_amplitude"},
-      {[](auto& c) { c.steady.materialize_submissions = true; },
-       "steady.materialize_submissions"},
       {[](auto& c) {
          c.steady.enabled = true;
          c.steady.retire_jobs = true;

@@ -358,11 +358,6 @@ TEST(ValidateConfig, RejectsEveryBadKnobWithTheFieldNamed) {
   ExpectInvalid(with([](auto& c) { c.downlink_gbps = -2.0; }),
                 "downlink_gbps");
   ExpectInvalid(with([](auto& c) { c.core_gbps = -1.0; }), "core_gbps");
-  ExpectInvalid(with([](auto& c) {
-                  c.incremental_network = false;
-                  c.component_partitioned_network = true;
-                }),
-                "component_partitioned_network");
   ExpectInvalid(with([](auto& c) { c.block_mb = 0.0; }), "block_mb");
   ExpectInvalid(with([](auto& c) { c.replication = 0; }), "replication");
   ExpectInvalid(with([](auto& c) { c.cache_mb_per_node = -1.0; }),
@@ -427,8 +422,6 @@ TEST(ValidateConfig, RejectsBadSteadyStateKnobsWithTheFieldNamed) {
                   c.steady.diurnal_period = 0.0;
                 }),
                 "steady.diurnal_period");
-  ExpectInvalid(with([](auto& c) { c.steady.materialize_submissions = true; }),
-                "steady.materialize_submissions");
   // Retiring jobs while exact metrics keep per-job records would not bound
   // memory — the combination is rejected, not silently accepted.
   ExpectInvalid(with([](auto& c) {

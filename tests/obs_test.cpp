@@ -5,14 +5,17 @@
 // segment sums reconcile with measured JCT within 1e-9.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "obs/critical_path.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
@@ -302,6 +305,34 @@ void ExpectSummaryEq(const Summary& a, const Summary& b) {
   EXPECT_DOUBLE_EQ(a.max, b.max);
 }
 
+/// FNV-1a over every field of every event, in order.  The wall-clock
+/// `value` of allocation rounds and rate solves is zeroed: it is the only
+/// field that differs between identical runs.
+std::uint64_t TraceDigest(const std::vector<TraceEvent>& events) {
+  std::uint64_t hash = snap::Fnv1a(nullptr, 0);  // the offset basis
+  const auto mix = [&hash](const auto& field) {
+    std::uint8_t bytes[sizeof field];
+    std::memcpy(bytes, &field, sizeof field);
+    hash = snap::Fnv1a(bytes, sizeof bytes, hash);
+  };
+  for (const TraceEvent& e : events) {
+    const bool wall = e.kind == EventKind::kAllocRound ||
+                      e.kind == EventKind::kRateSolve;
+    mix(e.t0);
+    mix(e.t1);
+    mix(wall ? 0.0 : e.value);
+    mix(e.app);
+    mix(e.job);
+    mix(e.id);
+    mix(e.stage);
+    mix(e.node);
+    mix(e.block);
+    mix(e.aux);
+    mix(e.kind);
+  }
+  return hash;
+}
+
 void ExpectResultsBitIdentical(const ExperimentResult& a,
                                const ExperimentResult& b) {
   EXPECT_EQ(a.events_processed, b.events_processed);
@@ -354,6 +385,24 @@ TEST(TracingOnOff, BitIdenticalUnderFailuresCacheAndSpeculation) {
   const auto result_on = RunExperiment(on);
   EXPECT_EQ(result_on.nodes_failed, 2);
   ExpectResultsBitIdentical(result_off, result_on);
+
+  // The traced event stream itself is pinned: every field of every event,
+  // in recording order, with only the wall-clock values zeroed.  The run
+  // launches clones and resets tasks, so the digest covers every
+  // speculative launch, every failure reset and the executor idle-since
+  // stamps those paths write.
+  ASSERT_NE(result_on.trace, nullptr);
+  EXPECT_EQ(result_on.trace->dropped(), 0u);
+  const std::vector<TraceEvent> events = result_on.trace->events();
+  const auto count = [&events](EventKind kind) {
+    return std::count_if(events.begin(), events.end(),
+                         [kind](const TraceEvent& e) { return e.kind == kind; });
+  };
+  EXPECT_GT(count(EventKind::kSpecLaunch), 0);
+  EXPECT_GT(count(EventKind::kTaskReset), 0);
+  const std::uint64_t digest = TraceDigest(events);
+  EXPECT_EQ(digest, 0xed5014c8839f7e0aULL)
+      << "trace digest 0x" << std::hex << digest;
 }
 
 // ---------- the exporter -----------------------------------------------------

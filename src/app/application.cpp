@@ -15,14 +15,46 @@ namespace {
 
 // FlowLabel callback kinds — the application's private recipe for
 // rebuilding a restored flow's completion callback (a = task id, b = task
-// epoch, c = app id; see rebuild_flow_callback).
-constexpr std::uint32_t kFlowInputRead = 1;
-constexpr std::uint32_t kFlowCloneRead = 2;
+// epoch, c = app id; see flow_fn).  An input read's kind names its attempt.
+constexpr std::uint32_t kFlowInputRead = 1;  // attempt 0
+constexpr std::uint32_t kFlowCloneRead = 2;  // attempt 1
 constexpr std::uint32_t kFlowShuffleFetch = 3;
 
 void FoldRetry(std::optional<SimTime>& earliest,
                const std::optional<SimTime>& at) {
   if (at && (!earliest || *at < *earliest)) earliest = at;
+}
+
+// One attempt's snapshot record, the same for the primary and the clone.
+// RestoreAttempt leaves re-arming the timer to the caller, which does so
+// only once the whole section has validated.
+void SaveAttempt(snap::SnapshotWriter& w, const Attempt& a) {
+  w.u32(a.executor.value());
+  w.b(a.local);
+  w.f64(a.compute_start);
+  w.u8(static_cast<std::uint8_t>(a.pending_kind));
+  if (a.pending_kind != TimerKind::kNone) {
+    w.f64(a.pending_time);
+    w.u64(a.pending_seq);
+  }
+  w.u32(a.pending_flow.value());
+}
+
+void RestoreAttempt(snap::SnapshotReader& r, Attempt& a) {
+  a.executor = ExecutorId(r.u32());
+  a.local = r.b();
+  a.compute_start = r.f64();
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(TimerKind::kCompute)) {
+    throw snap::SnapshotError("Application: bad attempt timer kind " +
+                              std::to_string(kind));
+  }
+  a.pending_kind = static_cast<TimerKind>(kind);
+  if (a.pending_kind != TimerKind::kNone) {
+    a.pending_time = r.f64();
+    a.pending_seq = r.u64();
+  }
+  a.pending_flow = FlowId(r.u32());
 }
 
 }  // namespace
@@ -465,40 +497,55 @@ void Application::arm_retry(SimTime at) {
 }
 
 sim::EventFn Application::timer_fn(TaskId id, std::uint32_t epoch,
-                                  TimerKind kind, bool spec) {
-  return [this, id, epoch, kind, spec] {
+                                  TimerKind kind, int attempt) {
+  return [this, id, epoch, kind, attempt] {
     Task* found = find_task(id);
     if (found == nullptr || found->epoch != epoch) return;
-    if (spec) {
-      found->spec_kind = TimerKind::kNone;
-      if (kind == TimerKind::kRead) {
-        start_clone_compute(*found);
-      } else {
-        finish_attempt(*found, 1);
-      }
+    found->attempt(attempt).pending_kind = TimerKind::kNone;
+    if (kind == TimerKind::kRead) {
+      start_compute(*found, attempt);
     } else {
-      found->pending_kind = TimerKind::kNone;
-      if (kind == TimerKind::kRead) {
-        start_compute(*found);
-      } else {
-        finish_attempt(*found, 0);
-      }
+      finish_attempt(*found, attempt);
     }
   };
 }
 
-void Application::arm_task_timer(Task& t, TimerKind kind, double delay) {
-  t.pending_event = sim_.schedule(delay, timer_fn(t.id, t.epoch, kind, false));
-  t.pending_kind = kind;
-  t.pending_time = sim_.now() + delay;
-  t.pending_seq = sim_.last_event_seq();
+void Application::arm_timer(Task& t, int attempt, TimerKind kind,
+                            double delay) {
+  Attempt& a = t.attempt(attempt);
+  a.pending_event =
+      sim_.schedule(delay, timer_fn(t.id, t.epoch, kind, attempt));
+  a.pending_kind = kind;
+  a.pending_time = sim_.now() + delay;
+  a.pending_seq = sim_.last_event_seq();
 }
 
-void Application::arm_spec_timer(Task& t, TimerKind kind, double delay) {
-  t.spec_event = sim_.schedule(delay, timer_fn(t.id, t.epoch, kind, true));
-  t.spec_kind = kind;
-  t.spec_time = sim_.now() + delay;
-  t.spec_seq = sim_.last_event_seq();
+net::Network::CompletionFn Application::flow_fn(const net::FlowLabel& label,
+                                                NodeId dst) {
+  const TaskId id(label.a);
+  const std::uint32_t ep = label.b;
+  switch (label.kind) {
+    case kFlowInputRead:
+    case kFlowCloneRead: {
+      const int attempt = label.kind == kFlowCloneRead ? 1 : 0;
+      return [this, id, ep, attempt, node = dst] {
+        Task* fetched = find_task(id);
+        if (fetched == nullptr || fetched->epoch != ep) return;
+        fetched->attempt(attempt).pending_flow = FlowId::invalid();
+        if (cache_ != nullptr) cache_->insert(node, fetched->block);
+        start_compute(*fetched, attempt);
+      };
+    }
+    case kFlowShuffleFetch:
+      return [this, id, ep] {
+        Task* fetched = find_task(id);
+        if (fetched == nullptr || fetched->epoch != ep) return;
+        if (--fetched->fetches_outstanding == 0) start_compute(*fetched, 0);
+      };
+    default:
+      throw snap::SnapshotError("Application: unknown flow label kind " +
+                                std::to_string(label.kind));
+  }
 }
 
 void Application::launch(Task& t, ExecutorId exec) {
@@ -560,44 +607,7 @@ void Application::launch(Task& t, ExecutorId exec) {
       }
     }
     if (tracer_ != nullptr) trace_wait(verdict);
-    if (t.local) {
-      // Disk replica or cached copy; cached reads run at memory speed.
-      const bool on_disk = dfs_.is_local(t.block, e.node);
-      if (!on_disk && cache_ != nullptr) {
-        cache_->record_cached_read(e.node, t.block);
-      }
-      const double rate = on_disk ? cluster_.disk_bps(e.node)
-                                  : cluster_.config().memory_bps;
-      arm_task_timer(t, TimerKind::kRead, t.input_bytes / rate);
-    } else {
-      // Remote read: stream the block from a replica (or cached copy) over
-      // the network; the receiving node caches what it pulled.
-      const auto& locs = locations_of(t.block);
-      assert(!locs.empty());
-      NodeId src = rng_.pick(locs);
-      if (src == e.node) {
-        // A cached copy appeared on this node after scheduling; read it.
-        // (Epoch-guarded like every other attempt timer: a failure reset
-        // between scheduling and firing must orphan this callback.)
-        if (cache_ != nullptr) cache_->record_cached_read(e.node, t.block);
-        arm_task_timer(t, TimerKind::kRead,
-                       t.input_bytes / cluster_.config().memory_bps);
-        return;
-      }
-      t.pending_flow = net_.start_flow(
-          src, e.node, t.input_bytes,
-          [this, id = t.id, node = e.node, ep = t.epoch] {
-            Task* fetched = find_task(id);
-            if (fetched == nullptr || fetched->epoch != ep) return;
-            fetched->pending_flow = FlowId::invalid();
-            if (cache_ != nullptr) cache_->insert(node, fetched->block);
-            start_compute(*fetched);
-          },
-          {.kind = kFlowInputRead,
-           .a = t.id.value(),
-           .b = t.epoch,
-           .c = id_.value()});
-    }
+    start_input_read(t, 0);
     return;
   }
 
@@ -617,33 +627,20 @@ void Application::launch(Task& t, ExecutorId exec) {
     // Everything is on this node (or the task has no input at all).
     const double read_secs =
         t.input_bytes > 0.0 ? t.input_bytes / cluster_.disk_bps(e.node) : 0.0;
-    arm_task_timer(t, TimerKind::kRead, read_secs);
+    arm_timer(t, 0, TimerKind::kRead, read_secs);
     return;
   }
   const double bytes_per_source =
       t.input_bytes / static_cast<double>(t.fetch_sources.size());
   (void)local_bytes;  // local portion is read while remote fetches stream in
+  const net::FlowLabel label{.kind = kFlowShuffleFetch,
+                             .a = t.id.value(),
+                             .b = t.epoch,
+                             .c = id_.value()};
   for (NodeId src : remote) {
-    net_.start_flow(src, e.node, bytes_per_source,
-                    [this, id = t.id, ep = t.epoch] {
-                      Task* fetched = find_task(id);
-                      if (fetched == nullptr || fetched->epoch != ep) return;
-                      if (--fetched->fetches_outstanding == 0) {
-                        start_compute(*fetched);
-                      }
-                    },
-                    {.kind = kFlowShuffleFetch,
-                     .a = t.id.value(),
-                     .b = t.epoch,
-                     .c = id_.value()});
+    net_.start_flow(src, e.node, bytes_per_source, flow_fn(label, e.node),
+                    label);
   }
-}
-
-void Application::start_compute(Task& t) {
-  assert(t.state == TaskState::kRunning);
-  t.compute_start = sim_.now();
-  const double speed = cluster_.node_speed(cluster_.node_of(t.executor));
-  arm_task_timer(t, TimerKind::kCompute, t.compute_secs / speed);
 }
 
 void Application::launch_clone(Task& t, ExecutorId exec) {
@@ -652,8 +649,8 @@ void Application::launch_clone(Task& t, ExecutorId exec) {
   assert(!e.busy && e.owner == id_);
   cluster_.set_busy(exec, true);
   t.spec_active = true;
-  t.spec_executor = exec;
-  t.spec_local = index_.is_local(t.block, e.node);
+  t.clone.executor = exec;
+  t.clone.local = index_.is_local(t.block, e.node);
   ++spec_launches_;
   if (tracer_ != nullptr) {
     tracer_->instant({.app = obs::IdOf(id_),
@@ -662,77 +659,79 @@ void Application::launch_clone(Task& t, ExecutorId exec) {
                       .stage = t.stage,
                       .node = obs::IdOf(e.node),
                       .block = obs::IdOf(t.block),
-                      .aux = t.spec_local ? 1 : 0,
+                      .aux = t.clone.local ? 1 : 0,
                       .kind = obs::EventKind::kSpecLaunch});
   }
-
-  if (t.spec_local) {
-    const bool on_disk = dfs_.is_local(t.block, e.node);
-    if (!on_disk && cache_ != nullptr) {
-      cache_->record_cached_read(e.node, t.block);
-    }
-    const double rate = on_disk ? cluster_.disk_bps(e.node)
-                                : cluster_.config().memory_bps;
-    arm_spec_timer(t, TimerKind::kRead, t.input_bytes / rate);
-    return;
-  }
-  const auto& locs = locations_of(t.block);
-  assert(!locs.empty());
-  NodeId src = rng_.pick(locs);
-  if (src == e.node) {
-    if (cache_ != nullptr) cache_->record_cached_read(e.node, t.block);
-    arm_spec_timer(t, TimerKind::kRead,
-                   t.input_bytes / cluster_.config().memory_bps);
-    return;
-  }
-  t.spec_flow = net_.start_flow(
-      src, e.node, t.input_bytes,
-      [this, id = t.id, node = e.node, ep = t.epoch] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        fetched->spec_flow = FlowId::invalid();
-        if (cache_ != nullptr) cache_->insert(node, fetched->block);
-        start_clone_compute(*fetched);
-      },
-      {.kind = kFlowCloneRead,
-       .a = t.id.value(),
-       .b = t.epoch,
-       .c = id_.value()});
+  start_input_read(t, 1);
 }
 
-void Application::start_clone_compute(Task& t) {
-  if (t.state != TaskState::kRunning || !t.spec_active) return;
-  t.spec_compute_start = sim_.now();
-  const double speed = cluster_.node_speed(cluster_.node_of(t.spec_executor));
-  arm_spec_timer(t, TimerKind::kCompute, t.compute_secs / speed);
+void Application::start_input_read(Task& t, int attempt) {
+  Attempt& a = t.attempt(attempt);
+  const NodeId node = cluster_.node_of(a.executor);
+  if (a.local) {
+    // Disk replica or cached copy; cached reads run at memory speed.
+    const bool on_disk = dfs_.is_local(t.block, node);
+    if (!on_disk && cache_ != nullptr) {
+      cache_->record_cached_read(node, t.block);
+    }
+    const double rate =
+        on_disk ? cluster_.disk_bps(node) : cluster_.config().memory_bps;
+    arm_timer(t, attempt, TimerKind::kRead, t.input_bytes / rate);
+    return;
+  }
+  // Remote read: stream the block from a replica (or cached copy) over the
+  // network; the receiving node caches what it pulled.
+  const auto& locs = locations_of(t.block);
+  assert(!locs.empty());
+  const NodeId src = rng_.pick(locs);
+  // The ready index, which judged this attempt non-local, and
+  // locations_of hold the same disk replicas and cached copies, so the
+  // attempt's own node is never among the sources.
+  assert(src != node);
+  const net::FlowLabel label{
+      .kind = attempt == 0 ? kFlowInputRead : kFlowCloneRead,
+      .a = t.id.value(),
+      .b = t.epoch,
+      .c = id_.value()};
+  a.pending_flow =
+      net_.start_flow(src, node, t.input_bytes, flow_fn(label, node), label);
+}
+
+void Application::start_compute(Task& t, int attempt) {
+  if (t.state != TaskState::kRunning || (attempt == 1 && !t.spec_active)) {
+    return;
+  }
+  Attempt& a = t.attempt(attempt);
+  a.compute_start = sim_.now();
+  const double speed = cluster_.node_speed(cluster_.node_of(a.executor));
+  arm_timer(t, attempt, TimerKind::kCompute, t.compute_secs / speed);
+}
+
+void Application::abort_attempt(Attempt& a) {
+  a.pending_event.cancel();
+  a.pending_kind = TimerKind::kNone;
+  if (a.pending_flow.valid() && net_.flow_active(a.pending_flow)) {
+    net_.cancel_flow(a.pending_flow);
+  }
+  a.pending_flow = FlowId::invalid();
+  // An executor lost with its node has already left the ledger.
+  if (cluster_.executor_alive(a.executor)) {
+    cluster_.set_busy(a.executor, false);
+    if (tracer_ != nullptr) exec_idle_since_[a.executor] = sim_.now();
+  }
 }
 
 void Application::finish_attempt(Task& t, int attempt) {
   if (t.state != TaskState::kRunning) return;  // a stale completion
   if (attempt == 1) {
-    // The clone won: abort the primary and adopt the clone's placement.
+    // The clone won: abort the primary and adopt the clone's executor,
+    // locality and compute start.
     ++spec_wins_;
-    t.pending_event.cancel();
-    t.pending_kind = TimerKind::kNone;
-    if (t.pending_flow.valid() && net_.flow_active(t.pending_flow)) {
-      net_.cancel_flow(t.pending_flow);
-    }
-    t.pending_flow = FlowId::invalid();
-    cluster_.set_busy(t.executor, false);
-    if (tracer_ != nullptr) exec_idle_since_[t.executor] = sim_.now();
-    t.executor = t.spec_executor;
-    t.local = t.spec_local;
-    t.compute_start = t.spec_compute_start;
+    abort_attempt(t.attempt(0));
+    t.attempt(0) = t.clone;
   } else if (t.spec_active) {
     // The primary won: abort the clone and free its executor.
-    t.spec_event.cancel();
-    t.spec_kind = TimerKind::kNone;
-    if (t.spec_flow.valid() && net_.flow_active(t.spec_flow)) {
-      net_.cancel_flow(t.spec_flow);
-    }
-    t.spec_flow = FlowId::invalid();
-    cluster_.set_busy(t.spec_executor, false);
-    if (tracer_ != nullptr) exec_idle_since_[t.spec_executor] = sim_.now();
+    abort_attempt(t.clone);
   }
   t.spec_active = false;
   finish_task(t);
@@ -740,23 +739,9 @@ void Application::finish_attempt(Task& t, int attempt) {
 
 void Application::reset_task(Task& t) {
   assert(t.state == TaskState::kRunning);
-  t.pending_event.cancel();
-  t.pending_kind = TimerKind::kNone;
-  if (t.pending_flow.valid() && net_.flow_active(t.pending_flow)) {
-    net_.cancel_flow(t.pending_flow);
-  }
-  t.pending_flow = FlowId::invalid();
+  abort_attempt(t.attempt(0));
   if (t.spec_active) {
-    t.spec_event.cancel();
-    t.spec_kind = TimerKind::kNone;
-    if (t.spec_flow.valid() && net_.flow_active(t.spec_flow)) {
-      net_.cancel_flow(t.spec_flow);
-    }
-    t.spec_flow = FlowId::invalid();
-    if (cluster_.executor_alive(t.spec_executor)) {
-      cluster_.set_busy(t.spec_executor, false);
-      if (tracer_ != nullptr) exec_idle_since_[t.spec_executor] = sim_.now();
-    }
+    abort_attempt(t.clone);
     t.spec_active = false;
   }
   if (tracer_ != nullptr) {
@@ -800,14 +785,9 @@ void Application::on_executor_lost(ExecutorId exec) {
           // The primary attempt died with the node; restart from ready.
           reset_task(t);
           lost_work = true;
-        } else if (t.spec_active && t.spec_executor == exec) {
+        } else if (t.spec_active && t.clone.executor == exec) {
           // Only the clone died; the primary attempt keeps running.
-          t.spec_event.cancel();
-          t.spec_kind = TimerKind::kNone;
-          if (t.spec_flow.valid() && net_.flow_active(t.spec_flow)) {
-            net_.cancel_flow(t.spec_flow);
-          }
-          t.spec_flow = FlowId::invalid();
+          abort_attempt(t.clone);
           t.spec_active = false;
           lost_work = true;
         }
@@ -1009,37 +989,7 @@ void Application::maybe_release_idle_executors() {
 
 net::Network::CompletionFn Application::rebuild_flow_callback(
     FlowId /*flow*/, const net::FlowLabel& label, NodeId /*src*/, NodeId dst) {
-  // Bodies are byte-identical to the lambdas the live start_flow sites
-  // install — a restored flow must behave exactly like the original.
-  const TaskId id(label.a);
-  const std::uint32_t ep = label.b;
-  switch (label.kind) {
-    case kFlowInputRead:
-      return [this, id, node = dst, ep] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        fetched->pending_flow = FlowId::invalid();
-        if (cache_ != nullptr) cache_->insert(node, fetched->block);
-        start_compute(*fetched);
-      };
-    case kFlowCloneRead:
-      return [this, id, node = dst, ep] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        fetched->spec_flow = FlowId::invalid();
-        if (cache_ != nullptr) cache_->insert(node, fetched->block);
-        start_clone_compute(*fetched);
-      };
-    case kFlowShuffleFetch:
-      return [this, id, ep] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        if (--fetched->fetches_outstanding == 0) start_compute(*fetched);
-      };
-    default:
-      throw snap::SnapshotError("Application: unknown flow label kind " +
-                                std::to_string(label.kind));
-  }
+  return flow_fn(label, dst);
 }
 
 void Application::SaveTo(snap::SnapshotWriter& w) const {
@@ -1119,32 +1069,16 @@ void Application::SaveTo(snap::SnapshotWriter& w) const {
     w.f64(t.input_bytes);
     w.f64(t.compute_secs);
     w.u8(static_cast<std::uint8_t>(t.state));
-    w.u32(t.executor.value());
-    w.b(t.local);
     w.f64(t.ready_time);
     w.f64(t.launch_time);
     w.f64(t.finish_time);
-    w.f64(t.compute_start);
     w.i64(t.fetches_outstanding);
     w.size(t.fetch_sources.size());
     for (NodeId n : t.fetch_sources) w.u32(n.value());
     w.u32(t.epoch);
-    w.u8(static_cast<std::uint8_t>(t.pending_kind));
-    if (t.pending_kind != TimerKind::kNone) {
-      w.f64(t.pending_time);
-      w.u64(t.pending_seq);
-    }
-    w.u32(t.pending_flow.value());
+    SaveAttempt(w, t);
     w.b(t.spec_active);
-    w.u32(t.spec_executor.value());
-    w.b(t.spec_local);
-    w.f64(t.spec_compute_start);
-    w.u8(static_cast<std::uint8_t>(t.spec_kind));
-    if (t.spec_kind != TimerKind::kNone) {
-      w.f64(t.spec_time);
-      w.u64(t.spec_seq);
-    }
-    w.u32(t.spec_flow.value());
+    SaveAttempt(w, t.clone);
   }
 }
 
@@ -1167,16 +1101,12 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
   breakdown_.uncovered = r.u64();
 
   retry_event_.cancel();
-  if (r.b()) {
+  const bool retry_armed = r.b();
+  retry_time_ = -1.0;
+  if (retry_armed) {
     retry_time_ = r.f64();
     retry_armed_time_ = r.f64();
     retry_seq_ = r.u64();
-    retry_event_ = sim_.rearm_at(retry_armed_time_, retry_seq_, [this] {
-      retry_time_ = -1.0;
-      kick();
-    });
-  } else {
-    retry_time_ = -1.0;
   }
 
   for (auto& [jid, j] : jobs_by_id_) job_pool_.destroy(j);
@@ -1187,6 +1117,11 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
     Job* owned = job_pool_.create();
     Job& j = *owned;
     j.id = JobId(r.u32());
+    if (!jobs_by_id_.emplace(j.id, owned).second) {
+      job_pool_.destroy(owned);
+      throw snap::SnapshotError("Application: duplicate job " +
+                                std::to_string(j.id.value()));
+    }
     j.app = id_;
     j.name = r.str();
     j.input_file = FileId(r.u32());
@@ -1208,16 +1143,17 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
       s.output_nodes.assign(r.size(), NodeId());
       for (NodeId& n : s.output_nodes) n = NodeId(r.u32());
     }
-    jobs_by_id_.emplace(j.id, owned);
   }
   const std::size_t num_active = r.size();
   for (std::size_t i = 0; i < num_active; ++i) {
     const JobId jid(r.u32());
     const auto it = jobs_by_id_.find(jid);
-    if (it == jobs_by_id_.end()) {
+    if (it == jobs_by_id_.end() ||
+        std::find(active_jobs_.begin(), active_jobs_.end(), it->second) !=
+            active_jobs_.end()) {
       throw snap::SnapshotError("Application: active job " +
                                 std::to_string(jid.value()) +
-                                " missing from the job table");
+                                " missing from the job table or listed twice");
     }
     active_jobs_.push_back(it->second);
   }
@@ -1239,48 +1175,40 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
                                 std::to_string(state));
     }
     t.state = static_cast<TaskState>(state);
-    t.executor = ExecutorId(r.u32());
-    t.local = r.b();
     t.ready_time = r.f64();
     t.launch_time = r.f64();
     t.finish_time = r.f64();
-    t.compute_start = r.f64();
     t.fetches_outstanding = static_cast<int>(r.i64());
     t.fetch_sources.assign(r.size(), NodeId());
     for (NodeId& n : t.fetch_sources) n = NodeId(r.u32());
     t.epoch = r.u32();
-    const std::uint8_t pending = r.u8();
-    if (pending > static_cast<std::uint8_t>(TimerKind::kCompute)) {
-      throw snap::SnapshotError("Application: bad pending timer kind " +
-                                std::to_string(pending));
-    }
-    t.pending_kind = static_cast<TimerKind>(pending);
-    if (t.pending_kind != TimerKind::kNone) {
-      t.pending_time = r.f64();
-      t.pending_seq = r.u64();
-      t.pending_event =
-          sim_.rearm_at(t.pending_time, t.pending_seq,
-                        timer_fn(t.id, t.epoch, t.pending_kind, false));
-    }
-    t.pending_flow = FlowId(r.u32());
+    RestoreAttempt(r, t);
     t.spec_active = r.b();
-    t.spec_executor = ExecutorId(r.u32());
-    t.spec_local = r.b();
-    t.spec_compute_start = r.f64();
-    const std::uint8_t spec = r.u8();
-    if (spec > static_cast<std::uint8_t>(TimerKind::kCompute)) {
-      throw snap::SnapshotError("Application: bad clone timer kind " +
-                                std::to_string(spec));
+    RestoreAttempt(r, t.clone);
+    const TaskId id = t.id;
+    if (!tasks_.emplace(id, std::move(t)).second) {
+      throw snap::SnapshotError("Application: duplicate task " +
+                                std::to_string(id.value()));
     }
-    t.spec_kind = static_cast<TimerKind>(spec);
-    if (t.spec_kind != TimerKind::kNone) {
-      t.spec_time = r.f64();
-      t.spec_seq = r.u64();
-      t.spec_event = sim_.rearm_at(t.spec_time, t.spec_seq,
-                                   timer_fn(t.id, t.epoch, t.spec_kind, true));
+  }
+  validate_restored();
+
+  if (retry_armed) {
+    retry_event_ = sim_.rearm_at(retry_armed_time_, retry_seq_, [this] {
+      retry_time_ = -1.0;
+      kick();
+    });
+  }
+  // Pending timers keep their original (time, sequence number), so the
+  // order they are re-armed in does not matter.
+  for (auto& [tid, t] : tasks_) {
+    for (int i = 0; i < 2; ++i) {
+      Attempt& a = t.attempt(i);
+      if (a.pending_kind == TimerKind::kNone) continue;
+      a.pending_event =
+          sim_.rearm_at(a.pending_time, a.pending_seq,
+                        timer_fn(t.id, t.epoch, a.pending_kind, i));
     }
-    t.spec_flow = FlowId(r.u32());
-    tasks_.emplace(t.id, std::move(t));
   }
 
   // Rebuild the dispatch index in place from the restored ready tasks (the
@@ -1302,6 +1230,67 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
   }
   exec_idle_since_.clear();
   in_kick_ = false;
+}
+
+void Application::validate_restored() const {
+  const auto require = [](bool ok, const char* what, std::uint64_t id) {
+    if (!ok) {
+      throw snap::SnapshotError(std::string("Application: ") + what + " " +
+                                std::to_string(id));
+    }
+  };
+  const auto on_cluster = [this](const std::vector<NodeId>& nodes) {
+    return std::all_of(nodes.begin(), nodes.end(), [this](NodeId n) {
+      return n.value() < cluster_.num_nodes();
+    });
+  };
+  // Every slot of an active job's stages names a task placed there, so the
+  // slots name distinct tasks; with as many tasks as slots, every task sits
+  // in a slot of an active job.  A stage's tasks are blocked exactly while
+  // an earlier stage is incomplete (mark_stage_ready readies only those).
+  std::size_t slots = 0;
+  for (const Job* j : active_jobs_) {
+    require(!j->stages.empty(), "no input stage in job", j->id.value());
+    bool readied = true;
+    for (std::size_t s = 0; s < j->stages.size(); ++s) {
+      const Stage& stage = j->stages[s];
+      int finished = 0;
+      for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
+        const auto it = tasks_.find(stage.tasks[i]);
+        require(it != tasks_.end() && it->second.job == j->id &&
+                    it->second.stage == static_cast<int>(s) &&
+                    it->second.index == static_cast<int>(i) &&
+                    (it->second.state == TaskState::kBlocked) != readied,
+                "stage slot disagrees with the task table for task",
+                stage.tasks[i].value());
+        finished += it->second.state == TaskState::kFinished ? 1 : 0;
+      }
+      require(stage.index == static_cast<int>(s) &&
+                  stage.finished == finished && on_cluster(stage.output_nodes),
+              "malformed stage in job", j->id.value());
+      readied = readied && stage.complete();
+      slots += stage.tasks.size();
+    }
+  }
+  require(tasks_.size() == slots, "task table holds tasks no active job lists:",
+          tasks_.size() - slots);
+  // A running attempt names a known executor; a stopped one holds no timer.
+  const auto attempt_ok = [this](const Attempt& a, bool running) {
+    return running ? a.executor.value() < cluster_.num_executors()
+                   : a.pending_kind == TimerKind::kNone;
+  };
+  for (const auto& [tid, t] : tasks_) {
+    require(on_cluster(t.fetch_sources) &&
+                (!t.is_input() || dfs_.namenode().has_block(t.block)),
+            "unknown node or block read by task", tid.value());
+    // Attempt 0 runs while the task does, attempt 1 while its clone does.
+    const bool running = t.state == TaskState::kRunning;
+    require(!t.spec_active || (running && t.is_input()),
+            "clone of a task that is not a running input task", tid.value());
+    require(attempt_ok(t, running) && attempt_ok(t.clone, t.spec_active),
+            "unknown executor or a timer of a stopped attempt in task",
+            tid.value());
+  }
 }
 
 int Application::executors_held() const { return cluster_.owned_by(id_); }

@@ -198,10 +198,17 @@ class Application final : public cluster::AppHandle {
   /// kRunning (speculation only).
   void track_running_input(Job& j, const Task& t, bool running);
   void launch(Task& t, ExecutorId exec);
-  void start_compute(Task& t);
-  void finish_task(Task& t);
   void launch_clone(Task& t, ExecutorId exec);
-  void start_clone_compute(Task& t);
+  /// Start an input attempt's block read: a timer for a local read, a
+  /// network flow from a replica or cached copy for a remote one.
+  void start_input_read(Task& t, int attempt);
+  /// The attempt's read is done: run its compute phase.  A no-op once the
+  /// task stopped running or the clone was aborted.
+  void start_compute(Task& t, int attempt);
+  /// Cancel the attempt's timer and flow and free its executor (when it is
+  /// still alive).
+  void abort_attempt(Attempt& a);
+  void finish_task(Task& t);
   /// An attempt (0 = primary, 1 = clone) delivered the task's result.
   void finish_attempt(Task& t, int attempt);
   void complete_stage(Job& j, Stage& stage);
@@ -209,15 +216,23 @@ class Application final : public cluster::AppHandle {
   void finish_job(Job& j);
   void maybe_release_idle_executors();
   void arm_retry(SimTime at);
-  /// The epoch-guarded callback a (kind, spec) timer descriptor stands for
-  /// — shared by live scheduling and snapshot re-arm so both paths run
+  /// The epoch-guarded callback a (kind, attempt) timer descriptor stands
+  /// for — shared by live scheduling and snapshot re-arm so both paths run
   /// byte-identical logic.
   [[nodiscard]] sim::EventFn timer_fn(TaskId id, std::uint32_t epoch,
-                                      TimerKind kind, bool spec);
-  /// Schedule a primary/clone attempt timer and record its snapshot
-  /// descriptor (kind, time, original sequence number).
-  void arm_task_timer(Task& t, TimerKind kind, double delay);
-  void arm_spec_timer(Task& t, TimerKind kind, double delay);
+                                      TimerKind kind, int attempt);
+  /// Schedule an attempt's timer and record its snapshot descriptor (kind,
+  /// time, original sequence number).
+  void arm_timer(Task& t, int attempt, TimerKind kind, double delay);
+  /// The epoch-guarded completion callback of a flow started with `label`
+  /// towards `dst` — shared by the live start_flow sites and
+  /// rebuild_flow_callback, as timer_fn is for timers.
+  [[nodiscard]] net::Network::CompletionFn flow_fn(const net::FlowLabel& label,
+                                                   NodeId dst);
+  /// Throws snap::SnapshotError unless every index the restored jobs and
+  /// tasks follow — jobs, stages, tasks, nodes, executors, blocks — is in
+  /// range and consistent.
+  void validate_restored() const;
   /// True when an *unallocated* executor sits on a replica node of a ready
   /// input task that no held executor can serve locally.
   [[nodiscard]] bool pool_has_useful_executor() const;

@@ -30,7 +30,31 @@ enum class TaskState { kBlocked, kReady, kRunning, kFinished };
 /// attempt's local read and starts compute, kCompute finishes the attempt.
 enum class TimerKind : std::uint8_t { kNone = 0, kRead = 1, kCompute = 2 };
 
-struct Task {
+/// One run of a task on one executor.  Every launched task runs a primary
+/// attempt (attempt 0); a slow input task may also run a speculative clone
+/// (attempt 1).  Both attempts go through the same read, compute, timer and
+/// abort code, and the first to finish delivers the task's result.
+struct Attempt {
+  ExecutorId executor;
+  bool local = false;
+  /// When this attempt's compute phase began (read/fetch done).  Inert
+  /// bookkeeping for the tracing layer's read-vs-compute split.
+  SimTime compute_start = 0.0;
+
+  // --- cancellable in-flight work -----------------------------------------
+  sim::EventHandle pending_event;  ///< local read or compute timer
+  FlowId pending_flow;             ///< remote input read in flight
+  /// Snapshot descriptor of pending_event: which callback it runs and its
+  /// (time, original sequence number).  kNone whenever no timer is armed.
+  TimerKind pending_kind = TimerKind::kNone;
+  SimTime pending_time = 0.0;
+  std::uint64_t pending_seq = 0;
+};
+
+/// A task is its primary attempt: the Attempt base is attempt 0, and its
+/// executor, locality and compute start are the task's.  A winning clone is
+/// copied over it, so after a finish the base always holds the winner.
+struct Task : Attempt {
   TaskId id;
   JobId job;
   int stage = 0;
@@ -42,14 +66,9 @@ struct Task {
   double compute_secs = 0.0;
 
   TaskState state = TaskState::kBlocked;
-  ExecutorId executor;
-  bool local = false;
   SimTime ready_time = 0.0;
   SimTime launch_time = 0.0;
   SimTime finish_time = 0.0;
-  /// When the winning attempt's compute phase began (read/fetch done).
-  /// Inert bookkeeping for the tracing layer's read-vs-compute split.
-  SimTime compute_start = 0.0;
   /// Shuffle fetches still in flight (downstream tasks).
   int fetches_outstanding = 0;
   /// Downstream tasks: nodes this task pulls its shuffle input from,
@@ -60,28 +79,16 @@ struct Task {
   /// event/flow callbacks compare epochs and drop themselves.
   std::uint32_t epoch = 0;
 
-  // --- cancellable in-flight work of the primary attempt ------------------
-  sim::EventHandle pending_event;  ///< local read or compute timer
-  FlowId pending_flow;             ///< remote input read in flight
-  /// Snapshot descriptor of pending_event: which callback it runs and its
-  /// (time, original sequence number).  kNone whenever no timer is armed.
-  TimerKind pending_kind = TimerKind::kNone;
-  SimTime pending_time = 0.0;
-  std::uint64_t pending_seq = 0;
-
-  // --- speculative clone (input tasks only; straggler mitigation) ---------
+  /// The speculative clone (attempt 1; input tasks only, straggler
+  /// mitigation), running while spec_active.
+  Attempt clone;
   bool spec_active = false;
-  ExecutorId spec_executor;
-  bool spec_local = false;
-  sim::EventHandle spec_event;
-  FlowId spec_flow;
-  SimTime spec_compute_start = 0.0;  ///< adopted into compute_start on a win
-  /// Snapshot descriptor of spec_event, mirroring pending_kind/time/seq.
-  TimerKind spec_kind = TimerKind::kNone;
-  SimTime spec_time = 0.0;
-  std::uint64_t spec_seq = 0;
 
   [[nodiscard]] bool is_input() const { return stage == 0; }
+  /// Attempt 0 (the primary) or 1 (the clone).
+  [[nodiscard]] Attempt& attempt(int i) {
+    return i == 0 ? static_cast<Attempt&>(*this) : clone;
+  }
 };
 
 /// Blueprint for one downstream (shuffle) stage.

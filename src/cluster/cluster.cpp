@@ -322,6 +322,11 @@ void Cluster::RestoreFrom(snap::SnapshotReader& r) {
   for (std::size_t e = 0; e < execs; ++e) {
     owners[e] = AppId(r.u32());
     busy[e] = r.b();
+    // Only an application's own task makes an executor busy.
+    if (busy[e] && !owners[e].valid()) {
+      throw snap::SnapshotError("Cluster: executor " + std::to_string(e) +
+                                " is busy but has no owner");
+    }
   }
   for (std::size_t n = 0; n < num_nodes_; ++n) {
     if (!alive[n]) fail_node(NodeId(static_cast<NodeId::value_type>(n)));

@@ -47,7 +47,10 @@ class SnapshotError : public std::runtime_error {
 
 inline constexpr std::uint32_t kMagic = 0x50'4E'53'43;  // "CSNP" little-endian
 // v3: SubmissionStream serializes its what-if arrival-rate scale.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v4: an application task serializes its primary attempt and its
+//     speculative clone as two records of one attempt layout (executor,
+//     locality, compute start, timer descriptor, read flow).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Append-only binary encoder.  Sections group one layer's fields behind a
 /// 4-char tag and a byte length so the reader can hard-verify framing.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <string>
 
 #include "common/snapshot.h"
@@ -76,7 +77,11 @@ void BlockCache::insert(NodeId node, BlockId block) {
   if (dfs_.is_local(block, node)) return;  // disk copy already there
   const double bytes = dfs_.block(block).bytes;
   if (bytes > capacity_bytes_) return;  // would never fit
-  while (cache.bytes + bytes > capacity_bytes_) evict_lru(node, cache);
+  // The emptiness test only matters for a restored byte count that
+  // overstates the list: a live one never does.
+  while (!cache.lru.empty() && cache.bytes + bytes > capacity_bytes_) {
+    evict_lru(node, cache);
+  }
 
   cache.lru.push_front(block);
   cache.index[block] = cache.lru.begin();
@@ -165,7 +170,10 @@ void SaveBlockMap(
   }
 }
 
-void RestoreBlockMap(snap::SnapshotReader& r,
+// Readers index per-node tables by the restored node ids, so each must be
+// below `num_nodes`; a merged list must also keep its ascending order.
+void RestoreBlockMap(snap::SnapshotReader& r, std::size_t num_nodes,
+                     bool ascending,
                      std::unordered_map<BlockId, std::vector<NodeId>>& map) {
   map.clear();
   const std::size_t keys = r.size();
@@ -174,6 +182,14 @@ void RestoreBlockMap(snap::SnapshotReader& r,
     auto& holders = map[block];
     holders.assign(r.size(), NodeId());
     for (NodeId& n : holders) n = NodeId(r.u32());
+    if (std::any_of(holders.begin(), holders.end(),
+                    [num_nodes](NodeId n) { return n.value() >= num_nodes; }) ||
+        (ascending && std::adjacent_find(holders.begin(), holders.end(),
+                                         std::greater_equal<>()) !=
+                          holders.end())) {
+      throw snap::SnapshotError("BlockCache: bad location list for block " +
+                                std::to_string(block.value()));
+    }
   }
 }
 
@@ -214,13 +230,19 @@ void BlockCache::RestoreFrom(snap::SnapshotReader& r) {
     cache.index.clear();
     const std::size_t held = r.size();
     for (std::size_t i = 0; i < held; ++i) {
-      cache.lru.push_back(BlockId(r.u32()));
-      cache.index[cache.lru.back()] = std::prev(cache.lru.end());
+      const BlockId block(r.u32());
+      if (!dfs_.namenode().has_block(block) || cache.index.count(block) > 0) {
+        throw snap::SnapshotError("BlockCache: unknown or repeated block " +
+                                  std::to_string(block.value()) +
+                                  " in a node's LRU list");
+      }
+      cache.lru.push_back(block);
+      cache.index[block] = std::prev(cache.lru.end());
     }
     cache.bytes = r.f64();
   }
-  RestoreBlockMap(r, cached_on_);
-  RestoreBlockMap(r, merged_);
+  RestoreBlockMap(r, nodes_.size(), /*ascending=*/false, cached_on_);
+  RestoreBlockMap(r, nodes_.size(), /*ascending=*/true, merged_);
   stats_.insertions = r.u64();
   stats_.evictions = r.u64();
   stats_.hits = r.u64();

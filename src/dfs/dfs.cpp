@@ -147,7 +147,7 @@ void Dfs::RestoreFrom(snap::SnapshotReader& r) {
                               std::to_string(node_bytes_.size()));
   }
   for (double& b : node_bytes_) b = r.f64();
-  namenode_.RestoreFrom(r);
+  namenode_.RestoreFrom(r, config_.num_nodes);
 }
 
 void Dfs::boost_replication(FileId file, int extra) {

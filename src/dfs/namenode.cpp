@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -156,7 +157,7 @@ void NameNode::SaveTo(snap::SnapshotWriter& w) const {
   }
 }
 
-void NameNode::RestoreFrom(snap::SnapshotReader& r) {
+void NameNode::RestoreFrom(snap::SnapshotReader& r, std::size_t num_nodes) {
   const auto next_file = r.u32();
   const auto next_block = r.u32();
   const std::size_t files = r.size();
@@ -179,6 +180,17 @@ void NameNode::RestoreFrom(snap::SnapshotReader& r) {
     auto& locs = it->second;
     locs.assign(r.size(), NodeId());
     for (NodeId& n : locs) n = NodeId(r.u32());
+    // Readers index per-node tables by these ids and binary-search the
+    // list (is_local), and a block never loses its last replica.
+    if (locs.empty() || locs.back().value() >= num_nodes ||
+        std::adjacent_find(locs.begin(), locs.end(), std::greater_equal<>()) !=
+            locs.end()) {
+      throw snap::SnapshotError("NameNode: block " +
+                                std::to_string(id.value()) +
+                                " needs a strictly ascending, non-empty"
+                                " replica list of nodes below " +
+                                std::to_string(num_nodes));
+    }
     for (NodeId n : locs) blocks_on_node_[n].insert(id);
   }
 }

@@ -34,6 +34,9 @@ class NameNode {
 
   [[nodiscard]] std::optional<FileId> lookup(const std::string& path) const;
   [[nodiscard]] const FileInfo& file(FileId id) const;
+  [[nodiscard]] bool has_block(BlockId id) const {
+    return blocks_.count(id) != 0;
+  }
   [[nodiscard]] const BlockInfo& block(BlockId id) const;
   [[nodiscard]] const std::vector<BlockId>& blocks_of(FileId id) const;
 
@@ -60,9 +63,11 @@ class NameNode {
   /// Serialize the replica location map (the only state that moves during a
   /// run — file and block metadata are recreated identically by dataset
   /// materialization).  RestoreFrom targets a NameNode holding the same
-  /// catalog and rebuilds the node -> blocks inverse index.
+  /// catalog and rebuilds the node -> blocks inverse index; it rejects a
+  /// replica list that is empty, not strictly ascending, or names a node at
+  /// or above `num_nodes`.
   void SaveTo(snap::SnapshotWriter& w) const;
-  void RestoreFrom(snap::SnapshotReader& r);
+  void RestoreFrom(snap::SnapshotReader& r, std::size_t num_nodes);
 
  private:
   std::unordered_map<FileId, FileInfo> files_;

@@ -2,26 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numbers>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/snapshot.h"
 
 namespace custody::workload {
 
-namespace {
-
-std::vector<Submission> Generate(
+std::vector<Submission> GenerateMixedTrace(
     const std::vector<WorkloadKind>& kinds, const TraceConfig& config,
     Rng& rng) {
   if (config.num_apps <= 0 || config.jobs_per_app <= 0) {
-    throw std::invalid_argument("GenerateTrace: apps and jobs must be > 0");
+    throw std::invalid_argument(
+        "GenerateMixedTrace: apps and jobs must be > 0");
   }
   if (kinds.empty()) {
-    throw std::invalid_argument("GenerateTrace: need at least one kind");
+    throw std::invalid_argument("GenerateMixedTrace: need at least one kind");
   }
   const ZipfDistribution zipf(static_cast<std::size_t>(config.files_per_kind),
                               config.zipf_skew);
@@ -47,8 +45,6 @@ std::vector<Submission> Generate(
                    });
   return trace;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SubmissionStream
@@ -195,83 +191,6 @@ std::vector<Submission> DrainStream(SubmissionStream stream) {
   out.reserve(stream.total_jobs());
   while (!stream.done()) out.push_back(stream.next());
   return out;
-}
-
-std::vector<Submission> GenerateTrace(WorkloadKind kind,
-                                      const TraceConfig& config, Rng& rng) {
-  return Generate({kind}, config, rng);
-}
-
-void SaveTrace(const std::vector<Submission>& trace,
-               const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("SaveTrace: cannot open " + path);
-  out.precision(17);  // round-trip exact doubles
-  out << "time,app,kind,file\n";
-  for (const Submission& s : trace) {
-    out << s.time << ',' << s.app_index << ',' << WorkloadName(s.kind) << ','
-        << s.file_index << '\n';
-  }
-}
-
-std::vector<Submission> LoadTrace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("LoadTrace: cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != "time,app,kind,file") {
-    throw std::runtime_error("LoadTrace: missing header in " + path);
-  }
-  std::vector<Submission> trace;
-  int line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string time_s;
-    std::string app_s;
-    std::string kind_s;
-    std::string file_s;
-    if (!std::getline(row, time_s, ',') || !std::getline(row, app_s, ',') ||
-        !std::getline(row, kind_s, ',') || !std::getline(row, file_s)) {
-      throw std::runtime_error("LoadTrace: malformed row " +
-                               std::to_string(line_no));
-    }
-    Submission s;
-    try {
-      s.time = std::stod(time_s);
-      s.app_index = std::stoi(app_s);
-      s.file_index = static_cast<std::size_t>(std::stoull(file_s));
-    } catch (const std::exception&) {
-      throw std::runtime_error("LoadTrace: bad number on row " +
-                               std::to_string(line_no));
-    }
-    if (kind_s == "PageRank") {
-      s.kind = WorkloadKind::kPageRank;
-    } else if (kind_s == "WordCount") {
-      s.kind = WorkloadKind::kWordCount;
-    } else if (kind_s == "Sort") {
-      s.kind = WorkloadKind::kSort;
-    } else {
-      throw std::runtime_error("LoadTrace: unknown workload '" + kind_s +
-                               "' on row " + std::to_string(line_no));
-    }
-    if (s.time < 0.0 || s.app_index < 0) {
-      throw std::runtime_error("LoadTrace: negative value on row " +
-                               std::to_string(line_no));
-    }
-    trace.push_back(s);
-  }
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const Submission& a, const Submission& b) {
-                     return a.time < b.time;
-                   });
-  return trace;
-}
-
-std::vector<Submission> GenerateMixedTrace(
-    const std::vector<WorkloadKind>& kinds, const TraceConfig& config,
-    Rng& rng) {
-  return Generate(kinds, config, rng);
 }
 
 }  // namespace custody::workload

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -137,22 +136,10 @@ class SubmissionStream {
 /// reproduce.
 std::vector<Submission> DrainStream(SubmissionStream stream);
 
-/// Generate the submission schedule for a single-workload experiment.
-std::vector<Submission> GenerateTrace(WorkloadKind kind,
-                                      const TraceConfig& config, Rng& rng);
-
 /// Generate a mixed-workload schedule: each submission samples its kind
-/// uniformly from `kinds`.
+/// uniformly from `kinds` (a single kind draws no kind at all).
 std::vector<Submission> GenerateMixedTrace(
     const std::vector<WorkloadKind>& kinds, const TraceConfig& config,
     Rng& rng);
-
-/// Persist a schedule as CSV (time,app,kind,file) so a workload can be
-/// archived, edited by hand, and replayed bit-identically.
-void SaveTrace(const std::vector<Submission>& trace, const std::string& path);
-
-/// Load a schedule written by SaveTrace (or by hand).  Throws on malformed
-/// rows or unknown workload names; the result is sorted by time.
-std::vector<Submission> LoadTrace(const std::string& path);
 
 }  // namespace custody::workload

@@ -1,13 +1,19 @@
 // End-to-end tests of the Application driver against a real simulator,
 // network, DFS, cluster, and the Custody manager: job lifecycle, demand
-// reporting, executor release/swap behaviour, and metrics emission.
+// reporting, executor release/swap behaviour, and metrics emission.  Also
+// forged snapshot sections: a restore must reject every index it would
+// later follow out of range.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "app/application.h"
 #include "cluster/custody_manager.h"
 #include "cluster/standalone_manager.h"
+#include "common/snapshot.h"
 #include "common/units.h"
 #include "workload/workloads.h"
 
@@ -330,6 +336,306 @@ TEST(Application, BreakdownClassifiesNonLocalLaunches) {
   h.sim.run();
   const auto& b = app.launch_breakdown();
   EXPECT_EQ(b.local + b.covered_busy + b.uncovered, 8);
+}
+
+// ---------- forged snapshot sections ----------------------------------------
+//
+// A hand-written APPS section for one application, in the layout
+// Application::SaveTo writes.  The default is a valid restore target: one
+// active job (id 0) whose single stage lists one ready input task (id 0)
+// reading block 0.  Each test breaks one index the restored run would
+// follow and expects snap::SnapshotError before anything is re-armed.
+
+constexpr std::uint32_t kInvalid = 0xffffffffu;  // an invalid id
+
+struct ForgedAttempt {
+  std::uint32_t executor = kInvalid;
+  TimerKind timer = TimerKind::kNone;
+};
+
+struct ForgedTask {
+  std::uint32_t id = 0;
+  std::uint32_t job = 0;
+  std::int64_t stage = 0;
+  std::int64_t index = 0;
+  std::uint32_t block = 0;
+  TaskState state = TaskState::kReady;
+  std::vector<std::uint32_t> fetch_sources;
+  ForgedAttempt primary;
+  bool spec_active = false;
+  ForgedAttempt clone;
+};
+
+struct ForgedStage {
+  std::int64_t index = 0;
+  std::vector<std::uint32_t> tasks;
+  std::int64_t finished = 0;
+  std::vector<std::uint32_t> output_nodes;
+};
+
+struct ForgedJob {
+  std::uint32_t id = 0;
+  std::vector<ForgedStage> stages;
+};
+
+void WriteAttempt(snap::SnapshotWriter& w, const ForgedAttempt& a) {
+  w.u32(a.executor);
+  w.b(false);   // local
+  w.f64(0.0);   // compute_start
+  w.u8(static_cast<std::uint8_t>(a.timer));
+  if (a.timer != TimerKind::kNone) {
+    w.f64(1.0);  // fires at t = 1
+    w.u64(0);    // original sequence number
+  }
+  w.u32(kInvalid);  // read flow
+}
+
+struct ForgedApp {
+  std::vector<ForgedJob> jobs = {ForgedJob{0, {ForgedStage{0, {0}, 0, {}}}}};
+  std::vector<std::uint32_t> active = {0};
+  std::vector<ForgedTask> tasks = {ForgedTask{}};
+
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const {
+    snap::SnapshotWriter w;
+    w.begin_section("APPS");
+    Rng(1).SaveTo(w);
+    w.i64(0);  // share
+    w.i64(0);  // running tasks
+    for (int i = 0; i < 6; ++i) w.u64(0);  // job and clone counters
+    for (int i = 0; i < 4; ++i) w.i64(0);  // locality stats
+    for (int i = 0; i < 3; ++i) w.u64(0);  // launch breakdown
+    w.b(false);                            // no retry armed
+    w.size(jobs.size());
+    for (const ForgedJob& j : jobs) {
+      w.u32(j.id);
+      w.str("forged");
+      w.u32(0);  // input file
+      for (int i = 0; i < 3; ++i) w.f64(0.0);  // submit/input/finish times
+      w.b(false);                              // finished
+      for (int i = 0; i < 3; ++i) w.i64(0);    // input task counters
+      w.f64(-1.0);                             // wait_start
+      w.size(j.stages.size());
+      for (const ForgedStage& s : j.stages) {
+        w.i64(s.index);
+        w.size(s.tasks.size());
+        for (const std::uint32_t t : s.tasks) w.u32(t);
+        w.i64(s.finished);
+        w.f64(0.0);  // ready_time
+        w.size(s.output_nodes.size());
+        for (const std::uint32_t n : s.output_nodes) w.u32(n);
+      }
+    }
+    w.size(active.size());
+    for (const std::uint32_t j : active) w.u32(j);
+    w.size(tasks.size());
+    for (const ForgedTask& t : tasks) {
+      w.u32(t.id);
+      w.u32(t.job);
+      w.i64(t.stage);
+      w.i64(t.index);
+      w.u32(t.block);
+      w.f64(MB(64.0));  // input bytes
+      w.f64(1.0);       // compute secs
+      w.u8(static_cast<std::uint8_t>(t.state));
+      for (int i = 0; i < 3; ++i) w.f64(0.0);  // ready/launch/finish times
+      w.i64(0);                                // fetches outstanding
+      w.size(t.fetch_sources.size());
+      for (const std::uint32_t n : t.fetch_sources) w.u32(n);
+      w.u32(0);  // epoch
+      WriteAttempt(w, t.primary);
+      w.b(t.spec_active);
+      WriteAttempt(w, t.clone);
+    }
+    w.end_section();
+    return w.finish(/*config_hash=*/0, /*sim_time=*/0.0);
+  }
+};
+
+/// A 4-node cluster (one executor per node) holding block 0.
+class ForgedSnapshot : public ::testing::Test {
+ protected:
+  ForgedSnapshot() : h(4) { (void)h.dfs.write_file("/in", MB(64.0)); }
+
+  /// Restores `forged` into a fresh application and returns the
+  /// snap::SnapshotError message, or "" when the restore is accepted (any
+  /// other exception fails the test).
+  std::string Rejection(const ForgedApp& forged) {
+    Application& app =
+        h.make_app(AppId(static_cast<AppId::value_type>(h.apps.size())));
+    snap::SnapshotReader r(forged.bytes());
+    r.begin_section("APPS");
+    try {
+      app.RestoreFrom(r);
+    } catch (const snap::SnapshotError& e) {
+      return e.what();
+    }
+    r.end_section();
+    return "";
+  }
+
+  void ExpectRejected(const ForgedApp& forged, const std::string& reason) {
+    const std::string message = Rejection(forged);
+    EXPECT_NE(message.find(reason), std::string::npos)
+        << "want \"" << reason << "\", got \"" << message << "\"";
+  }
+
+  /// A running input task with a pending compute timer on executor 0.
+  static ForgedApp Running() {
+    ForgedApp f;
+    f.tasks[0].state = TaskState::kRunning;
+    f.tasks[0].primary.executor = 0;
+    f.tasks[0].primary.timer = TimerKind::kCompute;
+    return f;
+  }
+
+  /// Job 0's input task 0 has finished on node 0; its shuffle stage lists
+  /// task 1, which is ready to fetch from node 0.
+  static ForgedApp Shuffle() {
+    ForgedApp f;
+    ForgedStage& input = f.jobs[0].stages[0];
+    input.finished = 1;
+    input.output_nodes = {0};
+    ForgedStage shuffle;
+    shuffle.index = 1;
+    shuffle.tasks = {1};
+    f.jobs[0].stages.push_back(shuffle);
+    f.tasks[0].state = TaskState::kFinished;
+    ForgedTask fetch;
+    fetch.id = 1;
+    fetch.stage = 1;
+    fetch.block = kInvalid;
+    fetch.fetch_sources = {0};
+    f.tasks.push_back(fetch);
+    return f;
+  }
+
+  Harness h;
+};
+
+TEST_F(ForgedSnapshot, WellFormedSectionsRestore) {
+  EXPECT_EQ(Rejection(ForgedApp{}), "");
+  EXPECT_EQ(Rejection(Running()), "");
+  EXPECT_EQ(Rejection(Shuffle()), "");
+  ForgedApp cloned = Running();
+  cloned.tasks[0].spec_active = true;
+  cloned.tasks[0].clone.executor = 1;
+  cloned.tasks[0].clone.timer = TimerKind::kRead;
+  EXPECT_EQ(Rejection(cloned), "");
+}
+
+TEST_F(ForgedSnapshot, RejectsTaskOfInactiveJob) {
+  ForgedApp f;
+  f.active.clear();
+  ExpectRejected(f, "tasks no active job lists");
+}
+
+// Restored, this task's compute timer would index stage 5 of a one-stage
+// job when it fires.
+TEST_F(ForgedSnapshot, RejectsTaskOutsideItsJobsStages) {
+  ForgedApp f = Running();
+  f.tasks[0].stage = 5;
+  ExpectRejected(f, "stage slot disagrees with the task table for task 0");
+}
+
+TEST_F(ForgedSnapshot, RejectsTaskItsStageDoesNotList) {
+  ForgedApp f;
+  f.tasks.push_back(f.tasks[0]);
+  f.tasks[1].id = 1;  // claims task 0's slot
+  ExpectRejected(f, "tasks no active job lists");
+}
+
+TEST_F(ForgedSnapshot, RejectsStageIndexOtherThanItsPosition) {
+  ForgedApp f;
+  f.jobs[0].stages[0].index = 1;
+  ExpectRejected(f, "malformed stage in job 0");
+}
+
+TEST_F(ForgedSnapshot, RejectsStageFinishedCountAboveItsTasks) {
+  ForgedApp f;
+  f.jobs[0].stages[0].finished = 2;
+  ExpectRejected(f, "malformed stage in job 0");
+}
+
+// Restored, the shuffle task would run before its input stage finished,
+// and finishing that stage would ready it a second time.
+TEST_F(ForgedSnapshot, RejectsTaskStateOutOfStepWithItsStage) {
+  ForgedApp f = Shuffle();
+  f.tasks[0].state = TaskState::kReady;
+  f.jobs[0].stages[0].finished = 0;
+  ExpectRejected(f, "stage slot disagrees with the task table for task 1");
+  f = Shuffle();
+  f.jobs[0].stages[0].finished = 0;  // its one task has finished
+  ExpectRejected(f, "malformed stage in job 0");
+}
+
+TEST_F(ForgedSnapshot, RejectsListedTaskMissingFromTaskTable) {
+  ForgedApp f;
+  f.jobs[0].stages[0].tasks.push_back(9);
+  ExpectRejected(f, "stage slot disagrees with the task table for task 9");
+}
+
+// Restored, this task would start a flow from node 1000 of 4 at its launch.
+TEST_F(ForgedSnapshot, RejectsFetchSourceOffTheCluster) {
+  ForgedApp f = Shuffle();
+  f.tasks[1].fetch_sources = {1000};
+  ExpectRejected(f, "unknown node or block read by task 1");
+}
+
+TEST_F(ForgedSnapshot, RejectsStageOutputNodeOffTheCluster) {
+  ForgedApp f = Shuffle();
+  f.jobs[0].stages[0].output_nodes = {1000};
+  ExpectRejected(f, "malformed stage in job 0");
+}
+
+TEST_F(ForgedSnapshot, RejectsUnknownExecutor) {
+  ForgedApp f = Running();
+  f.tasks[0].primary.executor = 4;
+  ExpectRejected(f, "unknown executor");
+  f = Running();
+  f.tasks[0].spec_active = true;
+  f.tasks[0].clone.executor = 4;
+  ExpectRejected(f, "unknown executor");
+}
+
+TEST_F(ForgedSnapshot, RejectsUnknownBlock) {
+  ForgedApp f;
+  f.tasks[0].block = 1;
+  ExpectRejected(f, "unknown node or block read by task 0");
+}
+
+TEST_F(ForgedSnapshot, RejectsCloneOfTaskThatIsNotARunningInput) {
+  ForgedApp f;
+  f.tasks[0].spec_active = true;
+  f.tasks[0].clone.executor = 1;
+  ExpectRejected(f, "clone of a task that is not a running input task");
+}
+
+TEST_F(ForgedSnapshot, RejectsTimerOfAttemptThatIsNotRunning) {
+  ForgedApp f;
+  f.tasks[0].primary.timer = TimerKind::kCompute;
+  ExpectRejected(f, "a timer of a stopped attempt");
+  f = Running();
+  f.tasks[0].clone.timer = TimerKind::kRead;
+  ExpectRejected(f, "a timer of a stopped attempt");
+}
+
+TEST_F(ForgedSnapshot, RejectsDuplicateJobTaskAndActiveEntries) {
+  ForgedApp f;
+  f.jobs.push_back(f.jobs[0]);
+  ExpectRejected(f, "duplicate job 0");
+  f = ForgedApp{};
+  f.tasks.push_back(f.tasks[0]);
+  ExpectRejected(f, "duplicate task 0");
+  f = ForgedApp{};
+  f.active.push_back(0);
+  ExpectRejected(f, "listed twice");
+}
+
+TEST_F(ForgedSnapshot, RejectsActiveJobWithoutStages) {
+  ForgedApp f;
+  f.jobs[0].stages.clear();
+  f.tasks.clear();
+  ExpectRejected(f, "no input stage in job 0");
 }
 
 }  // namespace

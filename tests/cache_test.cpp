@@ -1,12 +1,14 @@
 // Tests for the executor-side block cache: LRU semantics, merged location
 // maps, and the end-to-end locality boost it provides.
 #include <algorithm>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
 #include "common/units.h"
 #include "dfs/cache.h"
 #include "workload/experiment.h"
@@ -89,6 +91,86 @@ TEST(BlockCache, OversizedBlockNeverCached) {
   cache.insert(NodeId(5), f.block(0));
   EXPECT_FALSE(cache.is_cached(NodeId(5), f.block(0)));
   EXPECT_EQ(cache.stats().insertions, 0u);
+}
+
+/// A forged CACH section for the fixture's 8 nodes: node 5 caches block 0
+/// (whose disk replica is on node 0) unless a test edits the lists.
+struct ForgedCache {
+  std::vector<std::uint32_t> lru = {0};  ///< node 5's LRU list
+  double bytes = MB(128.0);              ///< node 5's cached bytes
+  std::vector<std::uint32_t> cached_on = {5};  ///< holders of block 0
+  std::vector<std::uint32_t> merged = {0, 5};  ///< block 0's merged list
+
+  void restore_into(BlockCache& cache) const {
+    snap::SnapshotWriter w;
+    w.begin_section("CACH");
+    w.f64(MB(512.0));
+    w.size(8);
+    for (std::uint32_t n = 0; n < 8; ++n) {
+      const std::vector<std::uint32_t> held =
+          n == 5 ? lru : std::vector<std::uint32_t>{};
+      w.size(held.size());
+      for (const std::uint32_t b : held) w.u32(b);
+      w.f64(n == 5 ? bytes : 0.0);
+    }
+    for (const std::vector<std::uint32_t>* holders : {&cached_on, &merged}) {
+      w.size(1);  // one block with an entry: block 0
+      w.u32(0);
+      w.size(holders->size());
+      for (const std::uint32_t n : *holders) w.u32(n);
+    }
+    for (int i = 0; i < 4; ++i) w.u64(0);  // stats
+    w.end_section();
+    snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
+    r.begin_section("CACH");
+    cache.RestoreFrom(r);
+    r.end_section();
+  }
+};
+
+// Readers index per-node tables by cached locations (the ready index's
+// local-ready nodes, the allocator's candidate nodes).
+TEST(BlockCache, RestoreRejectsLocationOffTheCluster) {
+  CacheFixture f;
+  (void)f.block(0);
+  BlockCache cache(f.dfs, MB(512.0));
+  ForgedCache forged;
+  forged.restore_into(cache);
+  EXPECT_TRUE(cache.peek_cached(NodeId(5), f.block(0)));
+  forged.cached_on = {8};
+  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
+  forged = ForgedCache{};
+  forged.merged = {0, 8};
+  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
+  forged.merged = {5, 0};  // merged lists are ascending
+  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
+}
+
+TEST(BlockCache, RestoreRejectsUnknownOrRepeatedLruBlock) {
+  CacheFixture f;
+  (void)f.block(0);
+  BlockCache cache(f.dfs, MB(512.0));
+  ForgedCache forged;
+  forged.lru = {7};
+  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
+  forged.lru = {0, 0};
+  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
+}
+
+// A restored byte count can overstate what the LRU list holds; making room
+// for a block then stops at an empty list instead of evicting past it.
+TEST(BlockCache, InsertAfterRestoreEvictsNoFurtherThanTheList) {
+  CacheFixture f;
+  (void)f.block(1);
+  BlockCache cache(f.dfs, MB(512.0));
+  ForgedCache forged;
+  forged.lru = {};
+  forged.bytes = MB(512.0);
+  forged.cached_on = {};
+  forged.merged = {0};
+  forged.restore_into(cache);
+  cache.insert(NodeId(5), f.block(1));
+  EXPECT_TRUE(cache.peek_cached(NodeId(5), f.block(1)));
 }
 
 TEST(BlockCache, MergedLocationsCombineDiskAndCache) {

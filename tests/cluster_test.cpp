@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 
 namespace custody::cluster {
 namespace {
@@ -220,6 +222,36 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
       check();
     }
   }
+}
+
+// Only an application's task makes an executor busy.  A restored busy
+// executor without an owner would fail Cluster::assign's `!busy` check the
+// next time a manager grants it.
+TEST(Cluster, RestoreRejectsBusyExecutorWithoutOwner) {
+  const auto restore = [](std::uint32_t owner, bool busy) {
+    Cluster cluster(2, WorkerConfig{.executors_per_node = 1});
+    snap::SnapshotWriter w;
+    w.begin_section("CLUS");
+    w.size(2);  // nodes: alive, nominal speed
+    for (int n = 0; n < 2; ++n) {
+      w.b(true);
+      w.f64(1.0);
+    }
+    w.size(2);  // executors: owner, busy
+    w.u32(owner);
+    w.b(busy);
+    w.u32(AppId::invalid().value());
+    w.b(false);
+    w.u64(AppId(owner).valid() ? 1 : 2);  // idle executors after replay
+    w.end_section();
+    snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
+    r.begin_section("CLUS");
+    cluster.RestoreFrom(r);
+    r.end_section();
+  };
+  EXPECT_NO_THROW(restore(7, true));
+  EXPECT_NO_THROW(restore(AppId::invalid().value(), false));
+  EXPECT_THROW(restore(AppId::invalid().value(), true), snap::SnapshotError);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <map>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "common/snapshot.h"
 #include "common/units.h"
@@ -187,6 +189,46 @@ TEST(NameNode, BlocksOnTracksReplicaChurn) {
   nn.delete_file(f);
   EXPECT_TRUE(nn.blocks_on(NodeId(2)).empty());
   EXPECT_TRUE(nn.blocks_on(NodeId(4)).empty());
+}
+
+/// Restores a one-block catalog on a 4-node cluster from a forged section
+/// whose only block lists `replicas`, and returns the restored list.
+std::vector<NodeId> RestoreReplicas(
+    const std::vector<std::uint32_t>& replicas) {
+  NameNode nn;
+  (void)nn.create_file("/a", MB(64.0), MB(128.0), 2);
+  snap::SnapshotWriter w;
+  w.begin_section("NN  ");
+  w.u32(1);   // next file id
+  w.u32(1);   // next block id
+  w.size(1);  // files
+  w.size(1);  // blocks
+  w.u32(0);   // block 0
+  w.size(replicas.size());
+  for (const std::uint32_t n : replicas) w.u32(n);
+  w.end_section();
+  snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
+  r.begin_section("NN  ");
+  nn.RestoreFrom(r, /*num_nodes=*/4);
+  r.end_section();
+  return nn.locations(BlockId(0));
+}
+
+// Readers index per-node tables by replica node ids (pending demand, the
+// idle lookup of pool_has_useful_executor).
+TEST(NameNode, RestoreRejectsReplicaNodeOffTheCluster) {
+  EXPECT_EQ(RestoreReplicas({1, 3}),
+            (std::vector<NodeId>{NodeId(1), NodeId(3)}));
+  EXPECT_THROW(RestoreReplicas({1, 4}), snap::SnapshotError);
+  EXPECT_THROW(RestoreReplicas({1000}), snap::SnapshotError);
+}
+
+// is_local binary-searches the list, and a block never loses its last
+// replica.
+TEST(NameNode, RestoreRejectsUnsortedOrEmptyReplicaList) {
+  EXPECT_THROW(RestoreReplicas({3, 1}), snap::SnapshotError);
+  EXPECT_THROW(RestoreReplicas({2, 2}), snap::SnapshotError);
+  EXPECT_THROW(RestoreReplicas({}), snap::SnapshotError);
 }
 
 /// The failover reference: the seed's full-block-map scan over a copy of

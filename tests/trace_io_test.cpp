@@ -1,76 +1,12 @@
-// Tests for trace persistence (SaveTrace/LoadTrace round-trips) and the
-// heterogeneous node-speed knob.
+// Tests for the heterogeneous node-speed knob: the cluster's per-node
+// speeds, and the stragglers slow nodes make in a full experiment.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "cluster/cluster.h"
 #include "workload/experiment.h"
-#include "workload/trace.h"
 
 namespace custody::workload {
 namespace {
-
-TEST(TraceIo, RoundTripPreservesEverySubmission) {
-  Rng rng(21);
-  TraceConfig config;
-  config.num_apps = 3;
-  config.jobs_per_app = 7;
-  const auto original = GenerateMixedTrace(
-      {WorkloadKind::kPageRank, WorkloadKind::kSort}, config, rng);
-
-  const std::string path = ::testing::TempDir() + "/custody_trace.csv";
-  SaveTrace(original, path);
-  const auto loaded = LoadTrace(path);
-  std::remove(path.c_str());
-
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_NEAR(loaded[i].time, original[i].time, 1e-4);
-    EXPECT_EQ(loaded[i].app_index, original[i].app_index);
-    EXPECT_EQ(loaded[i].kind, original[i].kind);
-    EXPECT_EQ(loaded[i].file_index, original[i].file_index);
-  }
-}
-
-TEST(TraceIo, LoadSortsByTime) {
-  const std::string path = ::testing::TempDir() + "/custody_trace2.csv";
-  {
-    std::ofstream out(path);
-    out << "time,app,kind,file\n";
-    out << "9.5,1,Sort,2\n";
-    out << "1.25,0,WordCount,0\n";
-  }
-  const auto trace = LoadTrace(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace[0].time, 1.25);
-  EXPECT_EQ(trace[0].kind, WorkloadKind::kWordCount);
-  EXPECT_EQ(trace[1].app_index, 1);
-}
-
-TEST(TraceIo, RejectsMalformedFiles) {
-  const std::string path = ::testing::TempDir() + "/custody_trace3.csv";
-  auto write = [&path](const std::string& content) {
-    std::ofstream out(path);
-    out << content;
-  };
-  write("wrong header\n");
-  EXPECT_THROW(LoadTrace(path), std::runtime_error);
-  write("time,app,kind,file\n1.0,0,NotAWorkload,0\n");
-  EXPECT_THROW(LoadTrace(path), std::runtime_error);
-  write("time,app,kind,file\n1.0,0,Sort\n");
-  EXPECT_THROW(LoadTrace(path), std::runtime_error);
-  write("time,app,kind,file\nxyz,0,Sort,0\n");
-  EXPECT_THROW(LoadTrace(path), std::runtime_error);
-  write("time,app,kind,file\n-1.0,0,Sort,0\n");
-  EXPECT_THROW(LoadTrace(path), std::runtime_error);
-  std::remove(path.c_str());
-  EXPECT_THROW(LoadTrace("/nonexistent/trace.csv"), std::runtime_error);
-}
-
-// ---------- heterogeneous node speeds ----------------------------------------
 
 TEST(NodeSpeed, DefaultsToNominalAndValidates) {
   cluster::Cluster cluster(4, cluster::WorkerConfig{});

@@ -142,7 +142,7 @@ TEST(Trace, SortedWithCorrectCounts) {
   TraceConfig config;
   config.num_apps = 3;
   config.jobs_per_app = 5;
-  const auto trace = GenerateTrace(WorkloadKind::kSort, config, rng);
+  const auto trace = GenerateMixedTrace({WorkloadKind::kSort}, config, rng);
   ASSERT_EQ(trace.size(), 15u);
   std::vector<int> per_app(3, 0);
   for (std::size_t i = 1; i < trace.size(); ++i) {
@@ -162,7 +162,8 @@ TEST(Trace, MeanInterArrivalApproximatelyRight) {
   config.num_apps = 1;
   config.jobs_per_app = 4000;
   config.mean_interarrival = 16.0;
-  const auto trace = GenerateTrace(WorkloadKind::kWordCount, config, rng);
+  const auto trace =
+      GenerateMixedTrace({WorkloadKind::kWordCount}, config, rng);
   EXPECT_NEAR(trace.back().time / 4000.0, 16.0, 1.0);
 }
 
@@ -182,7 +183,7 @@ TEST(Trace, RejectsDegenerateConfigs) {
   Rng rng(10);
   TraceConfig config;
   config.num_apps = 0;
-  EXPECT_THROW(GenerateTrace(WorkloadKind::kSort, config, rng),
+  EXPECT_THROW(GenerateMixedTrace({WorkloadKind::kSort}, config, rng),
                std::invalid_argument);
   config.num_apps = 1;
   EXPECT_THROW(GenerateMixedTrace({}, config, rng), std::invalid_argument);

@@ -50,7 +50,12 @@ inline constexpr std::uint32_t kMagic = 0x50'4E'53'43;  // "CSNP" little-endian
 // v4: an application task serializes its primary attempt and its
 //     speculative clone as two records of one attempt layout (executor,
 //     locality, compute start, timer descriptor, read flow).
-inline constexpr std::uint32_t kFormatVersion = 4;
+// v5: every run's SUBS section is the submission stream (per app: rng,
+//     clock, remaining, pending kind and file; emitted count, rate scale)
+//     plus the armed pump's seq; the posted-schedule mode, the mode byte
+//     and the fields the stream derives (pending time and app, live and
+//     total counts, pump armed flag and time) are gone.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Append-only binary encoder.  Sections group one layer's fields behind a
 /// 4-char tag and a byte length so the reader can hard-verify framing.

@@ -9,7 +9,8 @@
 // Determinism contract: for a fixed seed, the DFS layout, dataset catalog
 // and submission schedule are identical across manager kinds, so a
 // Custody-vs-standalone comparison differs only in allocation decisions —
-// the paper's "common job submission schedule" methodology.
+// the paper's "common job submission schedule" methodology.  Every run
+// pulls that schedule from a SubmissionStream (trace.h), one arrival ahead.
 #pragma once
 
 #include <cstdint>
@@ -92,9 +93,10 @@ struct ExperimentConfig {
   TraceConfig trace;
   WorkloadParams params;
 
-  /// Open-loop steady-state streaming (million-job horizons): lazy
-  /// submission generation, pool-backed job retirement and constant-memory
-  /// metrics.  Off by default — the classic materialized trace above runs.
+  /// Open-loop steady-state streaming (million-job horizons): per-app
+  /// arrival forks, pool-backed job retirement and constant-memory
+  /// metrics.  Off by default — the paper's classic schedule runs, with
+  /// exact metrics.
   SteadyStateConfig steady;
 
   /// Span tracing (obs::Tracer).  Off by default; when enabled the run

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -176,7 +175,7 @@ void ValidateConfig(const ExperimentConfig& config) {
 //
 // Rng stream map (unchanged from the monolithic runner):
 //   fork(1) DFS block placement      fork(2) dataset catalog sizes
-//   fork(3) submission trace         fork(4) standalone manager
+//   fork(3) submission schedule      fork(4) standalone manager
 //   fork(5) pool manager             fork(6) failure victims
 //   fork(7) slow-node choice         fork(10+a) application a
 
@@ -201,15 +200,6 @@ SubstrateSnapshot SubstrateSnapshot::Build(ExperimentConfig config) {
     if (seen) continue;
     snapshot.dataset_plans_.push_back(
         {kind, PlanDataset(kind, snapshot.dataset_config_, dataset_rng)});
-  }
-
-  // Submission schedule.  Steady-state mode generates submissions lazily
-  // (make_submission_stream) — materializing a million-job trace here is
-  // exactly what the streaming engine exists to avoid.
-  if (!config.steady.enabled) {
-    Rng trace_rng = base.fork(3);
-    snapshot.trace_ =
-        GenerateMixedTrace(config.kinds, config.trace, trace_rng);
   }
 
   // Slow-node plan.
@@ -403,6 +393,7 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
       manager_kind_(manager_kind),
       config_hash_(ConfigHash(snapshot.config(), manager_kind)),
       ctx_(snapshot),
+      stream_(snapshot.make_submission_stream()),
       failure_rng_(snapshot.failure_rng()) {
   const ExperimentConfig& config = snapshot.config();
   const Rng base(config.seed);
@@ -458,47 +449,18 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
     apps_.back()->attach_manager(*manager_);
   }
 
-  // --- arm the submission schedule -----------------------------------------
-  if (!config.steady.enabled) {
-    schedule_ = &snapshot.trace();
-    // The schedule is time-sorted and the posts are consecutive, so entries
-    // fire exactly in index order with seq = first_submission_seq_ + i —
-    // which is all a snapshot needs to re-arm the unfired tail.
-    const std::vector<Submission>& sched = *schedule_;
-    for (std::size_t i = 0; i < sched.size(); ++i) {
-      sim.post_at(sched[i].time, [this, i] { fire_submission(i); });
-      if (i == 0) first_submission_seq_ = sim.last_event_seq();
-    }
-  } else {
-    // Lazy pump: a self-rescheduling event that fires at the stream's head
-    // submission, arms the next arrival, then submits — the queue never
-    // holds more than one future submission.  The function captures its own
-    // shared_ptr to stay alive across hops; the cycle is broken in the
-    // destructor.
-    stream_ =
-        std::make_shared<SubmissionStream>(snapshot.make_submission_stream());
-    pump_ = std::make_shared<std::function<void()>>();
-    *pump_ = [this] {
-      const Submission s = stream_->next();
-      pump_armed_ = false;
-      if (!stream_->done()) arm_pump();
-      submit_one(s);
-    };
-    if (!stream_->done()) arm_pump();
-  }
+  // --- submission pump -----------------------------------------------------
+  // A self-rescheduling event at the stream's head submission: the queue
+  // never holds more than one future submission.
+  if (!stream_.done()) arm_pump();
 
   // --- failure injection ---------------------------------------------------
   for (const auto& app : apps_) handles_.push_back(app.get());
   for (int k = 0; k < config.node_failures; ++k) {
     const SimTime when = config.failure_start + k * config.failure_interval;
-    sim.post_at(when, [this, k] { fire_failure(k); });
+    sim.post_at(when, [this] { fire_failure(); });
     if (k == 0) first_failure_seq_ = sim.last_event_seq();
   }
-}
-
-LiveRun::~LiveRun() {
-  // Break the pump's self-capture cycle (pump_ -> function -> pump_).
-  if (pump_ != nullptr) *pump_ = {};
 }
 
 void LiveRun::submit_one(const Submission& s) {
@@ -508,29 +470,23 @@ void LiveRun::submit_one(const Submission& s) {
       MakeJobSpec(s.kind, file, ctx_.dfs(), snapshot_.config().params));
 }
 
-void LiveRun::fire_submission(std::size_t i) {
-  ++submissions_fired_;
-  submit_one((*schedule_)[i]);
-}
-
 void LiveRun::arm_pump() {
-  pump_time_ = stream_->peek().time;
-  ctx_.simulator().post_at(pump_time_, [p = pump_] { (*p)(); });
+  ctx_.simulator().post_at(stream_.peek().time, [this] { fire_pump(); });
   pump_seq_ = ctx_.simulator().last_event_seq();
-  pump_armed_ = true;
 }
 
-void LiveRun::fire_failure(int k) {
-  (void)k;  // the index is the re-arm descriptor; the body is positionless
+void LiveRun::fire_pump() {
+  // Arm the next arrival first, so the pump event takes its seq before the
+  // new job's events take theirs.
+  const Submission s = stream_.next();
+  if (!stream_.done()) arm_pump();
+  submit_one(s);
+}
+
+void LiveRun::fire_failure() {
   ++failures_fired_;
-  cluster::Cluster& cluster = ctx_.cluster();
-  const auto alive = cluster.alive_nodes();
-  if (alive.size() <= 1) return;
-  const NodeId victim = failure_rng_.pick(alive);
-  dfs::BlockCache& cache = ctx_.cache();
-  InjectNodeFailure(cluster, ctx_.dfs(), cache.enabled() ? &cache : nullptr,
-                    handles_, *manager_, victim, ctx_.tracer());
-  ++nodes_failed_;
+  const auto alive = ctx_.cluster().alive_nodes();
+  if (alive.size() > 1) inject_failure(failure_rng_.pick(alive));
 }
 
 void LiveRun::inject_failure(NodeId node) {
@@ -582,17 +538,7 @@ RunProgress LiveRun::progress() {
 }
 
 void LiveRun::set_arrival_rate_scale(double factor) {
-  if (!(factor > 0.0)) {
-    throw std::invalid_argument(
-        "arrival rate scale must be > 0 (got " + std::to_string(factor) + ")");
-  }
-  if (stream_ == nullptr) {
-    throw std::invalid_argument(
-        "arrival-rate perturbation requires a steady-state run "
-        "(steady.enabled): the classic schedule is posted up front and "
-        "cannot be rescaled");
-  }
-  stream_->set_rate_scale(factor);
+  stream_.set_rate_scale(factor);
 }
 
 void LiveRun::run_until(SimTime until) { ctx_.simulator().run_until(until); }
@@ -642,20 +588,8 @@ std::vector<std::uint8_t> LiveRun::save() {
   metrics_.SaveTo(w);
   w.end_section();
   w.begin_section("SUBS");
-  if (schedule_ != nullptr) {
-    w.u8(0);  // posted-schedule mode
-    w.u64(submissions_fired_);
-    w.u64(first_submission_seq_);
-    w.u64(schedule_->size());  // cross-check against the restore target
-  } else {
-    w.u8(1);  // lazy-pump mode
-    stream_->SaveTo(w);
-    w.b(pump_armed_);
-    if (pump_armed_) {
-      w.f64(pump_time_);
-      w.u64(pump_seq_);
-    }
-  }
+  stream_.SaveTo(w);
+  if (!stream_.done()) w.u64(pump_seq_);  // armed at the stream's head time
   w.end_section();
   w.begin_section("FAIL");
   w.i64(failures_fired_);
@@ -737,36 +671,11 @@ void LiveRun::restore(const std::vector<std::uint8_t>& bytes) {
   metrics_.RestoreFrom(r);
   r.end_section();
   r.begin_section("SUBS");
-  const std::uint8_t mode = r.u8();
-  if (mode > 1) {
-    throw snap::SnapshotError("unknown submission-source mode " +
-                              std::to_string(mode));
-  }
-  if ((mode == 0) != (schedule_ != nullptr)) {
-    throw snap::SnapshotError(
-        "submission-source mode disagrees with the config (classic trace vs"
-        " lazy stream)");
-  }
-  if (mode == 0) {
-    submissions_fired_ = r.u64();
-    first_submission_seq_ = r.u64();
-    const std::uint64_t total = r.u64();
-    if (total != schedule_->size() || submissions_fired_ > total) {
-      throw snap::SnapshotError("submission schedule length mismatch");
-    }
-    for (std::size_t i = static_cast<std::size_t>(submissions_fired_);
-         i < schedule_->size(); ++i) {
-      sim.rearm_detached_at((*schedule_)[i].time, first_submission_seq_ + i,
-                            [this, i] { fire_submission(i); });
-    }
-  } else {
-    stream_->RestoreFrom(r);
-    pump_armed_ = r.b();
-    if (pump_armed_) {
-      pump_time_ = r.f64();
-      pump_seq_ = r.u64();
-      sim.rearm_detached_at(pump_time_, pump_seq_, [p = pump_] { (*p)(); });
-    }
+  stream_.RestoreFrom(r);  // checks the head is at or after the sim time
+  if (!stream_.done()) {
+    pump_seq_ = r.u64();
+    sim.rearm_detached_at(stream_.peek().time, pump_seq_,
+                          [this] { fire_pump(); });
   }
   r.end_section();
   r.begin_section("FAIL");
@@ -782,7 +691,7 @@ void LiveRun::restore(const std::vector<std::uint8_t>& bytes) {
   for (int k = failures_fired_; k < config.node_failures; ++k) {
     const SimTime when = config.failure_start + k * config.failure_interval;
     sim.rearm_detached_at(when, first_failure_seq_ + static_cast<unsigned>(k),
-                          [this, k] { fire_failure(k); });
+                          [this] { fire_failure(); });
   }
   if (!r.exhausted()) {
     throw snap::SnapshotError("trailing bytes after the last section");

@@ -4,14 +4,15 @@
 //                        offending field named in the exception, instead of
 //                        failing deep inside a substrate constructor.
 //   SubstrateSnapshot  — the seed-deterministic, manager-INDEPENDENT inputs
-//                        of an experiment (dataset catalog plan, submission
-//                        trace, slow-node plan, failure stream), built once
-//                        and shared across manager variants and threads.
+//                        of an experiment (dataset catalog plan, slow-node
+//                        plan, failure stream), built once and shared
+//                        across manager variants and threads; each run
+//                        draws its own copy of the submission stream.
 //   SimulationContext  — the per-run substrate (Simulator, Dfs, Network,
 //                        Cluster, BlockCache) built fresh from the snapshot;
 //                        cheap relative to a run, and never shared.
 //   LiveRun            — ONE run in flight: the context plus the manager,
-//                        applications, metrics, submission source and
+//                        applications, metrics, submission pump and
 //                        failure schedule, with deterministic
 //                        save()/restore() over the whole stack.
 //   RunOnSnapshot      — replay the snapshot under one manager kind (the
@@ -57,7 +58,7 @@ void ValidateConfig(const ExperimentConfig& config);
 /// manager variant (and every sweep thread) replays the same snapshot.
 class SubstrateSnapshot {
  public:
-  /// Validates `config`, then materializes catalog plan, trace and plans.
+  /// Validates `config`, then materializes the catalog and slow-node plans.
   static SubstrateSnapshot Build(ExperimentConfig config);
 
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
@@ -75,13 +76,10 @@ class SubstrateSnapshot {
   [[nodiscard]] const std::vector<DatasetPlan>& dataset_plans() const {
     return dataset_plans_;
   }
-  [[nodiscard]] const std::vector<Submission>& trace() const {
-    return trace_;
-  }
-  /// Steady-state mode: a fresh lazy submission stream over this
-  /// snapshot's trace rng (fork(3), one sub-fork per application).  Every
-  /// call returns an identical stream; the classic materialized trace()
-  /// stays empty when config().steady.enabled.
+  /// A fresh lazy submission stream over this snapshot's trace rng,
+  /// fork(3): walked application by application for the classic schedule,
+  /// one sub-fork per application when config().steady.enabled.  Every
+  /// call returns an identical stream.
   [[nodiscard]] SubmissionStream make_submission_stream() const;
   /// Nodes slowed to 1/slow_node_factor speed (empty when fraction is 0).
   [[nodiscard]] const std::vector<NodeId>& slow_nodes() const {
@@ -98,7 +96,6 @@ class SubstrateSnapshot {
   ExperimentConfig config_;
   DatasetConfig dataset_config_;
   std::vector<DatasetPlan> dataset_plans_;
-  std::vector<Submission> trace_;
   std::vector<NodeId> slow_nodes_;
   Rng failure_rng_{0};
 };
@@ -190,24 +187,21 @@ class RunCancelled : public std::runtime_error {
 
 /// One experiment run in flight: the SimulationContext plus everything
 /// RunOnSnapshot used to hold in locals — the manager under test, the
-/// applications, metrics, the submission source (posted schedule or lazy
-/// stream pump) and the failure-injection schedule.  Splitting construction
-/// from run() exposes the between-events boundary where save()/restore()
-/// operate:
+/// applications, metrics, the submission pump and the failure-injection
+/// schedule.  Splitting construction from run() exposes the between-events
+/// boundary where save()/restore() operate:
 ///
 ///   run-to-T, save(), restore() into a *fresh* LiveRun over the same
 ///   snapshot + manager, run-to-end  ==  uninterrupted run, bit-identical
 ///   (exact doubles, events_processed included).
 ///
-/// Harness-level events (submissions, failure injections, the stream pump)
-/// are never serialized as closures: each is recorded at post time as a
-/// (payload index, time, sequence) descriptor and re-armed from data on
-/// restore under its original sequence number.  `snapshot` must outlive
-/// the LiveRun.
+/// Harness-level events (the submission pump, failure injections) are never
+/// serialized as closures: each is re-armed from data on restore under its
+/// original sequence number — the pump at the stream's head time, the k-th
+/// failure at its scheduled instant.  `snapshot` must outlive the LiveRun.
 class LiveRun {
  public:
   LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager);
-  ~LiveRun();
 
   LiveRun(const LiveRun&) = delete;
   LiveRun& operator=(const LiveRun&) = delete;
@@ -231,12 +225,10 @@ class LiveRun {
   [[nodiscard]] RunProgress progress();
 
   /// What-if knob for forked sessions: scale the arrival rate of every
-  /// FUTURE submission draw by `factor` (> 0; 2.0 doubles the load).
-  /// Only meaningful for steady-state lazy-stream runs — the classic
-  /// materialized schedule is posted up front, so perturbing it would mean
-  /// silently rewriting history; throws std::invalid_argument there.  The
-  /// scale is part of the serialized stream state, so snapshots taken
-  /// after a perturbation restore it.
+  /// FUTURE submission draw by `factor` (> 0; 2.0 doubles the load), in
+  /// classic and steady runs alike; the pending submissions keep their
+  /// times.  The scale is part of the serialized stream state, so snapshots
+  /// taken after a perturbation restore it.
   void set_arrival_rate_scale(double factor);
 
   /// Serialize the complete dynamic state as a snapshot file image.
@@ -263,13 +255,12 @@ class LiveRun {
 
  private:
   void submit_one(const Submission& s);
-  /// Fire the `i`-th entry of the posted classic schedule.
-  void fire_submission(std::size_t i);
-  /// Fire the `k`-th failure injection.
-  void fire_failure(int k);
-  /// Arm the lazy pump for the stream's head submission and record its
-  /// (time, seq) descriptor.
+  /// Arm the pump at the stream's head submission and record its seq.
   void arm_pump();
+  /// Take the head submission, re-arm for the next one, then submit.
+  void fire_pump();
+  /// A scheduled failure injection: crash a random live node.
+  void fire_failure();
 
   const SubstrateSnapshot& snapshot_;
   ManagerKind manager_kind_;
@@ -280,17 +271,10 @@ class LiveRun {
   app::IdSource ids_;
   std::vector<std::unique_ptr<app::Application>> apps_;
 
-  // --- submission source ---------------------------------------------------
-  // The classic trace posts every submission up front (consecutive seqs,
-  // fired in index order); the steady-state lazy pump holds one future
-  // arrival and re-arms itself.
-  const std::vector<Submission>* schedule_ = nullptr;
-  std::uint64_t submissions_fired_ = 0;
-  std::uint64_t first_submission_seq_ = 0;
-  std::shared_ptr<SubmissionStream> stream_;
-  std::shared_ptr<std::function<void()>> pump_;
-  bool pump_armed_ = false;
-  SimTime pump_time_ = 0.0;
+  // --- submission pump -----------------------------------------------------
+  // The queue holds one future submission: the pump event at the stream's
+  // head, armed iff the stream is not done.
+  SubmissionStream stream_;
   std::uint64_t pump_seq_ = 0;
 
   // --- failure injection ---------------------------------------------------

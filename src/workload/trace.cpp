@@ -11,41 +11,6 @@
 
 namespace custody::workload {
 
-std::vector<Submission> GenerateMixedTrace(
-    const std::vector<WorkloadKind>& kinds, const TraceConfig& config,
-    Rng& rng) {
-  if (config.num_apps <= 0 || config.jobs_per_app <= 0) {
-    throw std::invalid_argument(
-        "GenerateMixedTrace: apps and jobs must be > 0");
-  }
-  if (kinds.empty()) {
-    throw std::invalid_argument("GenerateMixedTrace: need at least one kind");
-  }
-  const ZipfDistribution zipf(static_cast<std::size_t>(config.files_per_kind),
-                              config.zipf_skew);
-  std::vector<Submission> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_apps) *
-                config.jobs_per_app);
-  for (int a = 0; a < config.num_apps; ++a) {
-    SimTime t = 0.0;
-    for (int j = 0; j < config.jobs_per_app; ++j) {
-      t += rng.exponential(config.mean_interarrival);
-      Submission s;
-      s.time = t;
-      s.app_index = a;
-      s.kind = kinds.size() == 1 ? kinds.front()
-                                 : kinds[rng.index(kinds.size())];
-      s.file_index = zipf(rng);
-      trace.push_back(s);
-    }
-  }
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const Submission& a, const Submission& b) {
-                     return a.time < b.time;
-                   });
-  return trace;
-}
-
 // ---------------------------------------------------------------------------
 // SubmissionStream
 // ---------------------------------------------------------------------------
@@ -66,13 +31,30 @@ SubmissionStream::SubmissionStream(std::vector<WorkloadKind> kinds,
     throw std::invalid_argument("SubmissionStream: need at least one kind");
   }
   apps_.resize(static_cast<std::size_t>(trace_.num_apps));
+  Rng shared = base;  // the classic schedule's one rng
   for (std::size_t a = 0; a < apps_.size(); ++a) {
-    apps_[a].rng = base.fork(static_cast<std::uint64_t>(a));
+    if (steady_.enabled) {
+      apps_[a].rng = base.fork(static_cast<std::uint64_t>(a));
+    } else {
+      // Step past application a-1's draws: the classic schedule draws the
+      // applications one after another from one rng.
+      for (int j = 0; a > 0 && j < trace_.jobs_per_app; ++j) {
+        (void)draw(shared);
+      }
+      apps_[a].rng = shared;
+    }
     apps_[a].remaining = trace_.jobs_per_app;
     advance(a);
   }
-  total_jobs_ = static_cast<std::uint64_t>(trace_.num_apps) *
-                static_cast<std::uint64_t>(trace_.jobs_per_app);
+}
+
+SubmissionStream::Draw SubmissionStream::draw(Rng& rng) const {
+  Draw d;
+  d.gap = rng.exponential(trace_.mean_interarrival);
+  d.kind = kinds_.size() == 1 ? kinds_.front()
+                              : kinds_[rng.index(kinds_.size())];
+  d.file_index = zipf_(rng);
+  return d;
 }
 
 void SubmissionStream::advance(std::size_t a) {
@@ -83,7 +65,8 @@ void SubmissionStream::advance(std::size_t a) {
     if (had_next) --live_apps_;
     return;
   }
-  double dt = app.rng.exponential(trace_.mean_interarrival);
+  const Draw d = draw(app.rng);
+  double dt = d.gap;
   if (steady_.diurnal_amplitude > 0.0) {
     // Scale the instantaneous rate by 1 + A·sin(2πt/T): a draw made when
     // the rate is k× nominal lands k× sooner.  A < 1 keeps the divisor
@@ -97,12 +80,7 @@ void SubmissionStream::advance(std::size_t a) {
   // streams are untouched.
   dt /= rate_scale_;
   app.clock += dt;
-  app.next.time = app.clock;
-  app.next.app_index = static_cast<int>(a);
-  app.next.kind = kinds_.size() == 1
-                      ? kinds_.front()
-                      : kinds_[app.rng.index(kinds_.size())];
-  app.next.file_index = zipf_(app.rng);
+  app.next = {app.clock, static_cast<int>(a), d.kind, d.file_index};
   --app.remaining;
   app.has_next = true;
   if (!had_next) ++live_apps_;
@@ -148,13 +126,11 @@ void SubmissionStream::SaveTo(snap::SnapshotWriter& w) const {
     w.f64(app.clock);
     w.i64(app.remaining);
     w.b(app.has_next);
-    w.f64(app.next.time);
-    w.i64(app.next.app_index);
-    w.u8(static_cast<std::uint8_t>(app.next.kind));
-    w.u64(app.next.file_index);
+    if (app.has_next) {
+      w.u8(static_cast<std::uint8_t>(app.next.kind));
+      w.u64(app.next.file_index);
+    }
   }
-  w.u64(live_apps_);
-  w.u64(total_jobs_);
   w.u64(emitted_);
   w.f64(rate_scale_);
 }
@@ -167,18 +143,38 @@ void SubmissionStream::RestoreFrom(snap::SnapshotReader& r) {
         std::to_string(n) + ", stream was built with " +
         std::to_string(apps_.size()));
   }
-  for (AppState& app : apps_) {
+  live_apps_ = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    AppState& app = apps_[a];
     app.rng.RestoreFrom(r);
     app.clock = r.f64();
     app.remaining = static_cast<int>(r.i64());
     app.has_next = r.b();
-    app.next.time = r.f64();
-    app.next.app_index = static_cast<int>(r.i64());
-    app.next.kind = static_cast<WorkloadKind>(r.u8());
-    app.next.file_index = static_cast<std::size_t>(r.u64());
+    if (!app.has_next) continue;
+    const auto reject = [a](const std::string& what) {
+      throw snap::SnapshotError("SubmissionStream app " + std::to_string(a) +
+                                ": pending " + what);
+    };
+    const auto kind = static_cast<WorkloadKind>(r.u8());
+    if (std::find(kinds_.begin(), kinds_.end(), kind) == kinds_.end()) {
+      reject("kind " + std::to_string(static_cast<int>(kind)) +
+             " is not one of the config's kinds");
+    }
+    const auto file_index = static_cast<std::size_t>(r.u64());
+    if (file_index >= zipf_.size()) {
+      reject("file index " + std::to_string(file_index) +
+             " is past files_per_kind " + std::to_string(zipf_.size()));
+    }
+    // The pump arms the head at its time, so no pending submission may lie
+    // before the snapshot's instant.
+    if (!std::isfinite(app.clock) || app.clock < r.sim_time()) {
+      reject("time " + std::to_string(app.clock) +
+             " is not finite or precedes the snapshot time " +
+             std::to_string(r.sim_time()));
+    }
+    app.next = {app.clock, static_cast<int>(a), kind, file_index};
+    ++live_apps_;
   }
-  live_apps_ = static_cast<std::size_t>(r.u64());
-  total_jobs_ = r.u64();
   emitted_ = r.u64();
   rate_scale_ = r.f64();
   if (!(rate_scale_ > 0.0)) {

@@ -9,13 +9,16 @@
 // Also covered here:
 //  * fork-twice: two restores of one snapshot are identical; a what-if
 //    fork (extra injected failure in one) diverges but still completes;
-//  * steady-state lazy-stream resume (the SUBS mode-1 pump re-arm);
+//  * steady-state lazy-stream resume (the SUBS pump re-arm);
 //  * RunOnSnapshot's checkpoint.every / checkpoint.resume_path plumbing,
 //    including the JSON manifest sidecar;
 //  * config-hash pinning: restore onto a different manager or config
 //    fails with snap::SnapshotError, never a silent divergence;
 //  * ValidateConfig rejection of unsound checkpoint knobs;
 //  * RNG and SubmissionStream draw sequences pinned across restore;
+//  * forged SUBS sections: a pending submission of an unknown kind or file,
+//    or at a time that is not finite or precedes the snapshot, is a typed
+//    SnapshotError at restore;
 //  * corrupt-payload fuzzing with a recomputed checksum: restore must
 //    throw or succeed, never crash (the ASan/UBSan CI job runs this).
 //
@@ -26,8 +29,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -286,8 +292,8 @@ TEST(SnapshotEquivalence, ForkTwiceIsIdenticalAndWhatIfDiverges) {
   EXPECT_EQ(c.jobs_completed, a.jobs_completed);
 }
 
-// Steady-state lazy stream: the pump's (time, seq) descriptor and the
-// stream's per-app draw state must survive restore (SUBS mode 1).
+// Steady-state lazy stream: the pump's seq and the stream's per-app draw
+// state must survive restore.
 TEST(SnapshotEquivalence, SteadyStateStreamResumes) {
   for (std::uint64_t seed = 2520; seed < 2523; ++seed) {
     ExperimentConfig config = BaseConfig(ManagerKind::kCustody, seed);
@@ -535,6 +541,223 @@ TEST(SnapshotEquivalence, SubmissionStreamDrawsPinnedAcrossRestore) {
   EXPECT_TRUE(restored.done());
 }
 
+// ---------------------------------------------------------------------------
+// Forged SUBS sections
+// ---------------------------------------------------------------------------
+
+// A snapshot file's header (magic, version, config hash, sim time), section
+// head (4-char tag, u64 length) and footer (checksum) sizes.
+constexpr std::size_t kHeaderBytes = 24;
+constexpr std::size_t kSectionHeadBytes = 12;
+constexpr std::size_t kFooterBytes = 8;
+
+/// Recompute a snapshot file's footer checksum after editing its bytes.
+void Reseal(std::vector<std::uint8_t>& file) {
+  const std::uint64_t sum =
+      snap::Fnv1a(file.data(), file.size() - kFooterBytes);
+  for (std::size_t i = 0; i < kFooterBytes; ++i) {
+    file[file.size() - kFooterBytes + i] =
+        static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+}
+
+/// The [begin, end) byte range of section `tag`, its tag and length
+/// included, in a snapshot file.
+std::pair<std::size_t, std::size_t> SectionRange(
+    const std::vector<std::uint8_t>& file, const std::string& tag) {
+  std::size_t at = kHeaderBytes;
+  while (at + kSectionHeadBytes <= file.size() - kFooterBytes) {
+    std::uint64_t length = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      length |= std::uint64_t{file[at + 4 + i]} << (8 * i);
+    }
+    const std::size_t end =
+        at + kSectionHeadBytes + static_cast<std::size_t>(length);
+    if (std::equal(tag.begin(), tag.end(), file.data() + at)) {
+      return {at, end};
+    }
+    at = end;
+  }
+  throw std::logic_error("snapshot has no section " + tag);
+}
+
+/// A SUBS section field by field: the submission stream's per-app draw
+/// state, then the armed pump's seq.
+struct ForgedSubs {
+  struct App {
+    Rng rng{0};
+    double clock = 0.0;
+    std::int64_t remaining = 0;
+    bool has_next = false;
+    std::uint8_t kind = 0;
+    std::uint64_t file_index = 0;
+  };
+  std::vector<App> apps;
+  std::uint64_t emitted = 0;
+  double rate_scale = 1.0;
+  std::uint64_t pump_seq = 0;
+
+  /// Decode the SUBS section of a snapshot file.
+  static ForgedSubs From(const std::vector<std::uint8_t>& file) {
+    const auto [begin, end] = SectionRange(file, "SUBS");
+    // The header plus this one section make a file SnapshotReader accepts.
+    std::vector<std::uint8_t> alone(file.data(), file.data() + kHeaderBytes);
+    alone.insert(alone.end(), file.data() + begin, file.data() + end);
+    alone.resize(alone.size() + kFooterBytes);
+    Reseal(alone);
+    snap::SnapshotReader r(alone);
+    r.begin_section("SUBS");
+    ForgedSubs f;
+    f.apps.resize(r.size());
+    for (App& app : f.apps) {
+      app.rng.RestoreFrom(r);
+      app.clock = r.f64();
+      app.remaining = r.i64();
+      app.has_next = r.b();
+      if (app.has_next) {
+        app.kind = r.u8();
+        app.file_index = r.u64();
+      }
+    }
+    f.emitted = r.u64();
+    f.rate_scale = r.f64();
+    if (f.armed()) f.pump_seq = r.u64();
+    r.end_section();
+    return f;
+  }
+
+  /// `file` with its SUBS section replaced by this one, resealed.
+  [[nodiscard]] std::vector<std::uint8_t> Into(
+      const std::vector<std::uint8_t>& file) const {
+    snap::SnapshotWriter w;
+    w.begin_section("SUBS");
+    w.size(apps.size());
+    for (const App& app : apps) {
+      app.rng.SaveTo(w);
+      w.f64(app.clock);
+      w.i64(app.remaining);
+      w.b(app.has_next);
+      if (app.has_next) {
+        w.u8(app.kind);
+        w.u64(app.file_index);
+      }
+    }
+    w.u64(emitted);
+    w.f64(rate_scale);
+    if (armed()) w.u64(pump_seq);
+    w.end_section();
+    const std::vector<std::uint8_t> section = w.finish(0, 0.0);
+    const auto [begin, end] = SectionRange(file, "SUBS");
+    std::vector<std::uint8_t> out(file.data(), file.data() + begin);
+    out.insert(out.end(), section.data() + kHeaderBytes,
+               section.data() + section.size() - kFooterBytes);
+    out.insert(out.end(), file.data() + end, file.data() + file.size());
+    Reseal(out);
+    return out;
+  }
+
+  /// The pump is armed iff some application has a pending submission.
+  [[nodiscard]] bool armed() const {
+    return std::any_of(apps.begin(), apps.end(),
+                       [](const App& app) { return app.has_next; });
+  }
+
+  /// The pending submission the pump is armed at (earliest, lowest app).
+  App& head() {
+    App* best = nullptr;
+    for (App& app : apps) {
+      if (app.has_next && (best == nullptr || app.clock < best->clock)) {
+        best = &app;
+      }
+    }
+    return *best;
+  }
+};
+
+/// A classic run of BaseConfig (kinds WordCount and Sort, 3 files per
+/// kind) saved at t = 5, when every application still has a submission
+/// pending.
+class ForgedSubmissions : public ::testing::Test {
+ protected:
+  static constexpr SimTime kSavedAt = 5.0;
+
+  ForgedSubmissions()
+      : snapshot_(SubstrateSnapshot::Build(
+            BaseConfig(ManagerKind::kCustody, 2600))) {
+    LiveRun run(snapshot_, ManagerKind::kCustody);
+    run.run_until(kSavedAt);
+    bytes_ = run.save();
+  }
+
+  /// Restores the saved file with `forged` as its SUBS section and returns
+  /// the snap::SnapshotError message, or "" when the restore is accepted
+  /// (any other exception fails the test).
+  std::string Rejection(const ForgedSubs& forged) {
+    LiveRun run(snapshot_, ManagerKind::kCustody);
+    try {
+      run.restore(forged.Into(bytes_));
+    } catch (const snap::SnapshotError& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  void ExpectRejected(const ForgedSubs& forged, const std::string& reason) {
+    const std::string message = Rejection(forged);
+    EXPECT_NE(message.find(reason), std::string::npos)
+        << "want \"" << reason << "\", got \"" << message << "\"";
+  }
+
+  [[nodiscard]] ForgedSubs Saved() const { return ForgedSubs::From(bytes_); }
+
+  SubstrateSnapshot snapshot_;
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST_F(ForgedSubmissions, WellFormedSectionRestores) {
+  const ForgedSubs saved = Saved();
+  ASSERT_EQ(saved.apps.size(), 3u);
+  for (const ForgedSubs::App& app : saved.apps) ASSERT_TRUE(app.has_next);
+  // The forger reproduces the saved file byte for byte, so each rejection
+  // below comes from the one field it changes.
+  EXPECT_EQ(saved.Into(bytes_), bytes_);
+  EXPECT_EQ(Rejection(saved), "");
+}
+
+TEST_F(ForgedSubmissions, RejectsKindOutsideTheConfig) {
+  ForgedSubs f = Saved();
+  f.head().kind = static_cast<std::uint8_t>(WorkloadKind::kPageRank);
+  ExpectRejected(f, "is not one of the config's kinds");
+}
+
+TEST_F(ForgedSubmissions, RejectsFileIndexPastTheCatalog) {
+  ForgedSubs f = Saved();
+  f.head().file_index = 3;  // files_per_kind is 3
+  ExpectRejected(f, "is past files_per_kind 3");
+}
+
+TEST_F(ForgedSubmissions, RejectsNonFiniteTime) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ForgedSubs head = Saved();
+    head.head().clock = bad;
+    ExpectRejected(head, "is not finite");
+    // Behind the head too: a NaN never compares earliest, so it would
+    // otherwise surface only once every other application ran dry.
+    ForgedSubs last = Saved();
+    ForgedSubs::App* tail = &last.apps.back();
+    if (tail == &last.head()) tail = &last.apps.front();
+    tail->clock = bad;
+    ExpectRejected(last, "is not finite");
+  }
+}
+
+TEST_F(ForgedSubmissions, RejectsTimeBeforeTheSnapshot) {
+  ForgedSubs f = Saved();
+  f.head().clock = kSavedAt - 1.0;
+  ExpectRejected(f, "precedes the snapshot time");
+}
+
 // Payload corruption with a RECOMPUTED footer checksum sails past the
 // integrity check and hits the per-layer validation: restore must throw a
 // typed error or succeed benignly — never crash or corrupt memory.  Every
@@ -554,8 +777,8 @@ TEST(SnapshotEquivalence, CorruptPayloadWithFixedChecksumNeverCrashes) {
     run.run_until(8.0);
     bytes = run.save();
   }
-  const std::size_t payload_begin = 24;
-  const std::size_t payload_end = bytes.size() - 8;
+  const std::size_t payload_begin = kHeaderBytes;
+  const std::size_t payload_end = bytes.size() - kFooterBytes;
   // Stride through the payload so every section gets hit while the test
   // stays fast; two flip patterns per offset (low bit and high bit).
   const std::size_t stride = std::max<std::size_t>(
@@ -568,11 +791,7 @@ TEST(SnapshotEquivalence, CorruptPayloadWithFixedChecksumNeverCrashes) {
     for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
       std::vector<std::uint8_t> bad = bytes;
       bad[off] ^= flip;
-      const std::uint64_t sum = snap::Fnv1a(bad.data(), bad.size() - 8);
-      for (int i = 0; i < 8; ++i) {
-        bad[bad.size() - 8 + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(sum >> (8 * i));
-      }
+      Reseal(bad);
       ++attempted;
       LiveRun victim(snapshot, ManagerKind::kCustody);
       try {

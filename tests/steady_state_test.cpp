@@ -298,12 +298,5 @@ TEST(SteadyState, DiurnalRunCompletesAllJobsUnderRetirement) {
   EXPECT_EQ(result.jct.count, result.jobs_completed);
 }
 
-TEST(SteadyState, SnapshotSkipsTraceMaterialization) {
-  const SubstrateSnapshot snapshot =
-      SubstrateSnapshot::Build(SteadyConfig(ManagerKind::kCustody));
-  EXPECT_TRUE(snapshot.trace().empty());
-  EXPECT_EQ(snapshot.make_submission_stream().total_jobs(), 3u * 12u);
-}
-
 }  // namespace
 }  // namespace custody::workload

@@ -389,49 +389,56 @@ TEST_F(ControlPlaneTest, UnperturbedForksAreBitIdenticalAndRepeatable) {
 }
 
 TEST_F(ControlPlaneTest, PerturbedForkDivergesWhileBaseStaysPinned) {
-  const ClientResponse created =
-      Fetch(port_, "POST", "/sessions", ConfigToJson(SteadyConfig()));
-  ASSERT_EQ(created.status, 201);
-  const std::string id = std::to_string(static_cast<std::uint64_t>(
-      JsonReader::Parse(created.body).find("id")->as_number()));
-  ASSERT_EQ(Fetch(port_, "POST", "/sessions/" + id + "/advance",
-                  "{\"until\":100}")
-                .status,
-            200);
+  // Steady and classic sessions alike: both draw a lazy submission stream,
+  // so an arrival-rate what-if rescales either one's future arrivals.
+  ExperimentConfig classic = SteadyConfig();
+  classic.steady.enabled = false;
+  for (const ExperimentConfig& config : {SteadyConfig(), classic}) {
+    SCOPED_TRACE(config.steady.enabled ? "steady session" : "classic session");
+    const ClientResponse created =
+        Fetch(port_, "POST", "/sessions", ConfigToJson(config));
+    ASSERT_EQ(created.status, 201);
+    const std::string id = std::to_string(static_cast<std::uint64_t>(
+        JsonReader::Parse(created.body).find("id")->as_number()));
+    ASSERT_EQ(Fetch(port_, "POST", "/sessions/" + id + "/advance",
+                    "{\"until\":100}")
+                  .status,
+              200);
 
-  const ClientResponse plain = Fetch(
-      port_, "POST", "/sessions/" + id + "/fork",
-      "{\"perturb\":{\"kind\":\"none\"}}");
-  const ClientResponse perturbed = Fetch(
-      port_, "POST", "/sessions/" + id + "/fork",
-      "{\"perturb\":{\"kind\":\"arrival_rate\",\"factor\":4.0}}");
-  ASSERT_EQ(plain.status, 200);
-  ASSERT_EQ(perturbed.status, 200) << perturbed.body;
-  const JsonValue plain_report = JsonReader::Parse(plain.body);
-  const JsonValue perturbed_report = JsonReader::Parse(perturbed.body);
-  // The unperturbed twin is identical across both forks...
-  const JsonValue& base_a = *plain_report.find("base");
-  const JsonValue& base_b = *perturbed_report.find("base");
-  EXPECT_EQ(base_a.find("events_processed")->as_number(),
-            base_b.find("events_processed")->as_number());
-  EXPECT_EQ(base_a.find("jct")->find("mean")->as_number(),
-            base_b.find("jct")->find("mean")->as_number());
-  // ...while the 4x-load what-if diverges from its own base.
-  const JsonValue& whatif = *perturbed_report.find("whatif");
-  EXPECT_NE(whatif.find("events_processed")->as_number(),
-            base_b.find("events_processed")->as_number());
-  EXPECT_NE(perturbed_report.find("delta")->find("jct_mean")->as_number(),
-            0.0);
-  // Node-failure perturbation also diverges and reports the dead node.
-  const ClientResponse crashed = Fetch(
-      port_, "POST", "/sessions/" + id + "/fork",
-      "{\"perturb\":{\"kind\":\"node_failure\",\"node\":3}}");
-  ASSERT_EQ(crashed.status, 200) << crashed.body;
-  const JsonValue crash_report = JsonReader::Parse(crashed.body);
-  EXPECT_EQ(
-      crash_report.find("whatif")->find("nodes_failed")->as_number(), 1.0);
-  EXPECT_EQ(crash_report.find("base")->find("nodes_failed")->as_number(),
-            0.0);
+    const ClientResponse plain = Fetch(
+        port_, "POST", "/sessions/" + id + "/fork",
+        "{\"perturb\":{\"kind\":\"none\"}}");
+    const ClientResponse perturbed = Fetch(
+        port_, "POST", "/sessions/" + id + "/fork",
+        "{\"perturb\":{\"kind\":\"arrival_rate\",\"factor\":4.0}}");
+    ASSERT_EQ(plain.status, 200);
+    ASSERT_EQ(perturbed.status, 200) << perturbed.body;
+    const JsonValue plain_report = JsonReader::Parse(plain.body);
+    const JsonValue perturbed_report = JsonReader::Parse(perturbed.body);
+    // The unperturbed twin is identical across both forks...
+    const JsonValue& base_a = *plain_report.find("base");
+    const JsonValue& base_b = *perturbed_report.find("base");
+    EXPECT_EQ(base_a.find("events_processed")->as_number(),
+              base_b.find("events_processed")->as_number());
+    EXPECT_EQ(base_a.find("jct")->find("mean")->as_number(),
+              base_b.find("jct")->find("mean")->as_number());
+    // ...while the 4x-load what-if diverges from its own base.
+    const JsonValue& whatif = *perturbed_report.find("whatif");
+    EXPECT_NE(whatif.find("events_processed")->as_number(),
+              base_b.find("events_processed")->as_number());
+    EXPECT_NE(perturbed_report.find("delta")->find("jct_mean")->as_number(),
+              0.0);
+    // Node-failure perturbation also diverges and reports the dead node.
+    const ClientResponse crashed = Fetch(
+        port_, "POST", "/sessions/" + id + "/fork",
+        "{\"perturb\":{\"kind\":\"node_failure\",\"node\":3}}");
+    ASSERT_EQ(crashed.status, 200) << crashed.body;
+    const JsonValue crash_report = JsonReader::Parse(crashed.body);
+    EXPECT_EQ(
+        crash_report.find("whatif")->find("nodes_failed")->as_number(), 1.0);
+    EXPECT_EQ(crash_report.find("base")->find("nodes_failed")->as_number(),
+              0.0);
+  }
 }
 
 TEST_F(ControlPlaneTest, SessionSnapshotLandsOnDiskAndParses) {

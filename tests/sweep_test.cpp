@@ -209,12 +209,16 @@ TEST(SweepDeterminism, SnapshotBuildIsDeterministic) {
       SmallConfig(ManagerKind::kCustody, WorkloadKind::kSort, 25, 9);
   const SubstrateSnapshot a = SubstrateSnapshot::Build(config);
   const SubstrateSnapshot b = SubstrateSnapshot::Build(config);
-  ASSERT_EQ(a.trace().size(), b.trace().size());
-  for (std::size_t i = 0; i < a.trace().size(); ++i) {
-    EXPECT_EQ(a.trace()[i].time, b.trace()[i].time);
-    EXPECT_EQ(a.trace()[i].app_index, b.trace()[i].app_index);
-    EXPECT_EQ(a.trace()[i].kind, b.trace()[i].kind);
-    EXPECT_EQ(a.trace()[i].file_index, b.trace()[i].file_index);
+  const std::vector<Submission> trace_a =
+      DrainStream(a.make_submission_stream());
+  const std::vector<Submission> trace_b =
+      DrainStream(b.make_submission_stream());
+  ASSERT_EQ(trace_a.size(), trace_b.size());
+  for (std::size_t i = 0; i < trace_a.size(); ++i) {
+    EXPECT_EQ(trace_a[i].time, trace_b[i].time);
+    EXPECT_EQ(trace_a[i].app_index, trace_b[i].app_index);
+    EXPECT_EQ(trace_a[i].kind, trace_b[i].kind);
+    EXPECT_EQ(trace_a[i].file_index, trace_b[i].file_index);
   }
   ASSERT_EQ(a.dataset_plans().size(), b.dataset_plans().size());
   for (std::size_t k = 0; k < a.dataset_plans().size(); ++k) {

@@ -2,7 +2,11 @@
 // runner's determinism contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/units.h"
 #include "workload/experiment.h"
@@ -137,12 +141,90 @@ TEST(JobSpecs, PageRankIterates) {
   }
 }
 
+// The materialized generator the classic schedule came from before it
+// became a SubmissionStream: one rng drawn application after application,
+// then stable-sorted by time.  Kept here as the oracle a drained classic
+// stream must equal bit for bit.
+std::vector<Submission> GenerateMixedTrace(
+    const std::vector<WorkloadKind>& kinds, const TraceConfig& config,
+    Rng& rng) {
+  const ZipfDistribution zipf(static_cast<std::size_t>(config.files_per_kind),
+                              config.zipf_skew);
+  std::vector<Submission> trace;
+  for (int a = 0; a < config.num_apps; ++a) {
+    SimTime t = 0.0;
+    for (int j = 0; j < config.jobs_per_app; ++j) {
+      t += rng.exponential(config.mean_interarrival);
+      Submission s;
+      s.time = t;
+      s.app_index = a;
+      s.kind = kinds.size() == 1 ? kinds.front()
+                                 : kinds[rng.index(kinds.size())];
+      s.file_index = zipf(rng);
+      trace.push_back(s);
+    }
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const Submission& a, const Submission& b) {
+                     return a.time < b.time;
+                   });
+  return trace;
+}
+
+/// The paper's classic schedule (steady state off) over `rng`, drained.
+std::vector<Submission> ClassicTrace(std::vector<WorkloadKind> kinds,
+                                     const TraceConfig& config,
+                                     const Rng& rng) {
+  return DrainStream(
+      SubmissionStream(std::move(kinds), config, SteadyStateConfig{}, rng));
+}
+
+TEST(Trace, ClassicStreamMatchesMaterializedOracle) {
+  const WorkloadKind all[] = {WorkloadKind::kPageRank,
+                              WorkloadKind::kWordCount, WorkloadKind::kSort};
+  int configs = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng shape(seed);  // draws each config's shape, not its schedule
+    for (const int kind_count : {1, 2, 3}) {
+      for (const int apps : {1, 3, 4, 7}) {
+        std::vector<WorkloadKind> kinds;
+        for (int k = 0; k < kind_count; ++k) {
+          kinds.push_back(all[(seed + static_cast<std::uint64_t>(k)) % 3]);
+        }
+        TraceConfig config;
+        config.num_apps = apps;
+        config.jobs_per_app = shape.uniform_int(1, 41);
+        config.mean_interarrival = shape.uniform(0.5, 30.0);
+        config.zipf_skew = shape.uniform(0.0, 2.0);
+        config.files_per_kind = shape.uniform_int(1, 40);
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " kinds=" + std::to_string(kind_count) +
+                     " apps=" + std::to_string(apps) +
+                     " jobs=" + std::to_string(config.jobs_per_app));
+        const Rng base = Rng(seed).fork(3);
+        Rng oracle_rng = base;
+        const std::vector<Submission> want =
+            GenerateMixedTrace(kinds, config, oracle_rng);
+        const std::vector<Submission> got = ClassicTrace(kinds, config, base);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].time, want[i].time) << "i=" << i;
+          ASSERT_EQ(got[i].app_index, want[i].app_index) << "i=" << i;
+          ASSERT_EQ(got[i].kind, want[i].kind) << "i=" << i;
+          ASSERT_EQ(got[i].file_index, want[i].file_index) << "i=" << i;
+        }
+        ++configs;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 2400);
+}
+
 TEST(Trace, SortedWithCorrectCounts) {
-  Rng rng(7);
   TraceConfig config;
   config.num_apps = 3;
   config.jobs_per_app = 5;
-  const auto trace = GenerateMixedTrace({WorkloadKind::kSort}, config, rng);
+  const auto trace = ClassicTrace({WorkloadKind::kSort}, config, Rng(7));
   ASSERT_EQ(trace.size(), 15u);
   std::vector<int> per_app(3, 0);
   for (std::size_t i = 1; i < trace.size(); ++i) {
@@ -157,36 +239,33 @@ TEST(Trace, SortedWithCorrectCounts) {
 }
 
 TEST(Trace, MeanInterArrivalApproximatelyRight) {
-  Rng rng(8);
   TraceConfig config;
   config.num_apps = 1;
   config.jobs_per_app = 4000;
   config.mean_interarrival = 16.0;
-  const auto trace =
-      GenerateMixedTrace({WorkloadKind::kWordCount}, config, rng);
+  const auto trace = ClassicTrace({WorkloadKind::kWordCount}, config, Rng(8));
   EXPECT_NEAR(trace.back().time / 4000.0, 16.0, 1.0);
 }
 
 TEST(Trace, MixedTraceUsesAllKinds) {
-  Rng rng(9);
   TraceConfig config;
   config.num_apps = 2;
   config.jobs_per_app = 50;
-  const auto trace = GenerateMixedTrace(
-      {WorkloadKind::kPageRank, WorkloadKind::kSort}, config, rng);
+  const auto trace = ClassicTrace(
+      {WorkloadKind::kPageRank, WorkloadKind::kSort}, config, Rng(9));
   std::set<WorkloadKind> kinds;
   for (const auto& s : trace) kinds.insert(s.kind);
   EXPECT_EQ(kinds.size(), 2u);
 }
 
 TEST(Trace, RejectsDegenerateConfigs) {
-  Rng rng(10);
   TraceConfig config;
   config.num_apps = 0;
-  EXPECT_THROW(GenerateMixedTrace({WorkloadKind::kSort}, config, rng),
+  EXPECT_THROW((void)ClassicTrace({WorkloadKind::kSort}, config, Rng(10)),
                std::invalid_argument);
   config.num_apps = 1;
-  EXPECT_THROW(GenerateMixedTrace({}, config, rng), std::invalid_argument);
+  EXPECT_THROW((void)ClassicTrace({}, config, Rng(10)),
+               std::invalid_argument);
 }
 
 // ---------- experiment runner ------------------------------------------------

@@ -102,7 +102,10 @@ int main(int argc, char** argv) {
       "jobs",            "wall_s",        "events",
       "events_per_sec",  "net_wall_s",    "net_solve_share",
       "jobs_retired",    "peak_live_tasks",
-      "jct_mean_s",      "jct_p99_s",     "makespan_s"};
+      "jct_mean_s",      "jct_p99_s",     "makespan_s",
+      "kicks",           "kick_probes",   "launches",
+      "release_checks",  "release_verdicts", "release_blocks_walked",
+      "free_ids_copied"};
   auto csv = MaybeCsv(argc, argv, columns);
   auto json = MaybeJson(argc, argv, columns);
   bool progress = false;
@@ -174,7 +177,14 @@ int main(int argc, char** argv) {
         std::to_string(result.peak_live_tasks),
         Num(result.jct.mean, 3),
         Num(result.jct.p99, 3),
-        Num(result.makespan, 1)};
+        Num(result.makespan, 1),
+        std::to_string(result.app_work.kicks),
+        std::to_string(result.app_work.kick_probes),
+        std::to_string(result.app_work.launches),
+        std::to_string(result.app_work.release_checks),
+        std::to_string(result.app_work.release_verdicts),
+        std::to_string(result.app_work.release_blocks_walked),
+        std::to_string(result.app_work.free_ids_copied)};
     if (csv) csv->add_row(row);
     if (json) json->add_row(row);
 

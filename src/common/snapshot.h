@@ -55,7 +55,10 @@ inline constexpr std::uint32_t kMagic = 0x50'4E'53'43;  // "CSNP" little-endian
 //     plus the armed pump's seq; the posted-schedule mode, the mode byte
 //     and the fields the stream derives (pending time and app, live and
 //     total counts, pump armed flag and time) are gone.
-inline constexpr std::uint32_t kFormatVersion = 5;
+// v6: an application's APPS section carries its seven work counters
+//     (kicks, kick probes, launches, release checks, verdicts, blocks
+//     walked, free ids copied) after the launch breakdown.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Append-only binary encoder.  Sections group one layer's fields behind a
 /// 4-char tag and a byte length so the reader can hard-verify framing.

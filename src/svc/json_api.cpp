@@ -467,6 +467,18 @@ std::string ResultToJson(const ExperimentResult& result) {
          std::to_string(result.net_stats.rates_changed) + ",";
   out += "\"completion_rescans\":" +
          std::to_string(result.net_stats.completion_rescans) + "},";
+  const app::WorkCounters& work = result.app_work;
+  out += "\"app_work\":{";
+  out += "\"kicks\":" + std::to_string(work.kicks) + ",";
+  out += "\"kick_probes\":" + std::to_string(work.kick_probes) + ",";
+  out += "\"launches\":" + std::to_string(work.launches) + ",";
+  out += "\"release_checks\":" + std::to_string(work.release_checks) + ",";
+  out += "\"release_verdicts\":" + std::to_string(work.release_verdicts) +
+         ",";
+  out += "\"release_blocks_walked\":" +
+         std::to_string(work.release_blocks_walked) + ",";
+  out += "\"free_ids_copied\":" + std::to_string(work.free_ids_copied) +
+         "},";
   out += "\"net_bytes_delivered\":" + JsonNumber(result.net_bytes_delivered) +
          ",";
   out += "\"cache_insertions\":" + std::to_string(result.cache_insertions) +

@@ -135,6 +135,9 @@ struct ExperimentResult {
   /// Fluid-network rate-path cost: recomputes run vs. batched away, scan
   /// counters, wall time.
   metrics::NetworkStatsRecord net_stats;
+  /// App-layer work counters summed over applications: what the kicks
+  /// and release checks enumerated (cost, not outcome).
+  app::WorkCounters app_work;
   /// Total bytes moved over the simulated network.
   double net_bytes_delivered = 0.0;
   /// Cache effectiveness when a block cache is configured.

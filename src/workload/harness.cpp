@@ -742,6 +742,7 @@ ExperimentResult LiveRun::collect() {
     result.launches_uncovered += app->launch_breakdown().uncovered;
     result.speculative_launches += app->speculative_launches();
     result.speculative_wins += app->speculative_wins();
+    result.app_work += app->work();
   }
   return result;
 }

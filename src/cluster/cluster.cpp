@@ -50,6 +50,45 @@ const Executor& Cluster::executor(ExecutorId id) const {
   return executors_[id.value()];
 }
 
+namespace {
+
+using IdList = std::vector<ExecutorId::value_type>;
+
+void Insert(IdList& ids, ExecutorId::value_type id) {
+  const auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+  assert(pos == ids.end() || *pos != id);
+  ids.insert(pos, id);
+}
+
+void Erase(IdList& ids, ExecutorId::value_type id) {
+  const auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+  assert(pos != ids.end() && *pos == id);
+  if (pos != ids.end() && *pos == id) ids.erase(pos);
+}
+
+/// The lowest id in `ids` that is >= `from`; invalid when none.
+ExecutorId Successor(const IdList& ids, ExecutorId::value_type from) {
+  const auto pos = std::lower_bound(ids.begin(), ids.end(), from);
+  return pos == ids.end() ? ExecutorId::invalid() : ExecutorId(*pos);
+}
+
+}  // namespace
+
+const Cluster::AppLedger* Cluster::ledger(AppId app) const {
+  const auto it = apps_.find(app.value());
+  return it == apps_.end() ? nullptr : &it->second;
+}
+
+void Cluster::set_free(AppLedger& ledger, const Executor& exec, bool free) {
+  if (free) {
+    Insert(ledger.free, exec.id.value());
+    if (ledger.watches(exec.node)) Insert(ledger.free_watched, exec.id.value());
+  } else {
+    Erase(ledger.free, exec.id.value());
+    if (ledger.watches(exec.node)) Erase(ledger.free_watched, exec.id.value());
+  }
+}
+
 void Cluster::assign(ExecutorId id, AppId app) {
   Executor& exec = executor(id);
   if (!node_alive_[exec.node.value()]) {
@@ -61,16 +100,11 @@ void Cluster::assign(ExecutorId id, AppId app) {
   assert(!exec.busy);
   exec.owner = app;
   idle_index_.remove(id, exec.node);
-  auto& ids = owned_ids_[app.value()];
-  ids.insert(std::lower_bound(ids.begin(), ids.end(), id.value()),
-             id.value());
-  ++owned_on_node_[app.value()][exec.node.value()];
-  auto& counts = held_counts_[app.value()];
-  if (counts.empty()) counts.assign(num_nodes_, 0);
-  ++counts[exec.node.value()];
-  auto& free = free_held_[app.value()];
-  free.insert(std::lower_bound(free.begin(), free.end(), id.value()),
-              id.value());
+  AppLedger& ledger = apps_[app.value()];
+  Insert(ledger.held, id.value());
+  if (ledger.held_counts.empty()) ledger.held_counts.assign(num_nodes_, 0);
+  ++ledger.held_counts[exec.node.value()];
+  set_free(ledger, exec, true);
 }
 
 void Cluster::release(ExecutorId id) {
@@ -89,32 +123,13 @@ void Cluster::release(ExecutorId id) {
 }
 
 void Cluster::drop_ownership(const Executor& exec) {
-  const auto ids = owned_ids_.find(exec.owner.value());
-  assert(ids != owned_ids_.end());
-  const auto pos = std::lower_bound(ids->second.begin(), ids->second.end(),
-                                    exec.id.value());
-  assert(pos != ids->second.end() && *pos == exec.id.value());
-  ids->second.erase(pos);
-  if (ids->second.empty()) owned_ids_.erase(ids);
-  const auto by_node = owned_on_node_.find(exec.owner.value());
-  assert(by_node != owned_on_node_.end());
-  const auto on_node = by_node->second.find(exec.node.value());
-  assert(on_node != by_node->second.end() && on_node->second > 0);
-  if (--on_node->second == 0) by_node->second.erase(on_node);
-  if (by_node->second.empty()) owned_on_node_.erase(by_node);
-  --held_counts_[exec.owner.value()][exec.node.value()];
-  if (!exec.busy) {
-    // Busy executors are not in the free set (fail_node drops them busy).
-    const auto entry = free_held_.find(exec.owner.value());
-    assert(entry != free_held_.end());
-    if (entry == free_held_.end()) return;
-    auto& free = entry->second;
-    const auto it = std::lower_bound(free.begin(), free.end(),
-                                     exec.id.value());
-    assert(it != free.end() && *it == exec.id.value());
-    if (it != free.end() && *it == exec.id.value()) free.erase(it);
-    if (free.empty()) free_held_.erase(entry);
-  }
+  const auto it = apps_.find(exec.owner.value());
+  assert(it != apps_.end());
+  AppLedger& ledger = it->second;
+  Erase(ledger.held, exec.id.value());
+  --ledger.held_counts[exec.node.value()];
+  // Busy executors are not in the free sets (fail_node drops them busy).
+  if (!exec.busy) set_free(ledger, exec, false);
 }
 
 void Cluster::fail_node(NodeId node) {
@@ -189,16 +204,14 @@ std::vector<core::ExecutorInfo> Cluster::idle_executors() const {
 }
 
 int Cluster::owned_by(AppId app) const {
-  const auto it = owned_ids_.find(app.value());
-  return it == owned_ids_.end() ? 0 : static_cast<int>(it->second.size());
+  const AppLedger* l = ledger(app);
+  return l == nullptr ? 0 : static_cast<int>(l->held.size());
 }
 
 void Cluster::held_executors(AppId app, std::vector<ExecutorId>& out) const {
-  const auto it = owned_ids_.find(app.value());
-  if (it == owned_ids_.end()) return;
-  for (const ExecutorId::value_type id : it->second) {
-    out.push_back(ExecutorId(id));
-  }
+  const AppLedger* l = ledger(app);
+  if (l == nullptr) return;
+  for (const ExecutorId::value_type id : l->held) out.push_back(ExecutorId(id));
 }
 
 void Cluster::set_busy(ExecutorId id, bool busy) {
@@ -206,65 +219,73 @@ void Cluster::set_busy(ExecutorId id, bool busy) {
   if (exec.busy == busy) return;
   exec.busy = busy;
   if (!exec.allocated()) return;  // unowned executors live in the idle index
-  if (busy) {
-    const auto entry = free_held_.find(exec.owner.value());
-    assert(entry != free_held_.end());
-    auto& free = entry->second;
-    const auto it = std::lower_bound(free.begin(), free.end(), id.value());
-    assert(it != free.end() && *it == id.value());
-    if (it != free.end() && *it == id.value()) free.erase(it);
-    if (free.empty()) free_held_.erase(entry);
-  } else {
-    auto& free = free_held_[exec.owner.value()];
-    free.insert(std::lower_bound(free.begin(), free.end(), id.value()),
-                id.value());
-  }
+  const auto it = apps_.find(exec.owner.value());
+  assert(it != apps_.end());
+  set_free(it->second, exec, !busy);
 }
 
 void Cluster::free_held(AppId app, std::vector<ExecutorId>& out) const {
-  const auto it = free_held_.find(app.value());
-  if (it == free_held_.end()) return;
-  for (const ExecutorId::value_type id : it->second) {
-    out.push_back(ExecutorId(id));
-  }
+  const AppLedger* l = ledger(app);
+  if (l == nullptr) return;
+  for (const ExecutorId::value_type id : l->free) out.push_back(ExecutorId(id));
 }
 
 std::size_t Cluster::free_held_count(AppId app) const {
-  const auto it = free_held_.find(app.value());
-  return it == free_held_.end() ? 0 : it->second.size();
+  const AppLedger* l = ledger(app);
+  return l == nullptr ? 0 : l->free.size();
 }
 
 ExecutorId Cluster::next_free_held(AppId app,
                                    ExecutorId::value_type from) const {
-  const auto it = free_held_.find(app.value());
-  if (it == free_held_.end()) return ExecutorId::invalid();
-  const auto pos = std::lower_bound(it->second.begin(), it->second.end(), from);
-  return pos == it->second.end() ? ExecutorId::invalid() : ExecutorId(*pos);
+  const AppLedger* l = ledger(app);
+  return l == nullptr ? ExecutorId::invalid() : Successor(l->free, from);
 }
 
-void Cluster::free_held_on(AppId app, NodeId node,
-                           std::vector<ExecutorId>& out) const {
+void Cluster::set_watched(AppId app, NodeId node, bool watched) {
+  if (node.value() >= num_nodes_) {
+    throw std::out_of_range("Cluster: unknown node");
+  }
+  AppLedger& ledger = apps_[app.value()];
+  if (ledger.watched.empty()) ledger.watched.assign(num_nodes_, false);
+  if (ledger.watched[node.value()] == watched) return;
+  ledger.watched[node.value()] = watched;
   // The constructor numbers executors node by node, executors_per_node ids
-  // each, so the node's members of the free-held set are found by reading
-  // its ledger slots directly — no search of the set.
-  assert(node.value() < num_nodes_);
+  // each, so the node's free executors are read from its ledger slots
+  // directly — no search of the free set.
   const auto per_node = static_cast<std::size_t>(config_.executors_per_node);
   const std::size_t first = node.value() * per_node;
   for (std::size_t i = first; i < first + per_node; ++i) {
     const Executor& exec = executors_[i];
-    if (exec.owner == app && !exec.busy) out.push_back(exec.id);
+    if (exec.owner != app || exec.busy) continue;
+    if (watched) {
+      Insert(ledger.free_watched, exec.id.value());
+    } else {
+      Erase(ledger.free_watched, exec.id.value());
+    }
   }
 }
 
+ExecutorId Cluster::next_free_watched(AppId app,
+                                      ExecutorId::value_type from) const {
+  const AppLedger* l = ledger(app);
+  return l == nullptr ? ExecutorId::invalid()
+                      : Successor(l->free_watched, from);
+}
+
+std::size_t Cluster::free_watched_count(AppId app) const {
+  const AppLedger* l = ledger(app);
+  return l == nullptr ? 0 : l->free_watched.size();
+}
+
 bool Cluster::holds_on(AppId app, NodeId node) const {
-  const auto it = owned_on_node_.find(app.value());
-  return it != owned_on_node_.end() &&
-         it->second.find(node.value()) != it->second.end();
+  assert(node.value() < num_nodes_);
+  const std::vector<int>* counts = held_counts(app);
+  return counts != nullptr && (*counts)[node.value()] > 0;
 }
 
 const std::vector<int>* Cluster::held_counts(AppId app) const {
-  const auto it = held_counts_.find(app.value());
-  return it == held_counts_.end() ? nullptr : &it->second;
+  const AppLedger* l = ledger(app);
+  return l == nullptr || l->held_counts.empty() ? nullptr : &l->held_counts;
 }
 
 void Cluster::SaveTo(snap::SnapshotWriter& w) const {
@@ -306,10 +327,7 @@ void Cluster::RestoreFrom(snap::SnapshotReader& r) {
   // index, held/free sets, per-node counts) is rebuilt by the same code
   // that maintains it live.
   node_alive_.assign(num_nodes_, true);
-  owned_ids_.clear();
-  owned_on_node_.clear();
-  held_counts_.clear();
-  free_held_.clear();
+  apps_.clear();
   idle_index_ = core::IdleExecutorIndex(executors_.size(), num_nodes_);
   for (Executor& exec : executors_) {
     exec.owner = AppId::invalid();
@@ -344,15 +362,6 @@ void Cluster::RestoreFrom(snap::SnapshotReader& r) {
         "Cluster idle-index rebuild mismatch: snapshot recorded " +
         std::to_string(idle) + " idle executors, replay produced " +
         std::to_string(idle_index_.count()));
-  }
-}
-
-void Cluster::held_nodes(AppId app, std::vector<NodeId>& out) const {
-  const auto it = owned_on_node_.find(app.value());
-  if (it == owned_on_node_.end()) return;
-  for (const auto& [node, count] : it->second) {
-    assert(count > 0);
-    out.push_back(NodeId(node));
   }
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -99,14 +98,10 @@ class Cluster {
   [[nodiscard]] ExecutorId first_idle_on(NodeId node) const {
     return idle_index_.first_on(node);
   }
-  /// Nodes on which `app` currently holds executors, ascending and unique —
-  /// what a sorted scan of the ownership ledger would produce, maintained
-  /// incrementally.  Appends to `out` (callers pass a cleared scratch).
-  void held_nodes(AppId app, std::vector<NodeId>& out) const;
   /// Executor ids `app` currently holds, ascending (== an id-order ledger
   /// scan filtered on owner).  Appends to `out`.
   void held_executors(AppId app, std::vector<ExecutorId>& out) const;
-  /// True when `app` holds at least one executor on `node`.
+  /// True when `app` holds at least one executor on `node`.  O(1).
   [[nodiscard]] bool holds_on(AppId app, NodeId node) const;
   /// Dense per-node counts of executors `app` holds (index = node id), for
   /// O(1) coverage membership in hot per-task checks; nullptr when the app
@@ -114,8 +109,8 @@ class Cluster {
   /// an app that held and released everything).
   [[nodiscard]] const std::vector<int>* held_counts(AppId app) const;
 
-  /// Flip an executor's busy flag, keeping the owner's free-held set in
-  /// sync.  No-op when the flag already has that value.
+  /// Flip an executor's busy flag, keeping the owner's free-held and
+  /// free-watched sets in sync.  No-op when the flag already has that value.
   void set_busy(ExecutorId id, bool busy);
   /// Executor ids `app` holds that are not busy, ascending (== the held
   /// sweep's survivors of the owner/busy re-check), maintained
@@ -127,22 +122,52 @@ class Cluster {
   /// holds with id >= `from`; invalid when none.  O(log free).
   [[nodiscard]] ExecutorId next_free_held(AppId app,
                                           ExecutorId::value_type from) const;
-  /// The free executors `app` holds on `node`, ascending, appended to
-  /// `out`: the free-held set's members there.  Executor ids are
-  /// contiguous per node, so this costs O(executors_per_node).
-  void free_held_on(AppId app, NodeId node, std::vector<ExecutorId>& out) const;
+
+  /// Mark `node` watched or not by `app`.  The free-watched set is the
+  /// members of `app`'s free-held set on the nodes it watches; an
+  /// application watches the nodes where it has local ready input, so
+  /// its kick finds the executors that can launch there without
+  /// enumerating either side.  O(executors_per_node + free-watched).
+  void set_watched(AppId app, NodeId node, bool watched);
+  /// Successor query on the free-watched set, as next_free_held.
+  [[nodiscard]] ExecutorId next_free_watched(
+      AppId app, ExecutorId::value_type from) const;
+  /// Size of `app`'s free-watched set.  O(1).
+  [[nodiscard]] std::size_t free_watched_count(AppId app) const;
 
   /// Serialize the ownership ledger: node liveness/speeds plus each
   /// executor's {owner, busy}.  Everything else (idle index, held sets,
   /// free sets, per-node counts) is derived, so RestoreFrom rebuilds it by
   /// replaying fail_node/assign/set_busy against a reset ledger and then
-  /// cross-checks the rebuilt idle count against the saved one.
+  /// cross-checks the rebuilt idle count against the saved one.  Watched
+  /// nodes are the applications' state: RestoreFrom clears them, and each
+  /// application's restore watches its nodes again.
   void SaveTo(snap::SnapshotWriter& w) const;
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
-  /// Remove `exec` from its owner's held counters (owner must be valid).
+  /// What the cluster tracks per application, all derived from the
+  /// executors' {owner, busy} flags plus the watched nodes.
+  struct AppLedger {
+    std::vector<ExecutorId::value_type> held;  ///< ascending
+    std::vector<ExecutorId::value_type> free;  ///< held and not busy
+    /// Free on a watched node, ascending.
+    std::vector<ExecutorId::value_type> free_watched;
+    /// Per-node held counts, sized num_nodes_ on the first grant.
+    std::vector<int> held_counts;
+    /// Per-node watched flags, sized num_nodes_ on the first watch.
+    std::vector<bool> watched;
+
+    [[nodiscard]] bool watches(NodeId node) const {
+      return !watched.empty() && watched[node.value()];
+    }
+  };
+
+  [[nodiscard]] const AppLedger* ledger(AppId app) const;
+  /// Remove `exec` from its owner's ledger (owner must be valid).
   void drop_ownership(const Executor& exec);
+  /// `exec`, owned, became free (true) or busy / unowned (false).
+  static void set_free(AppLedger& ledger, const Executor& exec, bool free);
 
   std::size_t num_nodes_;
   WorkerConfig config_;
@@ -150,20 +175,8 @@ class Cluster {
   std::vector<bool> node_alive_;
   std::vector<double> node_speed_;
   core::IdleExecutorIndex idle_index_;
-  /// app -> executor ids held, ascending; entries erased when emptied.
-  std::unordered_map<AppId::value_type, std::vector<ExecutorId::value_type>>
-      owned_ids_;
-  /// app -> (node -> executors held there), node-ordered so held_nodes is
-  /// an in-order walk; inner entries erased when the count hits zero.
-  std::unordered_map<AppId::value_type, std::map<NodeId::value_type, int>>
-      owned_on_node_;
-  /// app -> dense per-node held counts, sized num_nodes_ on first grant and
-  /// never erased (an app that drops to zero keeps its zeroed vector).
-  std::unordered_map<AppId::value_type, std::vector<int>> held_counts_;
-  /// app -> held-and-not-busy executor ids, ascending; entries erased when
-  /// emptied.
-  std::unordered_map<AppId::value_type, std::vector<ExecutorId::value_type>>
-      free_held_;
+  /// app -> its ledger; created on the first grant or watch and kept.
+  std::unordered_map<AppId::value_type, AppLedger> apps_;
 };
 
 }  // namespace custody::cluster

@@ -96,8 +96,9 @@ TEST(Cluster, DiskRateFromConfig) {
 // ---------- incremental ownership / idle bookkeeping ------------------------
 
 // Property: the incrementally-maintained structures (idle index, per-app
-// held-executor lists, per-app per-node counts) must agree with brute-force
-// ledger scans after arbitrary assign/release/fail interleavings.
+// held-executor lists, per-node counts, free-held and free-watched sets)
+// must agree with brute-force ledger scans after arbitrary
+// assign/release/busy/fail/watch interleavings.
 TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
   Rng rng(1337);
   for (int trial = 0; trial < 10; ++trial) {
@@ -107,6 +108,10 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
     Cluster cluster(static_cast<std::size_t>(num_nodes),
                     WorkerConfig{.executors_per_node = per_node});
     const std::size_t num_execs = cluster.num_executors();
+    // The test's own record of which nodes each app watches.
+    std::vector<std::vector<bool>> watched(
+        static_cast<std::size_t>(num_apps),
+        std::vector<bool>(static_cast<std::size_t>(num_nodes), false));
 
     const auto check = [&] {
       // Idle set: count, content and order against the reference scan.
@@ -149,8 +154,13 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
         std::vector<ExecutorId> held;
         cluster.held_executors(app, held);
         ASSERT_EQ(held, held_scan);
+        // Held nodes derive from the dense held counts.
         std::vector<NodeId> nodes;
-        cluster.held_nodes(app, nodes);
+        if (const std::vector<int>* counts = cluster.held_counts(app)) {
+          for (int n = 0; n < num_nodes; ++n) {
+            if ((*counts)[n] > 0) nodes.emplace_back(n);
+          }
+        }
         ASSERT_EQ(nodes, node_scan);
         for (int n = 0; n < num_nodes; ++n) {
           const NodeId node(static_cast<NodeId::value_type>(n));
@@ -167,19 +177,26 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
         cluster.free_held(app, free);
         ASSERT_EQ(free, free_scan);
         ASSERT_EQ(cluster.free_held_count(app), free_scan.size());
-        // Successor queries walk the same set; per-node lookups partition it.
+        // Successor queries walk the same set.
         std::vector<ExecutorId> walked;
         for (ExecutorId e = cluster.next_free_held(app, 0); e.valid();
              e = cluster.next_free_held(app, e.value() + 1)) {
           walked.push_back(e);
         }
         ASSERT_EQ(walked, free_scan);
-        std::vector<ExecutorId> by_node;
-        for (int n = 0; n < num_nodes; ++n) {
-          cluster.free_held_on(app, NodeId(static_cast<NodeId::value_type>(n)),
-                               by_node);
+        // Free-watched set == the free scan's members on watched nodes,
+        // through its count and its successor walk.
+        std::vector<ExecutorId> watched_scan;
+        for (const ExecutorId e : free_scan) {
+          if (watched[a][cluster.node_of(e).value()]) watched_scan.push_back(e);
         }
-        ASSERT_EQ(by_node, free_scan);
+        ASSERT_EQ(cluster.free_watched_count(app), watched_scan.size());
+        std::vector<ExecutorId> watched_walk;
+        for (ExecutorId e = cluster.next_free_watched(app, 0); e.valid();
+             e = cluster.next_free_watched(app, e.value() + 1)) {
+          watched_walk.push_back(e);
+        }
+        ASSERT_EQ(watched_walk, watched_scan);
         // Dense per-node held counts == per-node owner scans (null only
         // before the app's first grant, when every count is zero anyway).
         const std::vector<int>* counts = cluster.held_counts(app);
@@ -195,9 +212,9 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
     };
 
     check();
-    for (int step = 0; step < 60; ++step) {
+    for (int step = 0; step < 120; ++step) {
       const double dice = rng.uniform(0.0, 1.0);
-      if (dice < 0.45) {  // try to assign a random idle executor
+      if (dice < 0.35) {  // try to assign a random idle executor
         const ExecutorId e(static_cast<ExecutorId::value_type>(
             rng.index(num_execs)));
         const Executor& exec = cluster.executor(e);
@@ -205,19 +222,26 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
           cluster.assign(e, AppId(static_cast<AppId::value_type>(
                                 rng.index(num_apps))));
         }
-      } else if (dice < 0.75) {  // try to release a random free held executor
+      } else if (dice < 0.55) {  // try to release a random free held executor
         const ExecutorId e(static_cast<ExecutorId::value_type>(
             rng.index(num_execs)));
         const Executor& exec = cluster.executor(e);
         if (exec.allocated() && !exec.busy) cluster.release(e);
-      } else if (dice < 0.9) {  // flip a held executor's busy flag
+      } else if (dice < 0.7) {  // flip a held executor's busy flag
         const ExecutorId e(static_cast<ExecutorId::value_type>(
             rng.index(num_execs)));
         const Executor& exec = cluster.executor(e);
         if (exec.allocated()) cluster.set_busy(e, !exec.busy);
-      } else if (dice < 0.95) {  // rare: kill a node
+      } else if (dice < 0.73) {  // rare: kill a node
         cluster.fail_node(NodeId(static_cast<NodeId::value_type>(
             rng.index(num_nodes))));
+      } else {  // set or clear a random app's watch on a random node
+        const std::size_t a = rng.index(num_apps);
+        const std::size_t n = rng.index(num_nodes);
+        const bool watch = rng.index(2) == 0;
+        cluster.set_watched(AppId(static_cast<AppId::value_type>(a)),
+                            NodeId(static_cast<NodeId::value_type>(n)), watch);
+        watched[a][n] = watch;
       }
       check();
     }

@@ -8,13 +8,14 @@
 // (node failover), cache inserts, LRU evictions and cache loss — and
 // notifies the index exactly the way Application's listeners do.  After
 // every step each query is compared with a recompute over the test's own
-// task table and the live locations.
+// task table and the live locations, and the index's node listener calls,
+// replayed onto the previous step's local-ready node set, must be real
+// joins and leaves that yield the recomputed set.
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +48,16 @@ class ReadyIndexChurn {
     // Registered like Application does: after the cache subscribed to the
     // Dfs, so the cache's merged view is current when the index hears.
     index_.set_cache(&cache_);
+    index_.set_listener([this](NodeId node, bool joined) {
+      // A join of a node already in the set, or a leave of one outside
+      // it, is not a transition.
+      if (joined != (listened_.count(node) == 0)) ++false_transitions_;
+      if (joined) {
+        listened_.insert(node);
+      } else {
+        listened_.erase(node);
+      }
+    });
     dfs_listener_ = dfs_.add_replica_listener(
         [this](BlockId block, NodeId node, bool added) {
           if (added) {
@@ -107,21 +118,21 @@ class ReadyIndexChurn {
   /// Every index query against the recompute.
   void verify() const {
     int ready = 0;
-    std::unordered_map<NodeId, int> nodes;
-    std::unordered_map<BlockId, std::map<TaskId, JobId>> blocks;
+    std::map<NodeId, std::size_t> nodes;
+    std::set<BlockId> blocks;
     for (const auto& [job, ids] : jobs_) {
-      std::set<TaskId> inputs;
-      std::set<TaskId> others;
-      for (const TaskId id : ids) {
+      std::vector<TaskId> inputs;
+      std::vector<TaskId> others;
+      for (const TaskId id : ids) {  // ascending
         const Task& t = tasks_.at(id);
         if (t.state != TaskState::kReady) continue;
         ++ready;
         if (!t.is_input()) {
-          others.insert(id);
+          others.push_back(id);
           continue;
         }
-        inputs.insert(id);
-        blocks[t.block].emplace(id, job);
+        inputs.push_back(id);
+        blocks.insert(t.block);
       }
       ASSERT_EQ(index_.ready_inputs(job), inputs) << "job " << job;
       ASSERT_EQ(index_.first_ready_input(job), First(inputs)) << "job " << job;
@@ -142,13 +153,24 @@ class ReadyIndexChurn {
       }
     }
     ASSERT_EQ(index_.ready_count(), ready);
-    ASSERT_EQ(index_.local_ready_nodes(), nodes);
+    std::set<NodeId> local_ready;
     for (NodeId::value_type n = 0; n <= kNodes; ++n) {
-      ASSERT_EQ(index_.any_local_ready_input(NodeId(n)),
-                nodes.count(NodeId(n)) > 0)
+      const auto it = nodes.find(NodeId(n));
+      const std::size_t count = it == nodes.end() ? 0 : it->second;
+      ASSERT_EQ(index_.local_ready_count(NodeId(n)), count) << "node " << n;
+      ASSERT_EQ(index_.any_local_ready_input(NodeId(n)), count > 0)
           << "node " << n;
+      if (count > 0) local_ready.insert(NodeId(n));
     }
-    ASSERT_EQ(index_.ready_blocks(), blocks);
+    ASSERT_EQ(false_transitions_, 0);
+    ASSERT_EQ(listened_, local_ready);
+    std::vector<BlockId> walked;
+    EXPECT_FALSE(index_.any_ready_block([&walked](BlockId block) {
+      walked.push_back(block);
+      return false;
+    }));
+    ASSERT_EQ(walked.size(), blocks.size());  // each block once
+    ASSERT_EQ(std::set<BlockId>(walked.begin(), walked.end()), blocks);
     // Jobs the index has forgotten answer like jobs it never knew.
     for (const JobId job : removed_jobs_) {
       ASSERT_TRUE(index_.ready_inputs(job).empty());
@@ -169,8 +191,8 @@ class ReadyIndexChurn {
     return config;
   }
 
-  static TaskId First(const std::set<TaskId>& ids) {
-    return ids.empty() ? TaskId::invalid() : *ids.begin();
+  static TaskId First(const std::vector<TaskId>& ids) {
+    return ids.empty() ? TaskId::invalid() : ids.front();
   }
 
   [[nodiscard]] bool Local(BlockId block, NodeId node) const {
@@ -302,6 +324,9 @@ class ReadyIndexChurn {
   TaskTable tasks_;
   std::map<JobId, std::vector<TaskId>> jobs_;
   std::vector<JobId> removed_jobs_;
+  /// The local-ready node set as the node listener's calls built it.
+  std::set<NodeId> listened_;
+  int false_transitions_ = 0;
   JobId::value_type next_job_ = 0;
   TaskId::value_type next_task_ = 0;
   int other_kind_kept_ = 0;

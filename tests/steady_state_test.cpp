@@ -298,5 +298,34 @@ TEST(SteadyState, DiurnalRunCompletesAllJobsUnderRetirement) {
   EXPECT_EQ(result.jct.count, result.jobs_completed);
 }
 
+// The kick walk's visits follow launches, not executors held: each visit
+// launches (a primary or a clone), is its kick's first null verdict, or
+// directly follows a launch, so kick_probes <= 2 * launches + kicks.  The
+// standalone run holds every executor, most of them free while jobs wait;
+// the speculation run offers free slots to straggler clones.
+TEST(SteadyState, KickProbesAreBoundedByLaunches) {
+  ExperimentConfig standalone = SteadyConfig(ManagerKind::kStandalone);
+  standalone.num_nodes = 1000;
+  standalone.trace.num_apps = 4;
+  standalone.trace.jobs_per_app = 25;
+  standalone.trace.mean_interarrival = 1.6;
+  standalone.trace.files_per_kind = 32;
+  ExperimentConfig spec = standalone;
+  spec.manager = ManagerKind::kCustody;
+  spec.speculation = true;
+  spec.slow_node_fraction = 0.1;
+  for (const ExperimentConfig& config : {standalone, spec}) {
+    SCOPED_TRACE(config.speculation ? "speculation" : "standalone");
+    const ExperimentResult result = RunExperiment(config);
+    const app::WorkCounters& work = result.app_work;
+    EXPECT_EQ(result.jobs_completed, 100u);
+    EXPECT_GT(work.launches, 0u);
+    EXPECT_LE(work.kick_probes, 2 * work.launches + work.kicks);
+    if (config.speculation) {
+      EXPECT_GT(result.speculative_launches, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace custody::workload

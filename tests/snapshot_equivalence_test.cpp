@@ -144,6 +144,15 @@ void ExpectResultsIdentical(const ExperimentResult& a,
   EXPECT_EQ(a.net_stats.flows_scanned, b.net_stats.flows_scanned);
   EXPECT_EQ(a.net_stats.links_scanned, b.net_stats.links_scanned);
   EXPECT_EQ(a.net_stats.rounds, b.net_stats.rounds);
+  const app::WorkCounters& wa = a.app_work;
+  const app::WorkCounters& wb = b.app_work;
+  EXPECT_EQ(wa.kicks, wb.kicks);
+  EXPECT_EQ(wa.kick_probes, wb.kick_probes);
+  EXPECT_EQ(wa.launches, wb.launches);
+  EXPECT_EQ(wa.release_checks, wb.release_checks);
+  EXPECT_EQ(wa.release_verdicts, wb.release_verdicts);
+  EXPECT_EQ(wa.release_blocks_walked, wb.release_blocks_walked);
+  EXPECT_EQ(wa.free_ids_copied, wb.free_ids_copied);
   EXPECT_EQ(a.net_bytes_delivered, b.net_bytes_delivered);
   EXPECT_EQ(a.cache_insertions, b.cache_insertions);
   EXPECT_EQ(a.cache_hits, b.cache_hits);

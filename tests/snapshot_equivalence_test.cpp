@@ -182,6 +182,9 @@ ExperimentResult RunWithRestore(const SubstrateSnapshot& snapshot,
   }
   LiveRun second(snapshot, manager);
   second.restore(bytes);
+  // The restore reproduces the saved state exactly: saving it again, before
+  // any event, yields the very same bytes.
+  EXPECT_TRUE(second.save() == bytes) << "re-save after restore differs";
   second.run();
   return second.collect();
 }
@@ -255,6 +258,7 @@ TEST(SnapshotEquivalence, SaveAtConstructionRoundTrips) {
   }
   LiveRun second(snapshot, ManagerKind::kCustody);
   second.restore(bytes);
+  EXPECT_TRUE(second.save() == bytes) << "re-save after restore differs";
   second.run();
   ExpectResultsIdentical(second.collect(), straight);
 }
@@ -765,6 +769,151 @@ TEST_F(ForgedSubmissions, RejectsTimeBeforeTheSnapshot) {
   ForgedSubs f = Saved();
   f.head().clock = kSavedAt - 1.0;
   ExpectRejected(f, "precedes the snapshot time");
+}
+
+// ---------------------------------------------------------------------------
+// Section digests: the snapshot layout, pinned
+// ---------------------------------------------------------------------------
+
+// The sections of a LiveRun snapshot, in file order.
+constexpr const char* kSectionTags[] = {"SIM ", "IDS ", "DFS ", "CACH",
+                                        "NET ", "CLUS", "MGR ", "APPS",
+                                        "METR", "SUBS", "FAIL"};
+constexpr std::size_t kSectionCount = std::size(kSectionTags);
+
+/// Sections whose payload holds wall-clock diagnostics, so two identical
+/// runs disagree in them: the network's solve wall time for every manager,
+/// and Custody's round wall times (its manager stats and the metrics'
+/// round-wall stream).
+bool HoldsWallClock(ManagerKind manager, const std::string& tag) {
+  if (tag == "NET ") return true;
+  return manager == ManagerKind::kCustody && (tag == "MGR " || tag == "METR");
+}
+
+/// Each section's tag and the FNV-1a digest of its payload (the bytes after
+/// the 4-char tag and u64 length), in file order.  The header is excluded:
+/// it holds the config hash, which pins the config, not the layout.
+std::vector<std::pair<std::string, std::uint64_t>> SectionDigests(
+    const std::vector<std::uint8_t>& file) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  const std::size_t payload_end = file.size() - kFooterBytes;
+  std::size_t at = kHeaderBytes;
+  while (at < payload_end) {
+    std::uint64_t length = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      length |= std::uint64_t{file[at + 4 + i]} << (8 * i);
+    }
+    const std::size_t body = at + kSectionHeadBytes;
+    out.emplace_back(std::string(file.begin() + static_cast<long>(at),
+                                 file.begin() + static_cast<long>(at + 4)),
+                     snap::Fnv1a(file.data() + body,
+                                 static_cast<std::size_t>(length)));
+    at = body + static_cast<std::size_t>(length);
+  }
+  return out;
+}
+
+/// The digests of one snapshot, in kSectionTags order; a section that
+/// HoldsWallClock is not compared (its entry is 0).
+struct LayoutPin {
+  ManagerKind manager;
+  SimTime at;
+  std::uint64_t digests[kSectionCount];
+};
+
+// BaseConfig(manager, 2300) saved at each snapshot point.  A change to any
+// layer's snapshot layout, or to the state a run holds at these points,
+// moves a digest here: a layout change must bump snap::kFormatVersion, and
+// a behaviour change also moves the golden result digests.
+constexpr LayoutPin kLayoutPins[] = {
+    {ManagerKind::kCustody, 5.0,
+     {0x8a882b086660b3e0, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
+      0x6628a22077df04a8, 0, 0xbdae87024e3b990e,
+      0, 0xf08afc87dde43cea, 0,
+      0x60ab56434be51846, 0xf2c2db1442177f1f}},
+    {ManagerKind::kCustody, 14.0,
+     {0x1861c509b6efcfb6, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
+      0x6628a22077df04a8, 0, 0x73592ebeea4546b5,
+      0, 0xefcc3ecafe94518e, 0,
+      0x5a99de35379cd9e, 0x22310996537864a5}},
+    {ManagerKind::kCustody, 30.0,
+     {0xa561537136a08321, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
+      0xa0bc15ef345132ec, 0, 0xd670672a9d4b368,
+      0, 0xbc7a585cadcb27b4, 0,
+      0xfe78a04b4951c413, 0x21ccf80c66a673ff}},
+    {ManagerKind::kStandalone, 5.0,
+     {0x5a4ff058dbde03c0, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
+      0x4006a5c2383cbd7e, 0, 0x1af41f903d82523,
+      0x41be4d2ebf8d6672, 0x718e5e0e5b2554d0, 0xeec81704d4d5929f,
+      0xd619028566440391, 0xf2c2db1442177f1f}},
+    {ManagerKind::kStandalone, 14.0,
+     {0x714827c278feb528, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
+      0x7bd9f5addef3a387, 0, 0x248961727ce34987,
+      0x41be4d2ebf8d6672, 0x9a6135bd82e7677f, 0xf0e9adb543307f9a,
+      0xa08f81108a264043, 0x22310996537864a5}},
+    {ManagerKind::kStandalone, 30.0,
+     {0xbe65bdc01e7b49c7, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
+      0x48b59c4a1cea04f3, 0, 0x6124d31a4e3cd3c1,
+      0x41be4d2ebf8d6672, 0xb4624c2b7223a6bd, 0x698f3752b5dafde9,
+      0x3e3fcce07264ec16, 0x21ccf80c66a673ff}},
+    {ManagerKind::kPool, 5.0,
+     {0x723706b4868c4c8a, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
+      0xf0e7357025b97972, 0, 0xcde380d53079f49f,
+      0xc5152ab6c559b3ba, 0xc7c66f7e97ff44dc, 0x41d7d5195f8aaa74,
+      0xe66c91f4b74f6181, 0xf2c2db1442177f1f}},
+    {ManagerKind::kPool, 14.0,
+     {0x4d8bcd2bbf833202, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
+      0x2e5c1c3d290b7d77, 0, 0xe384df59ac8db885,
+      0xbe47d1d8b2078bec, 0xd7d66ce6ec868b9, 0x90fac6de53c2dc7f,
+      0x9865b958e1a0914b, 0x22310996537864a5}},
+    {ManagerKind::kPool, 30.0,
+     {0x9779cb2638197e2e, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
+      0xc5a0a63cbc4acc03, 0, 0x47180b7a02ec3895,
+      0x72f997de95e89195, 0x8b7f8806f0df9b2f, 0xb014fc393037b012,
+      0x59e1e43e4f0552b9, 0x21ccf80c66a673ff}},
+    {ManagerKind::kOffer, 5.0,
+     {0xbcc35b60455ef6ae, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
+      0x560ecb0b6b61a09e, 0, 0xd3e79fca68fe467,
+      0xf79b628d2abe4bd3, 0xe06b01d39771f48c, 0x9cfa15e2a0710366,
+      0x9823747350656f4f, 0xf2c2db1442177f1f}},
+    {ManagerKind::kOffer, 14.0,
+     {0x20d8cd9c93bb507a, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
+      0xdfbb9fa3b8889b43, 0, 0xc7bafa6dc07ca2a7,
+      0xb1394a504a639f90, 0xe536c205e9907006, 0xecf158bf481d47bc,
+      0xe5027f04b16311be, 0x22310996537864a5}},
+    {ManagerKind::kOffer, 30.0,
+     {0x54aab2970979cbbf, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
+      0xc893aed35a3af132, 0, 0x551b46ab3a1fddd0,
+      0x5ea64b526a65023b, 0x575378f690fa77f0, 0x86f2a0e48198abc0,
+      0xef17668166a4405, 0x21ccf80c66a673ff}},
+};
+
+TEST(SnapshotEquivalence, SectionDigestsArePinned) {
+  for (const LayoutPin& pin : kLayoutPins) {
+    const std::string name = std::string(ManagerName(pin.manager)) +
+                             " at t=" + std::to_string(pin.at);
+    SCOPED_TRACE(name);
+    const SubstrateSnapshot snapshot =
+        SubstrateSnapshot::Build(BaseConfig(pin.manager, 2300));
+    LiveRun run(snapshot, pin.manager);
+    run.run_until(pin.at);
+    const auto sections = SectionDigests(run.save());
+    ASSERT_EQ(sections.size(), kSectionCount);
+    std::ostringstream row;
+    row << std::hex;
+    bool matches = true;
+    for (std::size_t i = 0; i < kSectionCount; ++i) {
+      const auto& [tag, digest] = sections[i];
+      ASSERT_EQ(tag, kSectionTags[i]);
+      const bool compared = !HoldsWallClock(pin.manager, tag);
+      row << (i == 0 ? "" : ", ") << "0x" << (compared ? digest : 0);
+      if (compared && digest != pin.digests[i]) {
+        ADD_FAILURE() << "section '" << tag << "' digest moved";
+        matches = false;
+      }
+    }
+    EXPECT_TRUE(matches) << name << " now reads {" << row.str() << "}";
+  }
 }
 
 // Payload corruption with a RECOMPUTED footer checksum sails past the

@@ -7,6 +7,7 @@
 // cluster::AppHandle, which is the entire surface a manager sees.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "app/scheduler.h"
 #include "cluster/cluster.h"
 #include "cluster/manager.h"
-#include "common/pool.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "dfs/cache.h"
@@ -174,9 +174,9 @@ class Application final : public cluster::AppHandle {
   /// the Cluster; flow callbacks are rebuilt from FlowLabels on restore.
   void SaveTo(snap::SnapshotWriter& w) const;
   /// Rebuild from a snapshot taken on an identically-configured app.  Jobs
-  /// are re-created from the pool in id order, pending timers re-armed
-  /// under their original sequence numbers, and the ready-task index
-  /// reconstructed from the restored task states.
+  /// are re-created in id order, pending timers re-armed under their
+  /// original sequence numbers, and the ready-task index reconstructed from
+  /// the restored task states.
   void RestoreFrom(snap::SnapshotReader& r);
   /// Network restore hook: rebuild the completion callback a live flow had
   /// when the snapshot was taken, from the label the flow was started with.
@@ -184,6 +184,10 @@ class Application final : public cluster::AppHandle {
       FlowId flow, const net::FlowLabel& label, NodeId src, NodeId dst);
 
  private:
+  /// The snapshot layout; returns whether the retry event is armed.
+  template <class Self, class Io>
+  static bool Fields(Self& self, Io& io);
+
   Task& task(TaskId id);
   const Task& task(TaskId id) const;
   /// Nullptr for erased tasks (finished jobs) — used by stale callbacks.
@@ -293,16 +297,8 @@ class Application final : public cluster::AppHandle {
 
   int share_ = 0;
   TaskTable tasks_;
-  /// Job storage: jobs live in the chunked pool so steady-state retirement
-  /// recycles their memory instead of churning the heap; the id map's nodes
-  /// come from the same pool.  Declaration order matters — the pool must
-  /// outlive (construct before) the containers drawing from it.
-  PoolResource pool_;
-  ObjectPool<Job> job_pool_{pool_};
-  using JobMap =
-      std::unordered_map<JobId, Job*, std::hash<JobId>, std::equal_to<JobId>,
-                         PoolAllocator<std::pair<const JobId, Job*>>>;
-  JobMap jobs_by_id_{JobMap::allocator_type(pool_)};
+  /// Job storage; a job's address is stable while it is live.
+  std::unordered_map<JobId, std::unique_ptr<Job>> jobs_by_id_;
   std::vector<Job*> active_jobs_;  // submission order (FIFO for scheduling)
   std::uint64_t jobs_submitted_ = 0;
   std::uint64_t jobs_completed_ = 0;

@@ -288,44 +288,57 @@ const std::vector<int>* Cluster::held_counts(AppId app) const {
   return l == nullptr || l->held_counts.empty() ? nullptr : &l->held_counts;
 }
 
-void Cluster::SaveTo(snap::SnapshotWriter& w) const {
-  w.size(num_nodes_);
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    w.b(node_alive_[n]);
-    w.f64(node_speed_[n]);
-  }
-  w.size(executors_.size());
-  for (const Executor& exec : executors_) {
-    w.u32(exec.owner.value());
-    w.b(exec.busy);
-  }
-  w.u64(idle_index_.count());
-}
-
-void Cluster::RestoreFrom(snap::SnapshotReader& r) {
-  const std::size_t nodes = r.size();
-  if (nodes != num_nodes_) {
+template <class Self, class Io>
+void Cluster::Fields(Self& self, Io& io) {
+  std::size_t nodes = self.num_nodes_;
+  io.size(nodes);
+  if (nodes != self.num_nodes_) {
     throw snap::SnapshotError("Cluster node count mismatch: snapshot has " +
                               std::to_string(nodes) + ", cluster has " +
-                              std::to_string(num_nodes_));
+                              std::to_string(self.num_nodes_));
   }
-  std::vector<bool> alive(num_nodes_);
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    alive[n] = r.b();
-    node_speed_[n] = r.f64();
+  for (std::size_t n = 0; n < nodes; ++n) {
+    io.b(self.node_alive_[n]);
+    io.f64(self.node_speed_[n]);
   }
-  const std::size_t execs = r.size();
-  if (execs != executors_.size()) {
+  std::size_t execs = self.executors_.size();
+  io.size(execs);
+  if (execs != self.executors_.size()) {
     throw snap::SnapshotError(
         "Cluster executor count mismatch: snapshot has " +
         std::to_string(execs) + ", cluster has " +
-        std::to_string(executors_.size()));
+        std::to_string(self.executors_.size()));
   }
+  for (auto& exec : self.executors_) {
+    io.u32(exec.owner);
+    io.b(exec.busy);
+    // Only an application's own task makes an executor busy.
+    if (exec.busy && !exec.owner.valid()) {
+      throw snap::SnapshotError("Cluster: executor " +
+                                std::to_string(exec.id.value()) +
+                                " is busy but has no owner");
+    }
+  }
+  if constexpr (Io::kLoading) self.replay_restored_ledger();
+  std::uint64_t idle = self.idle_index_.count();
+  io.u64(idle);
+  if (idle != self.idle_index_.count()) {
+    throw snap::SnapshotError(
+        "Cluster idle-index rebuild mismatch: snapshot recorded " +
+        std::to_string(idle) + " idle executors, replay produced " +
+        std::to_string(self.idle_index_.count()));
+  }
+}
 
-  // Reset the ledger to the post-construction state, then replay the
-  // snapshot through the public mutators so every derived structure (idle
-  // index, held/free sets, per-node counts) is rebuilt by the same code
-  // that maintains it live.
+void Cluster::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
+void Cluster::RestoreFrom(snap::SnapshotReader& r) { Fields(*this, r); }
+
+void Cluster::replay_restored_ledger() {
+  // The replay goes through the public mutators, so every derived structure
+  // (idle index, held/free sets, per-node counts) is rebuilt by the same
+  // code that maintains it live.
+  const std::vector<bool> alive = node_alive_;
+  std::vector<Executor> restored = executors_;
   node_alive_.assign(num_nodes_, true);
   apps_.clear();
   idle_index_ = core::IdleExecutorIndex(executors_.size(), num_nodes_);
@@ -334,34 +347,14 @@ void Cluster::RestoreFrom(snap::SnapshotReader& r) {
     exec.busy = false;
     idle_index_.add(exec.id, exec.node);
   }
-
-  std::vector<AppId> owners(execs);
-  std::vector<bool> busy(execs);
-  for (std::size_t e = 0; e < execs; ++e) {
-    owners[e] = AppId(r.u32());
-    busy[e] = r.b();
-    // Only an application's own task makes an executor busy.
-    if (busy[e] && !owners[e].valid()) {
-      throw snap::SnapshotError("Cluster: executor " + std::to_string(e) +
-                                " is busy but has no owner");
-    }
-  }
   for (std::size_t n = 0; n < num_nodes_; ++n) {
     if (!alive[n]) fail_node(NodeId(static_cast<NodeId::value_type>(n)));
   }
-  for (std::size_t e = 0; e < execs; ++e) {
-    if (owners[e].valid()) assign(executors_[e].id, owners[e]);
+  for (const Executor& exec : restored) {
+    if (exec.owner.valid()) assign(exec.id, exec.owner);
   }
-  for (std::size_t e = 0; e < execs; ++e) {
-    if (busy[e]) set_busy(executors_[e].id, true);
-  }
-
-  const std::uint64_t idle = r.u64();
-  if (idle != idle_index_.count()) {
-    throw snap::SnapshotError(
-        "Cluster idle-index rebuild mismatch: snapshot recorded " +
-        std::to_string(idle) + " idle executors, replay produced " +
-        std::to_string(idle_index_.count()));
+  for (const Executor& exec : restored) {
+    if (exec.busy) set_busy(exec.id, true);
   }
 }
 

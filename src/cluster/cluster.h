@@ -146,6 +146,12 @@ class Cluster {
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+  /// Restore: reset the ledger to the post-construction state, then replay
+  /// the node liveness and executor {owner, busy} just read into it.
+  void replay_restored_ledger();
+
   /// What the cluster tracks per application, all derived from the
   /// executors' {owner, busy} flags plus the watched nodes.
   struct AppLedger {

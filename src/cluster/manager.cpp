@@ -8,35 +8,11 @@
 namespace custody::cluster {
 
 void ClusterManager::SaveTo(snap::SnapshotWriter& w) const {
-  w.u64(stats_.allocation_rounds);
-  w.u64(stats_.executors_granted);
-  w.u64(stats_.executors_released);
-  w.u64(stats_.offers_made);
-  w.u64(stats_.offers_rejected);
-  w.f64(stats_.allocation_wall_seconds);
-  w.f64(stats_.last_round_wall_seconds);
-  w.u64(stats_.executors_scanned);
-  w.u64(stats_.apps_considered);
-  w.u64(stats_.rounds_skipped);
-  w.u64(stats_.demand_apps);
-  w.u64(stats_.demanded_tasks);
-  w.u64(stats_.demands_saturated);
+  Fields(*this, w);
 }
 
 void ClusterManager::RestoreFrom(snap::SnapshotReader& r) {
-  stats_.allocation_rounds = r.u64();
-  stats_.executors_granted = r.u64();
-  stats_.executors_released = r.u64();
-  stats_.offers_made = r.u64();
-  stats_.offers_rejected = r.u64();
-  stats_.allocation_wall_seconds = r.f64();
-  stats_.last_round_wall_seconds = r.f64();
-  stats_.executors_scanned = r.u64();
-  stats_.apps_considered = r.u64();
-  stats_.rounds_skipped = r.u64();
-  stats_.demand_apps = r.u64();
-  stats_.demanded_tasks = r.u64();
-  stats_.demands_saturated = r.u64();
+  Fields(*this, r);
 }
 
 void ClusterManager::release_executor(ExecutorId exec) {

@@ -144,6 +144,25 @@ class ClusterManager {
   virtual void RestoreFrom(snap::SnapshotReader& r);
 
  protected:
+  /// The base field list (the stats counters); a derived manager's own
+  /// field list starts with it.
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io) {
+    auto& s = self.stats_;
+    for (auto* counter : {&s.allocation_rounds, &s.executors_granted,
+                          &s.executors_released, &s.offers_made,
+                          &s.offers_rejected}) {
+      io.u64(*counter);
+    }
+    io.f64(s.allocation_wall_seconds);
+    io.f64(s.last_round_wall_seconds);
+    for (auto* counter : {&s.executors_scanned, &s.apps_considered,
+                          &s.rounds_skipped, &s.demand_apps,
+                          &s.demanded_tasks, &s.demands_saturated}) {
+      io.u64(*counter);
+    }
+  }
+
   /// Assign in the cluster ledger and notify the application.
   void grant(AppHandle& app, ExecutorId exec);
 

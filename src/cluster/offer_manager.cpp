@@ -90,23 +90,22 @@ void OfferManager::schedule_retry() {
   retry_seq_ = sim_.last_event_seq();
 }
 
-void OfferManager::SaveTo(snap::SnapshotWriter& w) const {
-  ClusterManager::SaveTo(w);
-  w.u64(cursor_);
-  w.b(retry_pending_);
-  if (retry_pending_) {
-    w.f64(retry_time_);
-    w.u64(retry_seq_);
+template <class Self, class Io>
+void OfferManager::Fields(Self& self, Io& io) {
+  ClusterManager::Fields(self, io);
+  io.u64(self.cursor_);
+  io.b(self.retry_pending_);
+  if (self.retry_pending_) {
+    io.f64(self.retry_time_);
+    io.u64(self.retry_seq_);
   }
 }
 
+void OfferManager::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
+
 void OfferManager::RestoreFrom(snap::SnapshotReader& r) {
-  ClusterManager::RestoreFrom(r);
-  cursor_ = static_cast<std::size_t>(r.u64());
-  retry_pending_ = r.b();
+  Fields(*this, r);
   if (retry_pending_) {
-    retry_time_ = r.f64();
-    retry_seq_ = r.u64();
     sim_.rearm_detached_at(retry_time_, retry_seq_, [this] {
       retry_pending_ = false;
       offer_round();

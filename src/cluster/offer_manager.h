@@ -41,6 +41,8 @@ class OfferManager final : public ClusterManager {
   void RestoreFrom(snap::SnapshotReader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
   /// Offer every idle executor around the table once.
   void offer_round();
   void schedule_retry();

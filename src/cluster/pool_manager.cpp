@@ -38,19 +38,23 @@ void PoolManager::schedule_round() {
   });
 }
 
+template <class Self, class Io>
+void PoolManager::Fields(Self& self, Io& io) {
+  ClusterManager::Fields(self, io);
+  io.layer(self.rng_);
+}
+
 void PoolManager::SaveTo(snap::SnapshotWriter& w) const {
   if (round_pending_) {
     throw snap::SnapshotError(
         "PoolManager: allocation round pending at snapshot; rounds are "
         "zero-delay posts and must drain before a between-events boundary");
   }
-  ClusterManager::SaveTo(w);
-  rng_.SaveTo(w);
+  Fields(*this, w);
 }
 
 void PoolManager::RestoreFrom(snap::SnapshotReader& r) {
-  ClusterManager::RestoreFrom(r);
-  rng_.RestoreFrom(r);
+  Fields(*this, r);
   round_pending_ = false;
 }
 

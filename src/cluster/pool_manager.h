@@ -39,6 +39,8 @@ class PoolManager final : public ClusterManager {
   void RestoreFrom(snap::SnapshotReader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
   /// Grant random idle executors to every app below its demand-capped pool.
   void distribute();
   void schedule_round();

@@ -67,16 +67,19 @@ void StandaloneManager::on_demand_changed(AppHandle& /*app*/) {
   // Static sharing: the executor set never changes after registration.
 }
 
+template <class Self, class Io>
+void StandaloneManager::Fields(Self& self, Io& io) {
+  ClusterManager::Fields(self, io);
+  io.layer(self.rng_);
+  io.u64(self.next_node_);
+}
+
 void StandaloneManager::SaveTo(snap::SnapshotWriter& w) const {
-  ClusterManager::SaveTo(w);
-  rng_.SaveTo(w);
-  w.u64(next_node_);
+  Fields(*this, w);
 }
 
 void StandaloneManager::RestoreFrom(snap::SnapshotReader& r) {
-  ClusterManager::RestoreFrom(r);
-  rng_.RestoreFrom(r);
-  next_node_ = static_cast<std::size_t>(r.u64());
+  Fields(*this, r);
 }
 
 }  // namespace custody::cluster

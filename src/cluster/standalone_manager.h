@@ -45,6 +45,8 @@ class StandaloneManager final : public ClusterManager {
   void RestoreFrom(snap::SnapshotReader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
   void allocate_spread(AppHandle& app);
   void allocate_random(AppHandle& app);
 

@@ -86,6 +86,9 @@ class Rng {
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   std::mt19937_64 engine_;
   std::uint64_t seed_;
 };

@@ -9,25 +9,20 @@
 
 namespace custody {
 
-void RunningStats::SaveTo(snap::SnapshotWriter& w) const {
+template <class Self, class Io>
+void RunningStats::Fields(Self& self, Io& io) {
   // n_ is a scalar count, not a container length — plain u64, the reader's
   // size() sanity bound does not apply.
-  w.u64(n_);
-  w.f64(mean_);
-  w.f64(m2_);
-  w.f64(min_);
-  w.f64(max_);
-  w.f64(sum_);
+  io.u64(self.n_);
+  io.f64(self.mean_);
+  io.f64(self.m2_);
+  io.f64(self.min_);
+  io.f64(self.max_);
+  io.f64(self.sum_);
 }
 
-void RunningStats::RestoreFrom(snap::SnapshotReader& r) {
-  n_ = static_cast<std::size_t>(r.u64());
-  mean_ = r.f64();
-  m2_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
-  sum_ = r.f64();
-}
+void RunningStats::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
+void RunningStats::RestoreFrom(snap::SnapshotReader& r) { Fields(*this, r); }
 
 void RunningStats::add(double x) {
   if (n_ == 0) {

@@ -34,6 +34,9 @@ class RunningStats {
   void merge(const RunningStats& other);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;

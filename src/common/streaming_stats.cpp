@@ -97,45 +97,43 @@ double StreamingPercentile::value() const {
   return height_[2];
 }
 
-void StreamingPercentile::SaveTo(snap::SnapshotWriter& w) const {
-  w.f64(q_);
-  w.u64(count_);
-  for (std::size_t i = 0; i < kMarkers; ++i) w.f64(height_[i]);
-  for (std::size_t i = 0; i < kMarkers; ++i) w.f64(pos_[i]);
-  for (std::size_t i = 0; i < kMarkers; ++i) w.f64(desired_[i]);
-  for (std::size_t i = 0; i < kMarkers; ++i) w.f64(rate_[i]);
-}
-
-void StreamingPercentile::RestoreFrom(snap::SnapshotReader& r) {
-  const double q = r.f64();
-  if (q != q_) {
+template <class Self, class Io>
+void StreamingPercentile::Fields(Self& self, Io& io) {
+  double q = self.q_;
+  io.f64(q);
+  if (q != self.q_) {
     throw snap::SnapshotError(
         "StreamingPercentile quantile mismatch: snapshot has q=" +
-        std::to_string(q) + ", this bank tracks q=" + std::to_string(q_));
+        std::to_string(q) + ", this bank tracks q=" + std::to_string(self.q_));
   }
-  count_ = static_cast<std::size_t>(r.u64());
-  for (std::size_t i = 0; i < kMarkers; ++i) height_[i] = r.f64();
-  for (std::size_t i = 0; i < kMarkers; ++i) pos_[i] = r.f64();
-  for (std::size_t i = 0; i < kMarkers; ++i) desired_[i] = r.f64();
-  for (std::size_t i = 0; i < kMarkers; ++i) rate_[i] = r.f64();
+  io.u64(self.count_);
+  for (auto* markers :
+       {&self.height_, &self.pos_, &self.desired_, &self.rate_}) {
+    for (auto& marker : *markers) io.f64(marker);
+  }
+}
+
+void StreamingPercentile::SaveTo(snap::SnapshotWriter& w) const {
+  Fields(*this, w);
+}
+void StreamingPercentile::RestoreFrom(snap::SnapshotReader& r) {
+  Fields(*this, r);
+}
+
+template <class Self, class Io>
+void StreamingSummary::Fields(Self& self, Io& io) {
+  io.layer(self.moments_);
+  for (auto* bank :
+       {&self.p25_, &self.p50_, &self.p75_, &self.p95_, &self.p99_}) {
+    io.layer(*bank);
+  }
 }
 
 void StreamingSummary::SaveTo(snap::SnapshotWriter& w) const {
-  moments_.SaveTo(w);
-  p25_.SaveTo(w);
-  p50_.SaveTo(w);
-  p75_.SaveTo(w);
-  p95_.SaveTo(w);
-  p99_.SaveTo(w);
+  Fields(*this, w);
 }
-
 void StreamingSummary::RestoreFrom(snap::SnapshotReader& r) {
-  moments_.RestoreFrom(r);
-  p25_.RestoreFrom(r);
-  p50_.RestoreFrom(r);
-  p75_.RestoreFrom(r);
-  p95_.RestoreFrom(r);
-  p99_.RestoreFrom(r);
+  Fields(*this, r);
 }
 
 StreamingSummary::StreamingSummary()

@@ -42,6 +42,9 @@ class StreamingPercentile {
   static constexpr std::size_t kMarkers = 5;
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   double q_;
   std::size_t count_ = 0;
   double height_[kMarkers] = {};   ///< marker heights (quantile estimates)
@@ -66,6 +69,9 @@ class StreamingSummary {
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   RunningStats moments_;
   StreamingPercentile p25_;
   StreamingPercentile p50_;

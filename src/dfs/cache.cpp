@@ -153,35 +153,14 @@ void BlockCache::fail_node(NodeId node) {
 namespace {
 
 // unordered_map payloads serialized in sorted-key order so snapshot bytes
-// are stable; per-key vector contents stay verbatim.
-void SaveBlockMap(
-    snap::SnapshotWriter& w,
-    const std::unordered_map<BlockId, std::vector<NodeId>>& map) {
-  std::vector<BlockId> keys;
-  keys.reserve(map.size());
-  for (const auto& [block, holders] : map) keys.push_back(block);
-  std::sort(keys.begin(), keys.end());
-  w.size(keys.size());
-  for (BlockId block : keys) {
-    w.u32(block.value());
-    const auto& holders = map.at(block);
-    w.size(holders.size());
-    for (NodeId n : holders) w.u32(n.value());
-  }
-}
-
-// Readers index per-node tables by the restored node ids, so each must be
-// below `num_nodes`; a merged list must also keep its ascending order.
-void RestoreBlockMap(snap::SnapshotReader& r, std::size_t num_nodes,
-                     bool ascending,
-                     std::unordered_map<BlockId, std::vector<NodeId>>& map) {
-  map.clear();
-  const std::size_t keys = r.size();
-  for (std::size_t k = 0; k < keys; ++k) {
-    const BlockId block(r.u32());
-    auto& holders = map[block];
-    holders.assign(r.size(), NodeId());
-    for (NodeId& n : holders) n = NodeId(r.u32());
+// are stable; per-key vector contents stay verbatim.  Readers index
+// per-node tables by the restored node ids, so each must be below
+// `num_nodes`; a merged list must also keep its ascending order.
+template <class Io, class Map>
+void BlockMapFields(Io& io, Map& map, std::size_t num_nodes, bool ascending) {
+  snap::SortedMap(io, map, "BlockCache: repeated block",
+                  [&](BlockId block, auto& holders) {
+    snap::Seq(io, holders, [&io](auto& n) { io.u32(n); });
     if (std::any_of(holders.begin(), holders.end(),
                     [num_nodes](NodeId n) { return n.value() >= num_nodes; }) ||
         (ascending && std::adjacent_find(holders.begin(), holders.end(),
@@ -190,63 +169,56 @@ void RestoreBlockMap(snap::SnapshotReader& r, std::size_t num_nodes,
       throw snap::SnapshotError("BlockCache: bad location list for block " +
                                 std::to_string(block.value()));
     }
-  }
+  });
 }
 
 }  // namespace
 
-void BlockCache::SaveTo(snap::SnapshotWriter& w) const {
-  w.f64(capacity_bytes_);
-  w.size(nodes_.size());
-  for (const NodeCache& cache : nodes_) {
-    w.size(cache.lru.size());
-    for (BlockId block : cache.lru) w.u32(block.value());  // front (MRU) first
-    w.f64(cache.bytes);
-  }
-  SaveBlockMap(w, cached_on_);
-  SaveBlockMap(w, merged_);
-  w.u64(stats_.insertions);
-  w.u64(stats_.evictions);
-  w.u64(stats_.hits);
-  w.u64(stats_.lookups);
-}
-
-void BlockCache::RestoreFrom(snap::SnapshotReader& r) {
-  const double capacity = r.f64();
-  if (capacity != capacity_bytes_) {
+template <class Self, class Io>
+void BlockCache::Fields(Self& self, Io& io) {
+  double capacity = self.capacity_bytes_;
+  io.f64(capacity);
+  if (capacity != self.capacity_bytes_) {
     throw snap::SnapshotError(
         "BlockCache capacity mismatch: snapshot has " +
         std::to_string(capacity) + " bytes/node, this cache has " +
-        std::to_string(capacity_bytes_));
+        std::to_string(self.capacity_bytes_));
   }
-  const std::size_t nodes = r.size();
-  if (nodes != nodes_.size()) {
+  std::size_t nodes = self.nodes_.size();
+  io.size(nodes);
+  if (nodes != self.nodes_.size()) {
     throw snap::SnapshotError("BlockCache node count mismatch: snapshot has " +
                               std::to_string(nodes) + ", this cache has " +
-                              std::to_string(nodes_.size()));
+                              std::to_string(self.nodes_.size()));
   }
+  for (auto& cache : self.nodes_) {
+    // Front (MRU) first.
+    snap::Seq(io, cache.lru, [&io](auto& block) { io.u32(block); });
+    io.f64(cache.bytes);
+  }
+  BlockMapFields(io, self.cached_on_, nodes, /*ascending=*/false);
+  BlockMapFields(io, self.merged_, nodes, /*ascending=*/true);
+  io.u64(self.stats_.insertions);
+  io.u64(self.stats_.evictions);
+  io.u64(self.stats_.hits);
+  io.u64(self.stats_.lookups);
+}
+
+void BlockCache::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
+
+void BlockCache::RestoreFrom(snap::SnapshotReader& r) {
+  Fields(*this, r);
   for (NodeCache& cache : nodes_) {
-    cache.lru.clear();
     cache.index.clear();
-    const std::size_t held = r.size();
-    for (std::size_t i = 0; i < held; ++i) {
-      const BlockId block(r.u32());
-      if (!dfs_.namenode().has_block(block) || cache.index.count(block) > 0) {
+    for (auto it = cache.lru.begin(); it != cache.lru.end(); ++it) {
+      if (!dfs_.namenode().has_block(*it) ||
+          !cache.index.emplace(*it, it).second) {
         throw snap::SnapshotError("BlockCache: unknown or repeated block " +
-                                  std::to_string(block.value()) +
+                                  std::to_string(it->value()) +
                                   " in a node's LRU list");
       }
-      cache.lru.push_back(block);
-      cache.index[block] = std::prev(cache.lru.end());
     }
-    cache.bytes = r.f64();
   }
-  RestoreBlockMap(r, nodes_.size(), /*ascending=*/false, cached_on_);
-  RestoreBlockMap(r, nodes_.size(), /*ascending=*/true, merged_);
-  stats_.insertions = r.u64();
-  stats_.evictions = r.u64();
-  stats_.hits = r.u64();
-  stats_.lookups = r.u64();
 }
 
 BlockCache::ListenerId BlockCache::add_change_listener(ChangeListener fn) {

@@ -111,6 +111,9 @@ class BlockCache {
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   struct NodeCache {
     std::list<BlockId> lru;  ///< front = most recently used
     std::unordered_map<BlockId, std::list<BlockId>::iterator> index;

@@ -131,24 +131,22 @@ void Dfs::fail_node(NodeId node, const std::vector<NodeId>& live_nodes) {
   }
 }
 
-void Dfs::SaveTo(snap::SnapshotWriter& w) const {
-  rng_.SaveTo(w);
-  w.size(node_bytes_.size());
-  for (double b : node_bytes_) w.f64(b);
-  namenode_.SaveTo(w);
-}
-
-void Dfs::RestoreFrom(snap::SnapshotReader& r) {
-  rng_.RestoreFrom(r);
-  const std::size_t nodes = r.size();
-  if (nodes != node_bytes_.size()) {
+template <class Self, class Io>
+void Dfs::Fields(Self& self, Io& io) {
+  io.layer(self.rng_);
+  std::size_t nodes = self.node_bytes_.size();
+  io.size(nodes);
+  if (nodes != self.node_bytes_.size()) {
     throw snap::SnapshotError("Dfs node count mismatch: snapshot has " +
                               std::to_string(nodes) + ", this dfs has " +
-                              std::to_string(node_bytes_.size()));
+                              std::to_string(self.node_bytes_.size()));
   }
-  for (double& b : node_bytes_) b = r.f64();
-  namenode_.RestoreFrom(r, config_.num_nodes);
+  for (auto& bytes : self.node_bytes_) io.f64(bytes);
+  io.layer(self.namenode_, self.config_.num_nodes);
 }
+
+void Dfs::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
+void Dfs::RestoreFrom(snap::SnapshotReader& r) { Fields(*this, r); }
 
 void Dfs::boost_replication(FileId file, int extra) {
   if (extra <= 0) return;

@@ -100,6 +100,8 @@ class Dfs final : public PlacementView {
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
   void place_block(const BlockInfo& block, int replicas);
   void notify(BlockId block, NodeId node, bool added);
 

@@ -70,6 +70,9 @@ class NameNode {
   void RestoreFrom(snap::SnapshotReader& r, std::size_t num_nodes);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   std::unordered_map<FileId, FileInfo> files_;
   std::unordered_map<std::string, FileId> by_path_;
   std::unordered_map<BlockId, BlockInfo> blocks_;

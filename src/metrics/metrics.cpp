@@ -167,160 +167,85 @@ double MetricsCollector::round_yield_fraction() const {
                    static_cast<double>(rounds_recorded_);
 }
 
-void MetricsCollector::SaveTo(snap::SnapshotWriter& w) const {
-  w.b(streaming_);
-  w.f64(warmup_);
-
-  w.size(tasks_.size());
-  for (const TaskRecord& t : tasks_) {
-    w.u32(t.app.value());
-    w.u32(t.job.value());
-    w.i64(t.stage);
-    w.b(t.is_input);
-    w.b(t.local);
-    w.f64(t.ready_time);
-    w.f64(t.launch_time);
-    w.f64(t.finish_time);
-  }
-  w.size(jobs_.size());
-  for (const JobRecord& j : jobs_) {
-    w.u32(j.app.value());
-    w.u32(j.job.value());
-    w.f64(j.submit_time);
-    w.f64(j.input_stage_finish);
-    w.f64(j.finish_time);
-    w.i64(j.input_tasks);
-    w.i64(j.local_input_tasks);
-  }
-  w.size(rounds_.size());
-  for (const AllocationRoundRecord& r : rounds_) {
-    w.f64(r.when);
-    w.f64(r.wall_seconds);
-    w.u64(r.idle_executors);
-    w.u64(r.grants);
-    w.u64(r.apps_active);
-    w.u64(r.executors_scanned);
-    w.u64(r.demand_apps);
-    w.u64(r.demanded_tasks);
-    w.b(r.skipped);
-  }
-
-  locality_stream_.SaveTo(w);
-  jct_stream_.SaveTo(w);
-  input_stage_stream_.SaveTo(w);
-  sched_delay_stream_.SaveTo(w);
-  round_wall_stream_.SaveTo(w);
-
-  w.f64(makespan_);
-  w.u64(jobs_recorded_);
-  w.u64(perfectly_local_jobs_);
-  w.u64(input_tasks_total_);
-  w.u64(input_tasks_local_);
-  w.u64(rounds_recorded_);
-  w.u64(productive_rounds_);
-  w.u64(executors_scanned_total_);
-  w.u64(grants_total_);
-  w.u64(rounds_skipped_total_);
-  w.u64(demanded_tasks_total_);
-  w.size(app_local_jobs_.size());
-  for (std::uint64_t v : app_local_jobs_) w.u64(v);
-  w.size(app_total_jobs_.size());
-  for (std::uint64_t v : app_total_jobs_) w.u64(v);
-
-  w.u64(network_.recomputes_requested);
-  w.u64(network_.recomputes_run);
-  w.u64(network_.recomputes_batched);
-  w.u64(network_.flows_scanned);
-  w.u64(network_.links_scanned);
-  w.u64(network_.rounds);
-  w.u64(network_.components_total);
-  w.u64(network_.components_dirty);
-  w.u64(network_.rates_changed);
-  w.u64(network_.completion_rescans);
-  w.f64(network_.wall_seconds);
-}
-
-void MetricsCollector::RestoreFrom(snap::SnapshotReader& r) {
-  const bool streaming = r.b();
-  if (streaming != streaming_) {
+template <class Self, class Io>
+void MetricsCollector::Fields(Self& self, Io& io) {
+  bool streaming = self.streaming_;
+  io.b(streaming);
+  if (streaming != self.streaming_) {
     throw snap::SnapshotError(
         "MetricsCollector mode mismatch: snapshot was taken in " +
         std::string(streaming ? "streaming" : "exact") +
         " mode but this collector is in " +
-        std::string(streaming_ ? "streaming" : "exact") + " mode");
+        std::string(self.streaming_ ? "streaming" : "exact") + " mode");
   }
-  warmup_ = r.f64();
+  io.f64(self.warmup_);
 
-  tasks_.clear();
-  tasks_.resize(r.size());
-  for (TaskRecord& t : tasks_) {
-    t.app = AppId(r.u32());
-    t.job = JobId(r.u32());
-    t.stage = static_cast<int>(r.i64());
-    t.is_input = r.b();
-    t.local = r.b();
-    t.ready_time = r.f64();
-    t.launch_time = r.f64();
-    t.finish_time = r.f64();
+  snap::Seq(io, self.tasks_, [&io](auto& t) {
+    io.u32(t.app);
+    io.u32(t.job);
+    io.i64(t.stage);
+    io.b(t.is_input);
+    io.b(t.local);
+    io.f64(t.ready_time);
+    io.f64(t.launch_time);
+    io.f64(t.finish_time);
+  });
+  snap::Seq(io, self.jobs_, [&io](auto& j) {
+    io.u32(j.app);
+    io.u32(j.job);
+    io.f64(j.submit_time);
+    io.f64(j.input_stage_finish);
+    io.f64(j.finish_time);
+    io.i64(j.input_tasks);
+    io.i64(j.local_input_tasks);
+  });
+  snap::Seq(io, self.rounds_, [&io](auto& r) {
+    io.f64(r.when);
+    io.f64(r.wall_seconds);
+    for (auto* count : {&r.idle_executors, &r.grants, &r.apps_active,
+                        &r.executors_scanned, &r.demand_apps,
+                        &r.demanded_tasks}) {
+      io.u64(*count);
+    }
+    io.b(r.skipped);
+  });
+
+  for (auto* stream : {&self.locality_stream_, &self.jct_stream_,
+                       &self.input_stage_stream_, &self.sched_delay_stream_,
+                       &self.round_wall_stream_}) {
+    io.layer(*stream);
   }
-  jobs_.clear();
-  jobs_.resize(r.size());
-  for (JobRecord& j : jobs_) {
-    j.app = AppId(r.u32());
-    j.job = JobId(r.u32());
-    j.submit_time = r.f64();
-    j.input_stage_finish = r.f64();
-    j.finish_time = r.f64();
-    j.input_tasks = static_cast<int>(r.i64());
-    j.local_input_tasks = static_cast<int>(r.i64());
+
+  io.f64(self.makespan_);
+  for (auto* count :
+       {&self.jobs_recorded_, &self.perfectly_local_jobs_,
+        &self.input_tasks_total_, &self.input_tasks_local_,
+        &self.rounds_recorded_, &self.productive_rounds_,
+        &self.executors_scanned_total_, &self.grants_total_,
+        &self.rounds_skipped_total_, &self.demanded_tasks_total_}) {
+    io.u64(*count);
   }
-  rounds_.clear();
-  rounds_.resize(r.size());
-  for (AllocationRoundRecord& rec : rounds_) {
-    rec.when = r.f64();
-    rec.wall_seconds = r.f64();
-    rec.idle_executors = r.u64();
-    rec.grants = r.u64();
-    rec.apps_active = r.u64();
-    rec.executors_scanned = r.u64();
-    rec.demand_apps = r.u64();
-    rec.demanded_tasks = r.u64();
-    rec.skipped = r.b();
+  for (auto* per_app : {&self.app_local_jobs_, &self.app_total_jobs_}) {
+    snap::Seq(io, *per_app, [&io](auto& v) { io.u64(v); });
   }
 
-  locality_stream_.RestoreFrom(r);
-  jct_stream_.RestoreFrom(r);
-  input_stage_stream_.RestoreFrom(r);
-  sched_delay_stream_.RestoreFrom(r);
-  round_wall_stream_.RestoreFrom(r);
+  auto& net = self.network_;
+  for (auto* count :
+       {&net.recomputes_requested, &net.recomputes_run,
+        &net.recomputes_batched, &net.flows_scanned, &net.links_scanned,
+        &net.rounds, &net.components_total, &net.components_dirty,
+        &net.rates_changed, &net.completion_rescans}) {
+    io.u64(*count);
+  }
+  io.f64(net.wall_seconds);
+}
 
-  makespan_ = r.f64();
-  jobs_recorded_ = r.u64();
-  perfectly_local_jobs_ = r.u64();
-  input_tasks_total_ = r.u64();
-  input_tasks_local_ = r.u64();
-  rounds_recorded_ = r.u64();
-  productive_rounds_ = r.u64();
-  executors_scanned_total_ = r.u64();
-  grants_total_ = r.u64();
-  rounds_skipped_total_ = r.u64();
-  demanded_tasks_total_ = r.u64();
-  app_local_jobs_.assign(r.size(), 0);
-  for (std::uint64_t& v : app_local_jobs_) v = r.u64();
-  app_total_jobs_.assign(r.size(), 0);
-  for (std::uint64_t& v : app_total_jobs_) v = r.u64();
+void MetricsCollector::SaveTo(snap::SnapshotWriter& w) const {
+  Fields(*this, w);
+}
 
-  network_.recomputes_requested = r.u64();
-  network_.recomputes_run = r.u64();
-  network_.recomputes_batched = r.u64();
-  network_.flows_scanned = r.u64();
-  network_.links_scanned = r.u64();
-  network_.rounds = r.u64();
-  network_.components_total = r.u64();
-  network_.components_dirty = r.u64();
-  network_.rates_changed = r.u64();
-  network_.completion_rescans = r.u64();
-  network_.wall_seconds = r.f64();
+void MetricsCollector::RestoreFrom(snap::SnapshotReader& r) {
+  Fields(*this, r);
 }
 
 }  // namespace custody::metrics

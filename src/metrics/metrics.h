@@ -213,6 +213,9 @@ class MetricsCollector {
   void RestoreFrom(snap::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   bool streaming_ = false;
   SimTime warmup_ = 0.0;
 

@@ -228,39 +228,42 @@ std::uint32_t MaxMinFairSolver::component_of_slot(std::size_t slot) const {
   return kNoComponent;
 }
 
-void MaxMinFairSolver::SaveTo(snap::SnapshotWriter& w) const {
-  w.size(flows_.size());
-  w.size(link_flows_.size());
-  for (const auto& list : link_flows_) {
-    w.size(list.size());
-    for (std::uint32_t slot : list) w.u32(slot);
-  }
-}
-
-void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
-  const std::size_t num_flows = r.size();
-  const std::size_t num_links = r.size();
-  if (num_links != capacity_.size()) {
+template <class Self, class Io>
+void MaxMinFairSolver::Fields(Self& self, Io& io) {
+  std::size_t num_flows = self.flows_.size();
+  std::size_t num_links = self.link_flows_.size();
+  io.size(num_flows);
+  io.size(num_links);
+  if (num_links != self.capacity_.size()) {
     throw snap::SnapshotError(
         "MaxMinFairSolver link count mismatch: snapshot has " +
         std::to_string(num_links) + ", solver has " +
-        std::to_string(capacity_.size()));
+        std::to_string(self.capacity_.size()));
   }
-  link_flows_.assign(num_links, {});
-  flows_.assign(num_flows, {});
-  live_slots_.clear();
-  for (std::size_t l = 0; l < num_links; ++l) {
-    auto& list = link_flows_[l];
-    list.assign(r.size(), 0);
-    for (std::uint32_t& slot : list) {
-      slot = r.u32();
+  if constexpr (Io::kLoading) {
+    self.link_flows_.assign(num_links, {});
+    self.flows_.assign(num_flows, {});
+  }
+  for (auto& list : self.link_flows_) {
+    snap::Seq(io, list, [&](auto& slot) {
+      io.u32(slot);
       if (slot >= num_flows) {
         throw snap::SnapshotError(
             "MaxMinFairSolver: link list names slot " + std::to_string(slot) +
             " past the flow table (" + std::to_string(num_flows) + ")");
       }
-    }
+    });
   }
+}
+
+void MaxMinFairSolver::SaveTo(snap::SnapshotWriter& w) const {
+  Fields(*this, w);
+}
+
+void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
+  Fields(*this, r);
+  const std::size_t num_links = link_flows_.size();
+  live_slots_.clear();
   // Rebuild each flow's incidence entries by walking links in ascending
   // index order — uplinks < downlinks < core in the Network's layout, which
   // is exactly the order add_flow recorded them in.

@@ -169,6 +169,9 @@ class MaxMinFairSolver {
   };
 
  private:
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
+
   struct FlowEntry {
     std::uint32_t link[kMaxLinksPerFlow] = {0, 0, 0};
     /// Position of this flow inside link_flows_[link[i]].

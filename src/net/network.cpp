@@ -415,83 +415,77 @@ void Network::arm_completion_event() {
   completion_seq_ = sim_.last_event_seq();
 }
 
+template <class Self, class Io>
+bool Network::Fields(Self& self, Io& io) {
+  // Dead slots carry no state beyond the free list.
+  snap::Seq(io, self.slots_, [&io](auto& f) {
+    io.b(f.live);
+    if (!f.live) return;
+    io.u32(f.src);
+    io.u32(f.dst);
+    io.f64(f.remaining);
+    io.f64(f.rate);
+    io.u32(f.label.kind);
+    io.u32(f.label.a);
+    io.u32(f.label.b);
+    io.u64(f.label.c);
+    io.u32(f.id);
+    io.u32(f.prev);
+    io.u32(f.next);
+  });
+  snap::Seq(io, self.free_slots_, [&io](auto& s) { io.u32(s); });
+  io.u32(self.head_);
+  io.u32(self.tail_);
+  io.u64(self.live_count_);
+  io.u32(self.next_flow_);
+  io.f64(self.bytes_delivered_);
+  io.f64(self.last_update_);
+  auto& stats = self.stats_;
+  for (auto* counter :
+       {&stats.recomputes_requested, &stats.recomputes_run,
+        &stats.flows_scanned, &stats.links_scanned, &stats.rounds,
+        &stats.components_total, &stats.components_dirty,
+        &stats.rates_changed, &stats.completion_rescans}) {
+    io.u64(*counter);
+  }
+  io.f64(stats.wall_seconds);
+  bool pending =
+      self.completion_event_.valid() && !self.completion_event_.cancelled();
+  io.b(pending);
+  if (pending) {
+    io.f64(self.completion_time_);
+    io.u64(self.completion_seq_);
+  }
+  io.layer(self.solver_);
+  return pending;
+}
+
 void Network::SaveTo(snap::SnapshotWriter& w) const {
   if (dirty_) {
     throw snap::SnapshotError(
         "Network: rates are dirty at the snapshot point; snapshots must be "
         "taken between events, after the post-event flush");
   }
-  w.size(slots_.size());
   for (const Slot& f : slots_) {
-    w.b(f.live);
-    if (!f.live) continue;  // dead slots carry no state beyond the free list
-    if (!f.label.labeled()) {
+    if (f.live && !f.label.labeled()) {
       throw snap::SnapshotError(
           "Network: live flow " + std::to_string(f.id.value()) +
           " has no FlowLabel — its completion callback cannot be rebuilt");
     }
-    w.u32(f.src.value());
-    w.u32(f.dst.value());
-    w.f64(f.remaining);
-    w.f64(f.rate);
-    w.u32(f.label.kind);
-    w.u32(f.label.a);
-    w.u32(f.label.b);
-    w.u64(f.label.c);
-    w.u32(f.id.value());
-    w.u32(f.prev);
-    w.u32(f.next);
   }
-  w.size(free_slots_.size());
-  for (std::uint32_t s : free_slots_) w.u32(s);
-  w.u32(head_);
-  w.u32(tail_);
-  w.u64(live_count_);
-  w.u32(next_flow_);
-  w.f64(bytes_delivered_);
-  w.f64(last_update_);
-  w.u64(stats_.recomputes_requested);
-  w.u64(stats_.recomputes_run);
-  w.u64(stats_.flows_scanned);
-  w.u64(stats_.links_scanned);
-  w.u64(stats_.rounds);
-  w.u64(stats_.components_total);
-  w.u64(stats_.components_dirty);
-  w.u64(stats_.rates_changed);
-  w.u64(stats_.completion_rescans);
-  w.f64(stats_.wall_seconds);
-  const bool pending =
-      completion_event_.valid() && !completion_event_.cancelled();
-  w.b(pending);
-  if (pending) {
-    w.f64(completion_time_);
-    w.u64(completion_seq_);
-  }
-  solver_.SaveTo(w);
+  Fields(*this, w);
 }
 
 void Network::RestoreFrom(snap::SnapshotReader& r,
                           const CompletionResolver& resolve) {
-  const std::size_t num_slots = r.size();
-  slots_.assign(num_slots, Slot{});
+  const bool pending = Fields(*this, r);
+  dirty_ = false;
   slot_of_.clear();
   std::size_t live_slots = 0;
-  for (std::uint32_t s = 0; s < num_slots; ++s) {
+  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
     Slot& f = slots_[s];
-    f.live = r.b();
     if (!f.live) continue;
     ++live_slots;
-    f.src = NodeId(r.u32());
-    f.dst = NodeId(r.u32());
-    f.remaining = r.f64();
-    f.rate = r.f64();
-    f.label.kind = r.u32();
-    f.label.a = r.u32();
-    f.label.b = r.u32();
-    f.label.c = r.u64();
-    f.id = FlowId(r.u32());
-    f.prev = r.u32();
-    f.next = r.u32();
     if (f.src.value() >= config_.num_nodes ||
         f.dst.value() >= config_.num_nodes) {
       throw snap::SnapshotError(
@@ -500,32 +494,7 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
     f.on_complete = resolve(f.id, f.label, f.src, f.dst);
     slot_of_.emplace(f.id, s);
   }
-  free_slots_.assign(r.size(), 0);
-  for (std::uint32_t& s : free_slots_) s = r.u32();
-  head_ = r.u32();
-  tail_ = r.u32();
-  live_count_ = static_cast<std::size_t>(r.u64());
   validate_restored_lists(live_slots);
-  next_flow_ = r.u32();
-  bytes_delivered_ = r.f64();
-  last_update_ = r.f64();
-  stats_.recomputes_requested = r.u64();
-  stats_.recomputes_run = r.u64();
-  stats_.flows_scanned = r.u64();
-  stats_.links_scanned = r.u64();
-  stats_.rounds = r.u64();
-  stats_.components_total = r.u64();
-  stats_.components_dirty = r.u64();
-  stats_.rates_changed = r.u64();
-  stats_.completion_rescans = r.u64();
-  stats_.wall_seconds = r.f64();
-  dirty_ = false;
-  const bool pending = r.b();
-  if (pending) {
-    completion_time_ = r.f64();
-    completion_seq_ = r.u64();
-  }
-  solver_.RestoreFrom(r);
   // The solver's link lists name their slots independently of the flow
   // table; they must name exactly the live flows.
   if (solver_.flow_count() != live_count_) {

@@ -162,6 +162,10 @@ class Network {
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  /// The snapshot layout; returns whether a completion event is pending.
+  template <class Self, class Io>
+  static bool Fields(Self& self, Io& io);
+
   /// One flow-table slot.  Slots are reused after a flow ends; the intrusive
   /// prev/next list preserves start order, which keeps completion-callback
   /// ordering deterministic and identical to the seed's vector scan while

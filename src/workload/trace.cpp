@@ -119,50 +119,56 @@ Submission SubmissionStream::next() {
   return out;
 }
 
-void SubmissionStream::SaveTo(snap::SnapshotWriter& w) const {
-  w.size(apps_.size());
-  for (const AppState& app : apps_) {
-    app.rng.SaveTo(w);
-    w.f64(app.clock);
-    w.i64(app.remaining);
-    w.b(app.has_next);
-    if (app.has_next) {
-      w.u8(static_cast<std::uint8_t>(app.next.kind));
-      w.u64(app.next.file_index);
-    }
-  }
-  w.u64(emitted_);
-  w.f64(rate_scale_);
-}
-
-void SubmissionStream::RestoreFrom(snap::SnapshotReader& r) {
-  const std::size_t n = r.size();
-  if (n != apps_.size()) {
+template <class Self, class Io>
+void SubmissionStream::Fields(Self& self, Io& io) {
+  std::size_t n = self.apps_.size();
+  io.size(n);
+  if (n != self.apps_.size()) {
     throw snap::SnapshotError(
         "SubmissionStream app count mismatch: snapshot has " +
         std::to_string(n) + ", stream was built with " +
-        std::to_string(apps_.size()));
+        std::to_string(self.apps_.size()));
   }
+  for (auto& app : self.apps_) {
+    io.layer(app.rng);
+    io.f64(app.clock);
+    io.i64(app.remaining);
+    io.b(app.has_next);
+    // A pending submission's time is its app's clock, its app the slot.
+    if (app.has_next) {
+      auto kind = static_cast<std::uint8_t>(app.next.kind);
+      io.u8(kind);
+      io.u64(app.next.file_index);
+      if constexpr (Io::kLoading) {
+        app.next.kind = static_cast<WorkloadKind>(kind);
+      }
+    }
+  }
+  io.u64(self.emitted_);
+  io.f64(self.rate_scale_);
+}
+
+void SubmissionStream::SaveTo(snap::SnapshotWriter& w) const {
+  Fields(*this, w);
+}
+
+void SubmissionStream::RestoreFrom(snap::SnapshotReader& r) {
+  Fields(*this, r);
   live_apps_ = 0;
-  for (std::size_t a = 0; a < n; ++a) {
+  for (std::size_t a = 0; a < apps_.size(); ++a) {
     AppState& app = apps_[a];
-    app.rng.RestoreFrom(r);
-    app.clock = r.f64();
-    app.remaining = static_cast<int>(r.i64());
-    app.has_next = r.b();
     if (!app.has_next) continue;
     const auto reject = [a](const std::string& what) {
       throw snap::SnapshotError("SubmissionStream app " + std::to_string(a) +
                                 ": pending " + what);
     };
-    const auto kind = static_cast<WorkloadKind>(r.u8());
+    const WorkloadKind kind = app.next.kind;
     if (std::find(kinds_.begin(), kinds_.end(), kind) == kinds_.end()) {
       reject("kind " + std::to_string(static_cast<int>(kind)) +
              " is not one of the config's kinds");
     }
-    const auto file_index = static_cast<std::size_t>(r.u64());
-    if (file_index >= zipf_.size()) {
-      reject("file index " + std::to_string(file_index) +
+    if (app.next.file_index >= zipf_.size()) {
+      reject("file index " + std::to_string(app.next.file_index) +
              " is past files_per_kind " + std::to_string(zipf_.size()));
     }
     // The pump arms the head at its time, so no pending submission may lie
@@ -172,11 +178,10 @@ void SubmissionStream::RestoreFrom(snap::SnapshotReader& r) {
              " is not finite or precedes the snapshot time " +
              std::to_string(r.sim_time()));
     }
-    app.next = {app.clock, static_cast<int>(a), kind, file_index};
+    app.next.time = app.clock;
+    app.next.app_index = static_cast<int>(a);
     ++live_apps_;
   }
-  emitted_ = r.u64();
-  rate_scale_ = r.f64();
   if (!(rate_scale_ > 0.0)) {
     throw snap::SnapshotError("SubmissionStream rate scale must be > 0");
   }

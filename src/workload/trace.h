@@ -139,6 +139,8 @@ class SubmissionStream {
 
   /// Make one job's draws from `rng` (a single kind draws no kind at all).
   [[nodiscard]] Draw draw(Rng& rng) const;
+  template <class Self, class Io>
+  static void Fields(Self& self, Io& io);
   /// Draw app `a`'s next submission into its slot (no-op when exhausted).
   void advance(std::size_t a);
   /// Index of the app holding the globally earliest pending submission.

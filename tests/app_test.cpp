@@ -5,8 +5,10 @@
 // later follow out of range.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -394,13 +396,18 @@ struct ForgedApp {
   std::vector<ForgedJob> jobs = {ForgedJob{0, {ForgedStage{0, {0}, 0, {}}}}};
   std::vector<std::uint32_t> active = {0};
   std::vector<ForgedTask> tasks = {ForgedTask{}};
+  /// The running-task count written; by default the tasks in kRunning.
+  std::optional<std::int64_t> running_count;
 
   [[nodiscard]] std::vector<std::uint8_t> bytes() const {
     snap::SnapshotWriter w;
     w.begin_section("APPS");
     Rng(1).SaveTo(w);
     w.i64(0);  // share
-    w.i64(0);  // running tasks
+    w.i64(running_count.value_or(
+        std::count_if(tasks.begin(), tasks.end(), [](const ForgedTask& t) {
+          return t.state == TaskState::kRunning;
+        })));
     for (int i = 0; i < 6; ++i) w.u64(0);  // job and clone counters
     for (int i = 0; i < 4; ++i) w.i64(0);  // locality stats
     for (int i = 0; i < 3; ++i) w.u64(0);  // launch breakdown
@@ -630,6 +637,19 @@ TEST_F(ForgedSnapshot, RejectsDuplicateJobTaskAndActiveEntries) {
   f = ForgedApp{};
   f.active.push_back(0);
   ExpectRejected(f, "listed twice");
+}
+
+// Restored, a running task with a count of 0 would drive the count to -1
+// when it finishes; wanted_executors() feeds every manager's budget from it.
+TEST_F(ForgedSnapshot, RejectsRunningTaskCountOtherThanTheRunningTasks) {
+  for (const std::int64_t count : {0, 2, -1}) {
+    ForgedApp f = Running();
+    f.running_count = count;
+    ExpectRejected(f, "running-task count disagrees with the task table");
+  }
+  ForgedApp f;
+  f.running_count = 1;  // the one task is ready, not running
+  ExpectRejected(f, "running-task count disagrees with the task table");
 }
 
 TEST_F(ForgedSnapshot, RejectsActiveJobWithoutStages) {

@@ -176,10 +176,6 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
   root.number("cache_mb_per_node", config.cache_mb_per_node);
   if (const JsonValue* v = root.claim("dataset")) {
     ObjectScope dataset(*v, "dataset");
-    dataset.integer("files_per_kind", [&](long long n) {
-      config.dataset.files_per_kind = static_cast<int>(n);
-    });
-    dataset.number("zipf_skew", config.dataset.zipf_skew);
     dataset.boolean("popularity_replication",
                     config.dataset.popularity_replication);
     dataset.integer("popularity_extra_replicas", [&](long long n) {
@@ -328,8 +324,6 @@ std::string ConfigToJson(const ExperimentConfig& config) {
   num("replication", config.replication);
   num("cache_mb_per_node", config.cache_mb_per_node);
   out += "\"dataset\":{";
-  num("files_per_kind", config.dataset.files_per_kind);
-  num("zipf_skew", config.dataset.zipf_skew);
   boolean("popularity_replication", config.dataset.popularity_replication);
   num("popularity_extra_replicas", config.dataset.popularity_extra_replicas);
   num("hot_fraction", config.dataset.hot_fraction, /*comma=*/false);

@@ -19,23 +19,23 @@ const char* WorkloadName(WorkloadKind kind) {
   return "unknown";
 }
 
-std::vector<FileSpec> PlanDataset(WorkloadKind kind,
+std::vector<FileSpec> PlanDataset(WorkloadKind kind, int files,
                                   const DatasetConfig& config, Rng& rng) {
-  if (config.files_per_kind <= 0) {
-    throw std::invalid_argument("PlanDataset: files_per_kind must be > 0");
+  if (files <= 0) {
+    throw std::invalid_argument("PlanDataset: files must be > 0");
   }
   // Hot-file count: ceil keeps any non-zero fraction from rounding to zero
   // files, but unguarded it over-counts at the boundaries — hot_fraction
   // values like 1/3 are not exact in binary, so the product can land an ulp
   // above an integer and ceil to one extra file, and hot_fraction = 1.0
-  // plus FP error could exceed files_per_kind outright.  Clamp to the valid
+  // plus FP error could exceed the file count outright.  Clamp to the valid
   // range and shave sub-ulp excess before the ceil.
-  const double hot_exact = config.hot_fraction * config.files_per_kind;
-  const int hot_files = std::clamp(
-      static_cast<int>(std::ceil(hot_exact - 1e-9)), 0, config.files_per_kind);
+  const double hot_exact = config.hot_fraction * files;
+  const int hot_files =
+      std::clamp(static_cast<int>(std::ceil(hot_exact - 1e-9)), 0, files);
   std::vector<FileSpec> plan;
-  plan.reserve(static_cast<std::size_t>(config.files_per_kind));
-  for (int i = 0; i < config.files_per_kind; ++i) {
+  plan.reserve(static_cast<std::size_t>(files));
+  for (int i = 0; i < files; ++i) {
     FileSpec spec;
     switch (kind) {
       case WorkloadKind::kPageRank:
@@ -74,9 +74,10 @@ Dataset MaterializeDataset(dfs::Dfs& dfs, WorkloadKind kind,
   return dataset;
 }
 
-Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind,
+Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind, int files,
                      const DatasetConfig& config, Rng& rng) {
-  return MaterializeDataset(dfs, kind, config, PlanDataset(kind, config, rng));
+  return MaterializeDataset(dfs, kind, config,
+                            PlanDataset(kind, files, config, rng));
 }
 
 app::JobSpec MakeJobSpec(WorkloadKind kind, FileId file, const dfs::Dfs& dfs,

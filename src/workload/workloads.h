@@ -51,10 +51,9 @@ struct Dataset {
   std::vector<FileId> files;
 };
 
+/// The catalog's replication knobs.  Its size and popularity skew are the
+/// trace's (TraceConfig::files_per_kind and zipf_skew).
 struct DatasetConfig {
-  int files_per_kind = 12;
-  /// Zipf exponent for file popularity (0 = uniform).
-  double zipf_skew = 0.8;
   /// Scarlett-style: extra replicas for the hottest files.
   bool popularity_replication = false;
   int popularity_extra_replicas = 2;
@@ -71,10 +70,10 @@ struct FileSpec {
   bool hot = false;  ///< receives the Scarlett-style popularity boost
 };
 
-/// Draw the catalog of `kind` from `rng` without touching a DFS.  File
-/// sizes follow the paper: PageRank 1 GB; WordCount uniform in [4, 8] GB;
-/// Sort in [1, 8] GB.
-std::vector<FileSpec> PlanDataset(WorkloadKind kind,
+/// Draw the `files`-file catalog of `kind` from `rng` without touching a
+/// DFS.  File sizes follow the paper: PageRank 1 GB; WordCount uniform in
+/// [4, 8] GB; Sort in [1, 8] GB.
+std::vector<FileSpec> PlanDataset(WorkloadKind kind, int files,
                                   const DatasetConfig& config, Rng& rng);
 
 /// Create a planned catalog's files in `dfs` (consumes only the DFS's own
@@ -85,7 +84,7 @@ Dataset MaterializeDataset(dfs::Dfs& dfs, WorkloadKind kind,
 
 /// Create the input files for `kind` in the DFS: PlanDataset +
 /// MaterializeDataset in one step.
-Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind,
+Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind, int files,
                      const DatasetConfig& config, Rng& rng);
 
 /// Compile one job of `kind` over `file` into a JobSpec.

@@ -204,7 +204,11 @@ TEST(JsonApi, RejectsUnknownAndMistypedFields) {
            {"{\"component_partitioned_network\":false}",
             "component_partitioned_network"},
            {"{\"steady\":{\"materialize_submissions\":true}}",
-            "steady.materialize_submissions"}}) {
+            "steady.materialize_submissions"},
+           // The catalog's size and skew are the trace's.
+           {"{\"dataset\":{\"zipf_skew\":2}}", "dataset.zipf_skew"},
+           {"{\"dataset\":{\"files_per_kind\":4}}",
+            "dataset.files_per_kind"}}) {
     try {
       (void)ConfigFromJsonText(text);
       ADD_FAILURE() << text << " was accepted";

@@ -34,18 +34,17 @@ TEST(Workloads, Names) {
 TEST(Dataset, FileSizesMatchThePaper) {
   auto dfs = MakeDfs();
   Rng rng(1);
-  DatasetConfig config;
-  config.files_per_kind = 6;
-  const auto pr = BuildDataset(dfs, WorkloadKind::kPageRank, config, rng);
+  const DatasetConfig config;
+  const auto pr = BuildDataset(dfs, WorkloadKind::kPageRank, 6, config, rng);
   for (FileId f : pr.files) {
     EXPECT_DOUBLE_EQ(dfs.namenode().file(f).bytes, GB(1.0));
   }
-  const auto wc = BuildDataset(dfs, WorkloadKind::kWordCount, config, rng);
+  const auto wc = BuildDataset(dfs, WorkloadKind::kWordCount, 6, config, rng);
   for (FileId f : wc.files) {
     EXPECT_GE(dfs.namenode().file(f).bytes, GB(4.0));
     EXPECT_LE(dfs.namenode().file(f).bytes, GB(8.0));
   }
-  const auto sort = BuildDataset(dfs, WorkloadKind::kSort, config, rng);
+  const auto sort = BuildDataset(dfs, WorkloadKind::kSort, 6, config, rng);
   for (FileId f : sort.files) {
     EXPECT_GE(dfs.namenode().file(f).bytes, GB(1.0));
     EXPECT_LE(dfs.namenode().file(f).bytes, GB(8.0));
@@ -56,11 +55,10 @@ TEST(Dataset, PopularityReplicationBoostsHotFiles) {
   auto dfs = MakeDfs();
   Rng rng(2);
   DatasetConfig config;
-  config.files_per_kind = 8;
   config.popularity_replication = true;
   config.popularity_extra_replicas = 2;
   config.hot_fraction = 0.25;  // 2 of 8 files are hot
-  const auto ds = BuildDataset(dfs, WorkloadKind::kPageRank, config, rng);
+  const auto ds = BuildDataset(dfs, WorkloadKind::kPageRank, 8, config, rng);
   for (std::size_t i = 0; i < ds.files.size(); ++i) {
     const auto replicas =
         dfs.locations(dfs.blocks_of(ds.files[i]).front()).size();
@@ -76,12 +74,11 @@ TEST(Dataset, HotFileCountClampsAtTheBoundaries) {
   Rng rng(7);
   const auto hot_count = [&rng](double fraction, int files) {
     DatasetConfig config;
-    config.files_per_kind = files;
     config.hot_fraction = fraction;
     config.popularity_replication = true;  // hot flags are only set under it
     int hot = 0;
     for (const FileSpec& spec :
-         PlanDataset(WorkloadKind::kPageRank, config, rng)) {
+         PlanDataset(WorkloadKind::kPageRank, files, config, rng)) {
       hot += spec.hot ? 1 : 0;
     }
     return hot;
@@ -97,9 +94,8 @@ TEST(Dataset, HotFileCountClampsAtTheBoundaries) {
 TEST(JobSpecs, WordCountShape) {
   auto dfs = MakeDfs();
   Rng rng(4);
-  DatasetConfig config;
-  config.files_per_kind = 1;
-  const auto ds = BuildDataset(dfs, WorkloadKind::kWordCount, config, rng);
+  const auto ds =
+      BuildDataset(dfs, WorkloadKind::kWordCount, 1, DatasetConfig{}, rng);
   const auto spec =
       MakeJobSpec(WorkloadKind::kWordCount, ds.files[0], dfs, WorkloadParams{});
   const int blocks = static_cast<int>(dfs.blocks_of(ds.files[0]).size());
@@ -113,9 +109,8 @@ TEST(JobSpecs, WordCountShape) {
 TEST(JobSpecs, SortShufflesEverything) {
   auto dfs = MakeDfs();
   Rng rng(5);
-  DatasetConfig config;
-  config.files_per_kind = 1;
-  const auto ds = BuildDataset(dfs, WorkloadKind::kSort, config, rng);
+  const auto ds =
+      BuildDataset(dfs, WorkloadKind::kSort, 1, DatasetConfig{}, rng);
   const auto spec =
       MakeJobSpec(WorkloadKind::kSort, ds.files[0], dfs, WorkloadParams{});
   const double input = dfs.namenode().file(ds.files[0]).bytes;
@@ -126,9 +121,8 @@ TEST(JobSpecs, SortShufflesEverything) {
 TEST(JobSpecs, PageRankIterates) {
   auto dfs = MakeDfs();
   Rng rng(6);
-  DatasetConfig config;
-  config.files_per_kind = 1;
-  const auto ds = BuildDataset(dfs, WorkloadKind::kPageRank, config, rng);
+  const auto ds =
+      BuildDataset(dfs, WorkloadKind::kPageRank, 1, DatasetConfig{}, rng);
   WorkloadParams params;
   params.pagerank_iterations = 5;
   const auto spec = MakeJobSpec(WorkloadKind::kPageRank, ds.files[0], dfs,

@@ -6,14 +6,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/csv.h"
 #include "common/json.h"
-#include "common/pool.h"
 #include "common/rng.h"
 #include "common/simtime.h"
 #include "common/stats.h"
@@ -326,92 +323,6 @@ TEST(Json, EmptyCellsAreEmptyStrings) {
   EXPECT_NE(out.find("\"a\": \"\""), std::string::npos);
   EXPECT_NE(out.find("\"b\": \"x\""), std::string::npos);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Chunked pool (common/pool.h)
-// ---------------------------------------------------------------------------
-
-TEST(PoolResource, RecyclesFreedBlocksOfTheSameSizeClass) {
-  PoolResource pool;
-  void* a = pool.allocate(64, 8);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(pool.live_blocks(), 1u);
-  pool.deallocate(a, 64, 8);
-  EXPECT_EQ(pool.live_blocks(), 0u);
-  // The freed block comes straight back: steady state allocates nothing new.
-  void* b = pool.allocate(64, 8);
-  EXPECT_EQ(b, a);
-  pool.deallocate(b, 64, 8);
-}
-
-TEST(PoolResource, SteadyStateChurnDoesNotGrowReservation) {
-  PoolResource pool;
-  std::vector<void*> live;
-  for (int i = 0; i < 1000; ++i) live.push_back(pool.allocate(96, 8));
-  for (void* p : live) pool.deallocate(p, 96, 8);
-  const std::size_t reserved = pool.bytes_reserved();
-  EXPECT_GT(reserved, 0u);
-  // A million further create/destroy cycles reuse the free lists.
-  for (int i = 0; i < 1000000; ++i) {
-    void* p = pool.allocate(96, 8);
-    pool.deallocate(p, 96, 8);
-  }
-  EXPECT_EQ(pool.bytes_reserved(), reserved);
-  EXPECT_EQ(pool.live_blocks(), 0u);
-}
-
-TEST(PoolResource, OversizedAndOveralignedFallThroughToTheHeap) {
-  PoolResource pool;
-  void* big = pool.allocate(4096, 8);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(pool.live_blocks(), 0u);  // not a pooled block
-  EXPECT_EQ(pool.bytes_outside(), 4096u);
-  pool.deallocate(big, 4096, 8);
-  EXPECT_EQ(pool.bytes_outside(), 0u);
-
-  void* aligned = pool.allocate(64, 64);
-  ASSERT_NE(aligned, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(aligned) % 64, 0u);
-  pool.deallocate(aligned, 64, 64);
-}
-
-TEST(PoolAllocator, BacksAnUnorderedMapThroughRehashAndErase) {
-  PoolResource pool;
-  using Alloc = PoolAllocator<std::pair<const int, double>>;
-  std::unordered_map<int, double, std::hash<int>, std::equal_to<int>, Alloc>
-      map{Alloc(pool)};
-  for (int i = 0; i < 500; ++i) map.emplace(i, i * 0.5);
-  EXPECT_EQ(map.size(), 500u);
-  EXPECT_GT(pool.live_blocks(), 0u);
-  for (int i = 0; i < 500; ++i) map.erase(i);
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(pool.live_blocks(), 0u);
-  // Re-fill: the node storage comes back out of the free lists.
-  const std::size_t reserved = pool.bytes_reserved();
-  for (int i = 0; i < 500; ++i) map.emplace(i, 1.0);
-  EXPECT_EQ(pool.bytes_reserved(), reserved);
-}
-
-TEST(ObjectPool, CreateDestroyRunsConstructorsAndRecyclesStorage) {
-  struct Probe {
-    explicit Probe(int* counter) : counter_(counter) { ++*counter_; }
-    ~Probe() { --*counter_; }
-    int* counter_;
-    double payload[4] = {};
-  };
-  PoolResource pool;
-  ObjectPool<Probe> objects(pool);
-  int live = 0;
-  Probe* a = objects.create(&live);
-  EXPECT_EQ(live, 1);
-  objects.destroy(a);
-  EXPECT_EQ(live, 0);
-  Probe* b = objects.create(&live);
-  EXPECT_EQ(b, a);  // same size class, same recycled block
-  objects.destroy(b);
-  objects.destroy(nullptr);  // null-safe
-  EXPECT_EQ(live, 0);
 }
 
 // ---------------------------------------------------------------------------

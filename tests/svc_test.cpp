@@ -13,6 +13,7 @@
 //  - Cancel, trace export, and clean errors for malformed traffic.
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -52,6 +53,65 @@ ExperimentConfig SmallConfig(ManagerKind manager,
   config.trace.files_per_kind = 4;
   config.seed = seed;
   return config;
+}
+
+/// Every knob off its default, tracing and checkpoint included.
+ExperimentConfig OffDefaultConfig() {
+  ExperimentConfig c;
+  c.num_nodes = 37;
+  c.executors_per_node = 3;
+  c.disk_mbps = 250.5;
+  c.uplink_gbps = 1.25;
+  c.downlink_gbps = 10.0;
+  c.core_gbps = 80.0;
+  c.block_mb = 64.0;
+  c.replication = 2;
+  c.dataset.popularity_replication = true;
+  c.dataset.popularity_extra_replicas = 1;
+  c.dataset.hot_fraction = 0.1;
+  c.cache_mb_per_node = 512.0;
+  c.manager = ManagerKind::kOffer;
+  c.allocator.locality_fair = false;
+  c.allocator.priority_jobs = false;
+  c.scheduler.kind = app::SchedulerKind::kLocalityPreferred;
+  c.scheduler.locality_wait = 1.5;
+  c.shuffle_fan_in = 5;
+  c.speculation = true;
+  c.speculation_multiplier = 2.0;
+  c.slow_node_fraction = 0.2;
+  c.slow_node_factor = 3.0;
+  c.node_failures = 2;
+  c.failure_start = 15.0;
+  c.failure_interval = 30.0;
+  c.kinds = {WorkloadKind::kSort, WorkloadKind::kPageRank};
+  c.trace.num_apps = 3;
+  c.trace.jobs_per_app = 7;
+  c.trace.mean_interarrival = 0.1 + 0.2;  // a non-representable double
+  c.trace.zipf_skew = 1.1;
+  c.trace.files_per_kind = 5;
+  c.params.pagerank_iterations = 4;
+  c.params.pagerank_compute_per_byte = 2e-8;
+  c.params.pagerank_shuffle_ratio = 0.6;
+  c.params.pagerank_iter_compute_per_byte = 3e-9;
+  c.params.wordcount_compute_per_byte = 4e-9;
+  c.params.wordcount_shuffle_ratio = 0.05;
+  c.params.wordcount_reduce_secs = 0.7;
+  c.params.sort_compute_per_byte = 5e-9;
+  c.params.sort_shuffle_ratio = 0.9;
+  c.params.sort_reduce_compute_per_byte = 6e-9;
+  c.steady.enabled = true;
+  c.steady.retire_jobs = false;
+  c.steady.streaming_metrics = false;
+  c.steady.warmup = 12.5;
+  c.steady.diurnal_amplitude = 0.5;
+  c.steady.diurnal_period = 900.0;
+  c.tracing.enabled = true;
+  c.tracing.capacity = 4096;
+  c.checkpoint.every = 25.0;
+  c.checkpoint.directory = "elsewhere";
+  c.checkpoint.resume_path = "some.snap";
+  c.seed = 2024;
+  return c;
 }
 
 ExperimentConfig SteadyConfig(std::uint64_t seed = 7) {
@@ -215,6 +275,37 @@ TEST(JsonApi, RejectsUnknownAndMistypedFields) {
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
                 path + " is not a recognized config field");
+    }
+  }
+}
+
+// The snapshot header carries ConfigHash, so these constants moving means
+// checkpoints written by an earlier build no longer resume.
+TEST(ConfigHash, IsPinnedForThreeConfigsUnderEveryManager) {
+  const std::vector<std::pair<std::string, ExperimentConfig>> configs = {
+      {"default", ExperimentConfig{}},
+      {"small", SmallConfig(ManagerKind::kCustody)},
+      {"off-default", OffDefaultConfig()}};
+  const ManagerKind managers[] = {ManagerKind::kStandalone,
+                                  ManagerKind::kCustody, ManagerKind::kOffer,
+                                  ManagerKind::kPool};
+  const std::uint64_t pinned[3][4] = {
+      {0x80c573085f191301ull, 0xbb9308e9a2993924ull, 0xb64eec0e67882f8bull,
+       0x17571025d03163f6ull},
+      {0x82740561005e7f84ull, 0x497b1f76db969399ull, 0xc4b486c56c5baa56ull,
+       0x95ef3dcf157d3223ull},
+      {0x34e2cd4ca6ac8b97ull, 0x187a47a2a0c343c2ull, 0xbee86286c7eeef81ull,
+       0x4e688aaf6ad0c204ull}};
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    for (std::size_t m = 0; m < 4; ++m) {
+      const std::uint64_t hash =
+          workload::ConfigHash(configs[c].second, managers[m]);
+      char hex[24];
+      std::snprintf(hex, sizeof hex, "0x%016llxull",
+                    static_cast<unsigned long long>(hash));
+      EXPECT_EQ(hash, pinned[c][m])
+          << configs[c].first << " under "
+          << workload::ManagerName(managers[m]) << ": " << hex;
     }
   }
 }

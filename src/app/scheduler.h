@@ -26,10 +26,16 @@
 
 #include "app/job.h"
 #include "app/ready_index.h"
+#include "common/names.h"
 
 namespace custody::app {
 
 enum class SchedulerKind { kDelay, kLocalityPreferred, kFifo };
+
+inline constexpr KindName<SchedulerKind> kSchedulerNames[] = {
+    {SchedulerKind::kDelay, "delay"},
+    {SchedulerKind::kLocalityPreferred, "locality_preferred"},
+    {SchedulerKind::kFifo, "fifo"}};
 
 struct SchedulerConfig {
   SchedulerKind kind = SchedulerKind::kDelay;

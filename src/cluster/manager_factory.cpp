@@ -11,17 +11,7 @@
 namespace custody::cluster {
 
 const char* ManagerName(ManagerKind kind) {
-  switch (kind) {
-    case ManagerKind::kStandalone:
-      return "standalone";
-    case ManagerKind::kCustody:
-      return "custody";
-    case ManagerKind::kOffer:
-      return "offer";
-    case ManagerKind::kPool:
-      return "pool";
-  }
-  return "unknown";
+  return NameIn(kManagerNames, kind);
 }
 
 std::unique_ptr<ClusterManager> MakeManager(const ManagerSpec& spec,

@@ -12,12 +12,19 @@
 
 #include "cluster/cluster.h"
 #include "cluster/manager.h"
+#include "common/names.h"
 #include "core/allocator.h"
 #include "sim/simulator.h"
 
 namespace custody::cluster {
 
 enum class ManagerKind { kStandalone, kCustody, kOffer, kPool };
+
+inline constexpr KindName<ManagerKind> kManagerNames[] = {
+    {ManagerKind::kStandalone, "standalone"},
+    {ManagerKind::kCustody, "custody"},
+    {ManagerKind::kOffer, "offer"},
+    {ManagerKind::kPool, "pool"}};
 
 [[nodiscard]] const char* ManagerName(ManagerKind kind);
 

@@ -1,12 +1,15 @@
 #include "svc/json_api.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
-#include "app/scheduler.h"
+#include "common/names.h"
 
 namespace custody::svc {
 
@@ -25,45 +28,14 @@ std::string JsonNumber(double value) {
 }
 
 ManagerKind ManagerKindFromName(const std::string& name) {
-  if (name == "custody") return ManagerKind::kCustody;
-  if (name == "standalone") return ManagerKind::kStandalone;
-  if (name == "offer") return ManagerKind::kOffer;
-  if (name == "pool") return ManagerKind::kPool;
-  throw std::invalid_argument(
-      "manager must be one of custody|standalone|offer|pool (got \"" + name +
-      "\")");
+  return KindNamed(cluster::kManagerNames, name, "manager");
 }
 
 WorkloadKind WorkloadKindFromName(const std::string& name) {
-  if (name == "PageRank") return WorkloadKind::kPageRank;
-  if (name == "WordCount") return WorkloadKind::kWordCount;
-  if (name == "Sort") return WorkloadKind::kSort;
-  throw std::invalid_argument(
-      "kinds must name PageRank|WordCount|Sort workloads (got \"" + name +
-      "\")");
+  return KindNamed(workload::kWorkloadNames, name, "kinds");
 }
 
 namespace {
-
-const char* SchedulerName(app::SchedulerKind kind) {
-  switch (kind) {
-    case app::SchedulerKind::kDelay: return "delay";
-    case app::SchedulerKind::kLocalityPreferred: return "locality_preferred";
-    case app::SchedulerKind::kFifo: return "fifo";
-  }
-  return "delay";
-}
-
-app::SchedulerKind SchedulerKindFromName(const std::string& name) {
-  if (name == "delay") return app::SchedulerKind::kDelay;
-  if (name == "locality_preferred") {
-    return app::SchedulerKind::kLocalityPreferred;
-  }
-  if (name == "fifo") return app::SchedulerKind::kFifo;
-  throw std::invalid_argument(
-      "scheduler.kind must be one of delay|locality_preferred|fifo (got \"" +
-      name + "\")");
-}
 
 /// Walks one JSON object strictly: every visited key is ticked off, and
 /// `finish` throws on any member that no field claimed — the unknown-key
@@ -98,56 +70,120 @@ class ObjectScope {
     }
   }
 
-  // Typed field readers; absent keys leave the default in place.
-  void number(const std::string& key, double& out) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_number()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be a number (got " +
-                                    v->kind_name() + ")");
-      }
-      out = v->as_number();
-    }
-  }
-
-  void integer(const std::string& key, std::function<void(long long)> set) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_number() || v->as_number() != std::floor(v->as_number()) ||
-          std::fabs(v->as_number()) > 9.007199254740992e15) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be an integer");
-      }
-      set(static_cast<long long>(v->as_number()));
-    }
-  }
-
-  void boolean(const std::string& key, bool& out) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_bool()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be a boolean (got " +
-                                    v->kind_name() + ")");
-      }
-      out = v->as_bool();
-    }
-  }
-
-  void string(const std::string& key, std::function<void(const std::string&)>
-                                          set) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_string()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be a string (got " +
-                                    v->kind_name() + ")");
-      }
-      set(v->as_string());
-    }
-  }
-
  private:
   const JsonValue* object_ = nullptr;
   std::string path_;
   std::set<std::string> claimed_;
+};
+
+/// The decoding walker of workload::Fields: absent keys keep the default,
+/// present ones must have the member's JSON type, and an integer must be
+/// exact in a double and fit the member's type.
+class Decoder {
+ public:
+  explicit Decoder(ObjectScope& root) : scope_(&root) {}
+
+  template <class T, class R = workload::Range>
+  void field(const char* key, T& out, const R& names = {}) {
+    const JsonValue* v = scope_->claim(key);
+    if (v == nullptr) return;
+    const std::string path = scope_->member_path(key);
+    const auto fail = [&](const std::string& want) {
+      throw std::invalid_argument(path + " must be " + want + " (got " +
+                                  (v->is_number() ? JsonNumber(v->as_number())
+                                                  : v->kind_name()) +
+                                  ")");
+    };
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!v->is_bool()) fail("a boolean");
+      out = v->as_bool();
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (!v->is_number()) fail("a number");
+      out = v->as_number();
+    } else if constexpr (std::is_integral_v<T>) {
+      // Beyond 2^53 a JSON number may already have been rounded.
+      constexpr double kExact = 9007199254740991.0;
+      const double lo =
+          std::max(static_cast<double>(std::numeric_limits<T>::min()), -kExact);
+      const double hi =
+          std::min(static_cast<double>(std::numeric_limits<T>::max()), kExact);
+      if (!v->is_number()) fail("an integer");
+      const double n = v->as_number();
+      if (!(n >= lo && n <= hi && n == std::floor(n))) {
+        fail("an integer in [" + JsonNumber(lo) + ", " + JsonNumber(hi) + "]");
+      }
+      out = static_cast<T>(n);
+    } else if constexpr (std::is_enum_v<T>) {
+      if (!v->is_string()) fail("a string");
+      out = KindNamed(names, v->as_string(), path);
+    } else {  // a list of enum names
+      if (!v->is_array()) fail("an array of names");
+      out.clear();
+      for (const JsonValue& item : v->items()) {
+        if (!item.is_string()) fail("an array of names");
+        out.push_back(KindNamed(names, item.as_string(), path));
+      }
+    }
+  }
+
+  template <class Body>
+  void group(const char* key, Body body, bool /*hashed*/ = true) {
+    const JsonValue* v = scope_->claim(key);
+    if (v == nullptr) return;
+    ObjectScope nested(*v, scope_->member_path(key));
+    ObjectScope* outer = std::exchange(scope_, &nested);
+    body();
+    nested.finish();
+    scope_ = outer;
+  }
+
+ private:
+  ObjectScope* scope_;
+};
+
+/// The encoding walker: every field, doubles as %.17g and integers exactly.
+class Encoder {
+ public:
+  std::string out = "{";
+
+  template <class T, class R = workload::Range>
+  void field(const char* key, const T& v, const R& names = {}) {
+    open(key);
+    if constexpr (std::is_same_v<T, bool>) {
+      out += v ? "true" : "false";
+    } else if constexpr (std::is_floating_point_v<T>) {
+      out += JsonNumber(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      out += std::to_string(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      out += JsonQuote(NameIn(names, v));
+    } else {
+      out += "[";
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        out += (i > 0 ? "," : "") + JsonQuote(NameIn(names, v[i]));
+      }
+      out += "]";
+    }
+  }
+
+  template <class Body>
+  void group(const char* key, Body body, bool /*hashed*/ = true) {
+    open(key);
+    out += "{";
+    first_ = true;
+    body();
+    out += "}";
+    first_ = false;
+  }
+
+ private:
+  void open(const char* key) {
+    if (!first_) out += ",";
+    first_ = false;
+    out += JsonQuote(key) + ":";
+  }
+
+  bool first_ = true;
 };
 
 }  // namespace
@@ -155,148 +191,12 @@ class ObjectScope {
 ExperimentConfig ConfigFromJson(const JsonValue& document) {
   ExperimentConfig config;
   ObjectScope root(document, "config");
-
-  // Cluster.
-  root.integer("num_nodes", [&](long long v) {
-    if (v < 0) throw std::invalid_argument("num_nodes must be >= 0");
-    config.num_nodes = static_cast<std::size_t>(v);
-  });
-  root.integer("executors_per_node", [&](long long v) {
-    config.executors_per_node = static_cast<int>(v);
-  });
-  root.number("disk_mbps", config.disk_mbps);
-  root.number("uplink_gbps", config.uplink_gbps);
-  root.number("downlink_gbps", config.downlink_gbps);
-  root.number("core_gbps", config.core_gbps);
-
-  // DFS.
-  root.number("block_mb", config.block_mb);
-  root.integer("replication",
-               [&](long long v) { config.replication = static_cast<int>(v); });
-  root.number("cache_mb_per_node", config.cache_mb_per_node);
-  if (const JsonValue* v = root.claim("dataset")) {
-    ObjectScope dataset(*v, "dataset");
-    dataset.boolean("popularity_replication",
-                    config.dataset.popularity_replication);
-    dataset.integer("popularity_extra_replicas", [&](long long n) {
-      config.dataset.popularity_extra_replicas = static_cast<int>(n);
-    });
-    dataset.number("hot_fraction", config.dataset.hot_fraction);
-    dataset.finish();
-  }
-
-  // Scheduling.
-  root.string("manager", [&](const std::string& name) {
-    config.manager = ManagerKindFromName(name);
-  });
-  if (const JsonValue* v = root.claim("allocator")) {
-    ObjectScope allocator(*v, "allocator");
-    allocator.boolean("locality_fair", config.allocator.locality_fair);
-    allocator.boolean("priority_jobs", config.allocator.priority_jobs);
-    allocator.finish();
-  }
-  if (const JsonValue* v = root.claim("scheduler")) {
-    ObjectScope scheduler(*v, "scheduler");
-    scheduler.string("kind", [&](const std::string& name) {
-      config.scheduler.kind = SchedulerKindFromName(name);
-    });
-    scheduler.number("locality_wait", config.scheduler.locality_wait);
-    scheduler.finish();
-  }
-  root.integer("shuffle_fan_in", [&](long long v) {
-    config.shuffle_fan_in = static_cast<int>(v);
-  });
-  root.boolean("speculation", config.speculation);
-  root.number("speculation_multiplier", config.speculation_multiplier);
-  root.number("slow_node_fraction", config.slow_node_fraction);
-  root.number("slow_node_factor", config.slow_node_factor);
-  root.integer("node_failures", [&](long long v) {
-    config.node_failures = static_cast<int>(v);
-  });
-  root.number("failure_start", config.failure_start);
-  root.number("failure_interval", config.failure_interval);
-
-  // Workload.
-  if (const JsonValue* v = root.claim("kinds")) {
-    if (!v->is_array()) {
-      throw std::invalid_argument("kinds must be an array of workload names");
-    }
-    config.kinds.clear();
-    for (const JsonValue& item : v->items()) {
-      if (!item.is_string()) {
-        throw std::invalid_argument(
-            "kinds must be an array of workload names");
-      }
-      config.kinds.push_back(WorkloadKindFromName(item.as_string()));
-    }
-  }
-  if (const JsonValue* v = root.claim("trace")) {
-    ObjectScope trace(*v, "trace");
-    trace.integer("num_apps", [&](long long n) {
-      config.trace.num_apps = static_cast<int>(n);
-    });
-    trace.integer("jobs_per_app", [&](long long n) {
-      config.trace.jobs_per_app = static_cast<int>(n);
-    });
-    trace.number("mean_interarrival", config.trace.mean_interarrival);
-    trace.number("zipf_skew", config.trace.zipf_skew);
-    trace.integer("files_per_kind", [&](long long n) {
-      config.trace.files_per_kind = static_cast<int>(n);
-    });
-    trace.finish();
-  }
-  if (const JsonValue* v = root.claim("params")) {
-    ObjectScope params(*v, "params");
-    params.integer("pagerank_iterations", [&](long long n) {
-      config.params.pagerank_iterations = static_cast<int>(n);
-    });
-    params.number("pagerank_compute_per_byte",
-                  config.params.pagerank_compute_per_byte);
-    params.number("pagerank_shuffle_ratio",
-                  config.params.pagerank_shuffle_ratio);
-    params.number("pagerank_iter_compute_per_byte",
-                  config.params.pagerank_iter_compute_per_byte);
-    params.number("wordcount_compute_per_byte",
-                  config.params.wordcount_compute_per_byte);
-    params.number("wordcount_shuffle_ratio",
-                  config.params.wordcount_shuffle_ratio);
-    params.number("wordcount_reduce_secs",
-                  config.params.wordcount_reduce_secs);
-    params.number("sort_compute_per_byte",
-                  config.params.sort_compute_per_byte);
-    params.number("sort_shuffle_ratio", config.params.sort_shuffle_ratio);
-    params.number("sort_reduce_compute_per_byte",
-                  config.params.sort_reduce_compute_per_byte);
-    params.finish();
-  }
-  if (const JsonValue* v = root.claim("steady")) {
-    ObjectScope steady(*v, "steady");
-    steady.boolean("enabled", config.steady.enabled);
-    steady.boolean("retire_jobs", config.steady.retire_jobs);
-    steady.boolean("streaming_metrics", config.steady.streaming_metrics);
-    steady.number("warmup", config.steady.warmup);
-    steady.number("diurnal_amplitude", config.steady.diurnal_amplitude);
-    steady.number("diurnal_period", config.steady.diurnal_period);
-    steady.finish();
-  }
-  if (const JsonValue* v = root.claim("tracing")) {
-    ObjectScope tracing(*v, "tracing");
-    tracing.boolean("enabled", config.tracing.enabled);
-    tracing.integer("capacity", [&](long long n) {
-      if (n <= 0) throw std::invalid_argument("tracing.capacity must be > 0");
-      config.tracing.capacity = static_cast<std::size_t>(n);
-    });
-    tracing.finish();
-  }
+  Decoder decoder(root);
+  workload::Fields(config, decoder);
   if (root.claim("checkpoint") != nullptr) {
     throw std::invalid_argument(
         "checkpoint is not settable over HTTP (server-side file I/O)");
   }
-  root.integer("seed", [&](long long v) {
-    if (v < 0) throw std::invalid_argument("seed must be >= 0");
-    config.seed = static_cast<std::uint64_t>(v);
-  });
-
   root.finish();
   return config;
 }
@@ -306,89 +206,9 @@ ExperimentConfig ConfigFromJsonText(const std::string& text) {
 }
 
 std::string ConfigToJson(const ExperimentConfig& config) {
-  std::string out = "{";
-  const auto num = [&out](const char* key, double v, bool comma = true) {
-    out += std::string("\"") + key + "\":" + JsonNumber(v);
-    if (comma) out += ",";
-  };
-  const auto boolean = [&out](const char* key, bool v) {
-    out += std::string("\"") + key + "\":" + (v ? "true" : "false") + ",";
-  };
-  num("num_nodes", static_cast<double>(config.num_nodes));
-  num("executors_per_node", config.executors_per_node);
-  num("disk_mbps", config.disk_mbps);
-  num("uplink_gbps", config.uplink_gbps);
-  num("downlink_gbps", config.downlink_gbps);
-  num("core_gbps", config.core_gbps);
-  num("block_mb", config.block_mb);
-  num("replication", config.replication);
-  num("cache_mb_per_node", config.cache_mb_per_node);
-  out += "\"dataset\":{";
-  boolean("popularity_replication", config.dataset.popularity_replication);
-  num("popularity_extra_replicas", config.dataset.popularity_extra_replicas);
-  num("hot_fraction", config.dataset.hot_fraction, /*comma=*/false);
-  out += "},";
-  out += "\"manager\":" + JsonQuote(ManagerName(config.manager)) + ",";
-  out += "\"allocator\":{";
-  boolean("locality_fair", config.allocator.locality_fair);
-  out += "\"priority_jobs\":";
-  out += config.allocator.priority_jobs ? "true" : "false";
-  out += "},";
-  out += "\"scheduler\":{";
-  out += "\"kind\":" + JsonQuote(SchedulerName(config.scheduler.kind)) + ",";
-  num("locality_wait", config.scheduler.locality_wait, /*comma=*/false);
-  out += "},";
-  num("shuffle_fan_in", config.shuffle_fan_in);
-  boolean("speculation", config.speculation);
-  num("speculation_multiplier", config.speculation_multiplier);
-  num("slow_node_fraction", config.slow_node_fraction);
-  num("slow_node_factor", config.slow_node_factor);
-  num("node_failures", config.node_failures);
-  num("failure_start", config.failure_start);
-  num("failure_interval", config.failure_interval);
-  out += "\"kinds\":[";
-  for (std::size_t i = 0; i < config.kinds.size(); ++i) {
-    if (i > 0) out += ",";
-    out += JsonQuote(WorkloadName(config.kinds[i]));
-  }
-  out += "],";
-  out += "\"trace\":{";
-  num("num_apps", config.trace.num_apps);
-  num("jobs_per_app", config.trace.jobs_per_app);
-  num("mean_interarrival", config.trace.mean_interarrival);
-  num("zipf_skew", config.trace.zipf_skew);
-  num("files_per_kind", config.trace.files_per_kind, /*comma=*/false);
-  out += "},";
-  out += "\"params\":{";
-  num("pagerank_iterations", config.params.pagerank_iterations);
-  num("pagerank_compute_per_byte", config.params.pagerank_compute_per_byte);
-  num("pagerank_shuffle_ratio", config.params.pagerank_shuffle_ratio);
-  num("pagerank_iter_compute_per_byte",
-      config.params.pagerank_iter_compute_per_byte);
-  num("wordcount_compute_per_byte", config.params.wordcount_compute_per_byte);
-  num("wordcount_shuffle_ratio", config.params.wordcount_shuffle_ratio);
-  num("wordcount_reduce_secs", config.params.wordcount_reduce_secs);
-  num("sort_compute_per_byte", config.params.sort_compute_per_byte);
-  num("sort_shuffle_ratio", config.params.sort_shuffle_ratio);
-  num("sort_reduce_compute_per_byte",
-      config.params.sort_reduce_compute_per_byte, /*comma=*/false);
-  out += "},";
-  out += "\"steady\":{";
-  boolean("enabled", config.steady.enabled);
-  boolean("retire_jobs", config.steady.retire_jobs);
-  boolean("streaming_metrics", config.steady.streaming_metrics);
-  num("warmup", config.steady.warmup);
-  num("diurnal_amplitude", config.steady.diurnal_amplitude);
-  num("diurnal_period", config.steady.diurnal_period, /*comma=*/false);
-  out += "},";
-  out += "\"tracing\":{";
-  boolean("enabled", config.tracing.enabled);
-  num("capacity", static_cast<double>(config.tracing.capacity),
-      /*comma=*/false);
-  out += "},";
-  num("seed", static_cast<double>(config.seed), /*comma=*/false);
-  out += "}";
-  return out;
+  Encoder encoder;
+  workload::Fields(config, encoder);
+  return encoder.out + "}";
 }
 
 std::string SummaryToJson(const Summary& summary) {

@@ -1,15 +1,22 @@
 // The wire codec between control-plane JSON and the workload types.
 //
-// Decoding is strict: unknown keys, wrong types and out-of-range values
-// all throw std::invalid_argument whose message LEADS WITH THE FIELD PATH
-// ("trace.num_apps must be an integer"), which the router surfaces as the
-// structured "field" member of its 400 response.  ValidateConfig then
-// range-checks the decoded config with the same convention.
+// The config codec walks workload::Fields (workload/experiment.h), the one
+// place a knob is declared with its JSON key, member and range.  A new knob
+// is one line there; the decoder, the encoder, ConfigHash and
+// ValidateConfig all pick it up.
 //
-// Encoding round-trips exactly: doubles are printed with %.17g, so
-// ConfigFromJson(Parse(ConfigToJson(c))) == c field-for-field and an
-// HTTP-submitted config runs bit-identically to the in-process one (the
-// svc determinism contract, pinned in svc_test.cpp).
+// Decoding is strict: unknown keys, wrong types and integers that do not
+// fit their member's type (or lie beyond 2^53, where a JSON number stops
+// being exact) all throw std::invalid_argument whose message LEADS WITH THE
+// FIELD PATH ("trace.num_apps must be an integer in [...]"), which the
+// router surfaces as the structured "field" member of its 400 response.
+// ValidateConfig then range-checks the decoded config with the same
+// convention.
+//
+// Encoding round-trips exactly: doubles are printed with %.17g and integers
+// digit for digit, so ConfigFromJson(Parse(ConfigToJson(c))) == c
+// field-for-field and an HTTP-submitted config runs bit-identically to the
+// in-process one (the svc determinism contract, pinned in svc_test.cpp).
 #pragma once
 
 #include <string>
@@ -33,7 +40,8 @@ namespace custody::svc {
 [[nodiscard]] workload::ExperimentConfig ConfigFromJsonText(
     const std::string& text);
 
-/// Every HTTP-settable knob, exactly (defaults included).
+/// Every HTTP-settable knob, exactly (defaults included), in field-list
+/// order.
 [[nodiscard]] std::string ConfigToJson(
     const workload::ExperimentConfig& config);
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,6 +113,109 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 42;
 };
+
+/// The interval a numeric config field must lie in whatever the other
+/// fields hold (ValidateConfig checks it).  The default admits any value.
+inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+struct Range {
+  double lo = -kUnbounded;
+  double hi = kUnbounded;
+  bool lo_open = false;
+  bool hi_open = false;
+};
+inline constexpr Range kPositive{0, kUnbounded, /*lo_open=*/true};
+inline constexpr Range kNonNegative{0};
+inline constexpr Range kFraction{0, 1};
+
+/// The config's field list, the one place a knob is declared: each field
+/// once, with its JSON key, its member and its range (a Range, or an enum's
+/// name table).  Four walkers run it: the JSON decoder and encoder
+/// (svc/json_api.cpp), ConfigHash and ValidateConfig (harness.cpp).  A
+/// walker has `field(key, member[, range])` and `group(key, body, hashed =
+/// true)`, where `body()` walks the group's fields; Config is const for the
+/// walkers that only read.
+///
+/// To add a knob, add its member and one line here, at its place in the
+/// hash, and bump ConfigHash's salt.  `tracing` never changes a run, so
+/// ConfigHash skips it; `checkpoint` is server-side file I/O and is not
+/// listed.
+template <class Config, class Io>
+void Fields(Config& c, Io& io) {
+  // Cluster.
+  io.field("num_nodes", c.num_nodes, kPositive);
+  io.field("executors_per_node", c.executors_per_node, kPositive);
+  io.field("disk_mbps", c.disk_mbps, kPositive);
+  io.field("uplink_gbps", c.uplink_gbps, kPositive);
+  io.field("downlink_gbps", c.downlink_gbps, kPositive);
+  io.field("core_gbps", c.core_gbps, kNonNegative);  // 0 = non-blocking
+  // DFS.
+  io.field("block_mb", c.block_mb, kPositive);
+  io.field("replication", c.replication, kPositive);
+  io.group("dataset", [&] {
+    io.field("popularity_replication", c.dataset.popularity_replication);
+    io.field("popularity_extra_replicas", c.dataset.popularity_extra_replicas,
+             kNonNegative);
+    io.field("hot_fraction", c.dataset.hot_fraction, kFraction);
+  });
+  io.field("cache_mb_per_node", c.cache_mb_per_node, kNonNegative);
+  // Scheduling.
+  io.field("manager", c.manager, cluster::kManagerNames);
+  io.group("allocator", [&] {
+    io.field("locality_fair", c.allocator.locality_fair);
+    io.field("priority_jobs", c.allocator.priority_jobs);
+  });
+  io.group("scheduler", [&] {
+    io.field("kind", c.scheduler.kind, app::kSchedulerNames);
+    io.field("locality_wait", c.scheduler.locality_wait);
+  });
+  io.field("shuffle_fan_in", c.shuffle_fan_in, kPositive);
+  io.field("speculation", c.speculation);
+  io.field("speculation_multiplier", c.speculation_multiplier);
+  // Heterogeneity and failures.
+  io.field("slow_node_fraction", c.slow_node_fraction, kFraction);
+  io.field("slow_node_factor", c.slow_node_factor, kPositive);
+  io.field("node_failures", c.node_failures, kNonNegative);
+  io.field("failure_start", c.failure_start);
+  io.field("failure_interval", c.failure_interval);
+  // Workload.
+  io.field("kinds", c.kinds, kWorkloadNames);
+  io.group("trace", [&] {
+    io.field("num_apps", c.trace.num_apps, kPositive);
+    io.field("jobs_per_app", c.trace.jobs_per_app, kPositive);
+    io.field("mean_interarrival", c.trace.mean_interarrival, kPositive);
+    io.field("zipf_skew", c.trace.zipf_skew, kNonNegative);
+    io.field("files_per_kind", c.trace.files_per_kind, kPositive);
+  });
+  io.group("params", [&] {
+    auto& p = c.params;
+    io.field("pagerank_iterations", p.pagerank_iterations);
+    io.field("pagerank_compute_per_byte", p.pagerank_compute_per_byte);
+    io.field("pagerank_shuffle_ratio", p.pagerank_shuffle_ratio);
+    io.field("pagerank_iter_compute_per_byte",
+             p.pagerank_iter_compute_per_byte);
+    io.field("wordcount_compute_per_byte", p.wordcount_compute_per_byte);
+    io.field("wordcount_shuffle_ratio", p.wordcount_shuffle_ratio);
+    io.field("wordcount_reduce_secs", p.wordcount_reduce_secs);
+    io.field("sort_compute_per_byte", p.sort_compute_per_byte);
+    io.field("sort_shuffle_ratio", p.sort_shuffle_ratio);
+    io.field("sort_reduce_compute_per_byte", p.sort_reduce_compute_per_byte);
+  });
+  io.group("steady", [&] {
+    io.field("enabled", c.steady.enabled);
+    io.field("retire_jobs", c.steady.retire_jobs);
+    io.field("streaming_metrics", c.steady.streaming_metrics);
+    io.field("warmup", c.steady.warmup, kNonNegative);
+    // Below 1, so the diurnal arrival rate stays positive.
+    io.field("diurnal_amplitude", c.steady.diurnal_amplitude,
+             Range{0, 1, false, /*hi_open=*/true});
+    io.field("diurnal_period", c.steady.diurnal_period);
+  });
+  io.field("seed", c.seed);
+  io.group("tracing", [&] {
+    io.field("enabled", c.tracing.enabled);
+    io.field("capacity", c.tracing.capacity);
+  }, /*hashed=*/false);
+}
 
 struct ExperimentResult {
   std::string manager_name;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/manager_factory.h"
@@ -26,71 +27,53 @@ namespace {
 
 std::string Num(double v) { return std::to_string(v); }
 
+/// The range-checking walker of Fields: each numeric field against its
+/// Range, and the workload list non-empty.
+struct RangeCheck {
+  std::string prefix;
+
+  template <class T, class R = Range>
+  void field(const char* key, const T& v, const R& range = {}) {
+    if constexpr (std::is_same_v<R, Range>) {
+      const double x = static_cast<double>(v);
+      if (!(range.lo_open ? x > range.lo : x >= range.lo) ||
+          !(range.hi_open ? x < range.hi : x <= range.hi)) {
+        char bounds[48];
+        if (range.hi == kUnbounded) {
+          std::snprintf(bounds, sizeof bounds, "%s %g",
+                        range.lo_open ? ">" : ">=", range.lo);
+        } else {
+          std::snprintf(bounds, sizeof bounds, "in %c%g, %g%c",
+                        range.lo_open ? '(' : '[', range.lo, range.hi,
+                        range.hi_open ? ')' : ']');
+        }
+        FailConfig(prefix + key + " must be " + bounds + " (got " +
+                   (std::is_integral_v<T> ? std::to_string(v) : Num(x)) + ")");
+      }
+    } else if constexpr (!std::is_enum_v<T>) {
+      if (v.empty()) FailConfig(prefix + key + " must not be empty");
+    }
+  }
+
+  template <class Body>
+  void group(const char* key, Body body, bool /*hashed*/ = true) {
+    const std::string outer = std::exchange(prefix, prefix + key + ".");
+    body();
+    prefix = outer;
+  }
+};
+
 }  // namespace
 
 void ValidateConfig(const ExperimentConfig& config) {
-  // Cluster.
-  if (config.num_nodes == 0) FailConfig("num_nodes must be > 0");
-  if (config.executors_per_node <= 0) {
-    FailConfig("executors_per_node must be > 0 (got " +
-               std::to_string(config.executors_per_node) + ")");
-  }
-  if (config.disk_mbps <= 0.0) {
-    FailConfig("disk_mbps must be > 0 (got " + Num(config.disk_mbps) + ")");
-  }
-  if (config.uplink_gbps <= 0.0) {
-    FailConfig("uplink_gbps must be > 0 (got " + Num(config.uplink_gbps) +
-               ")");
-  }
-  if (config.downlink_gbps <= 0.0) {
-    FailConfig("downlink_gbps must be > 0 (got " + Num(config.downlink_gbps) +
-               ")");
-  }
-  if (config.core_gbps < 0.0) {
-    FailConfig("core_gbps must be >= 0, where 0 means non-blocking (got " +
-               Num(config.core_gbps) + ")");
-  }
-  // DFS.
-  if (config.block_mb <= 0.0) {
-    FailConfig("block_mb must be > 0 (got " + Num(config.block_mb) + ")");
-  }
-  if (config.replication < 1) {
-    FailConfig("replication must be >= 1 (got " +
-               std::to_string(config.replication) + ")");
-  }
-  if (config.cache_mb_per_node < 0.0) {
-    FailConfig("cache_mb_per_node must be >= 0 (got " +
-               Num(config.cache_mb_per_node) + ")");
-  }
-  if (config.dataset.hot_fraction < 0.0 || config.dataset.hot_fraction > 1.0) {
-    FailConfig("dataset.hot_fraction must be in [0, 1] (got " +
-               Num(config.dataset.hot_fraction) + ")");
-  }
-  if (config.dataset.popularity_extra_replicas < 0) {
-    FailConfig("dataset.popularity_extra_replicas must be >= 0 (got " +
-               std::to_string(config.dataset.popularity_extra_replicas) + ")");
-  }
-  // Scheduling.
-  if (config.shuffle_fan_in <= 0) {
-    FailConfig("shuffle_fan_in must be > 0 (got " +
-               std::to_string(config.shuffle_fan_in) + ")");
-  }
+  RangeCheck check;
+  Fields(config, check);
+  // The rules that tie a field to another.  Every message leads with the
+  // offending field: the svc layer maps these diagnostics onto structured
+  // 400 responses whose `field` is the first token of the message.
   if (config.speculation && config.speculation_multiplier <= 1.0) {
     FailConfig("speculation_multiplier must exceed 1 (got " +
                Num(config.speculation_multiplier) + ")");
-  }
-  // Heterogeneity and failures.
-  if (config.slow_node_fraction < 0.0 || config.slow_node_fraction > 1.0) {
-    FailConfig("slow_node_fraction must be in [0, 1] (got " +
-               Num(config.slow_node_fraction) + ")");
-  }
-  if (config.slow_node_factor <= 0.0) {
-    FailConfig("slow_node_factor must be > 0 (got " +
-               Num(config.slow_node_factor) + ")");
-  }
-  if (config.node_failures < 0) {
-    FailConfig("node_failures must be >= 0 (got " +
-               std::to_string(config.node_failures) + ")");
   }
   if (config.node_failures > 0 && config.failure_start < 0.0) {
     FailConfig("failure_start must be >= 0 (got " +
@@ -99,42 +82,6 @@ void ValidateConfig(const ExperimentConfig& config) {
   if (config.node_failures > 1 && config.failure_interval <= 0.0) {
     FailConfig("failure_interval must be > 0 to space multiple crashes"
                " (got " + Num(config.failure_interval) + ")");
-  }
-  // Workload.
-  // Every message leads with the offending field name: the svc layer maps
-  // these diagnostics onto structured 400 responses whose `field` is the
-  // first token of the message.
-  if (config.kinds.empty()) FailConfig("kinds must name at least one workload");
-  if (config.trace.num_apps <= 0) {
-    FailConfig("trace.num_apps must be > 0 (got " +
-               std::to_string(config.trace.num_apps) + ")");
-  }
-  if (config.trace.jobs_per_app <= 0) {
-    FailConfig("trace.jobs_per_app must be > 0 (got " +
-               std::to_string(config.trace.jobs_per_app) + ")");
-  }
-  if (config.trace.mean_interarrival <= 0.0) {
-    FailConfig("trace.mean_interarrival must be > 0 (got " +
-               Num(config.trace.mean_interarrival) + ")");
-  }
-  if (config.trace.zipf_skew < 0.0) {
-    FailConfig("trace.zipf_skew must be >= 0 (got " +
-               Num(config.trace.zipf_skew) + ")");
-  }
-  if (config.trace.files_per_kind <= 0) {
-    FailConfig("trace.files_per_kind must be > 0 (got " +
-               std::to_string(config.trace.files_per_kind) + ")");
-  }
-  // Steady-state streaming.
-  if (config.steady.warmup < 0.0) {
-    FailConfig("steady.warmup must be >= 0 (got " + Num(config.steady.warmup) +
-               ")");
-  }
-  if (config.steady.diurnal_amplitude < 0.0 ||
-      config.steady.diurnal_amplitude >= 1.0) {
-    FailConfig("steady.diurnal_amplitude must be in [0, 1) so the arrival"
-               " rate stays positive (got " +
-               Num(config.steady.diurnal_amplitude) + ")");
   }
   if (config.steady.diurnal_amplitude > 0.0 &&
       config.steady.diurnal_period <= 0.0) {
@@ -147,7 +94,6 @@ void ValidateConfig(const ExperimentConfig& config) {
                " retiring jobs while exact metrics keep per-job records"
                " would not bound memory");
   }
-  // Tracing.
   if (config.tracing.enabled && config.tracing.capacity == 0) {
     FailConfig("tracing.capacity must be > 0 when tracing is enabled");
   }
@@ -294,9 +240,14 @@ core::BlockLocationsFn SimulationContext::block_locations() {
 
 namespace {
 
-/// Canonical byte serialization for hashing: fixed-width little-endian
-/// fields appended in a fixed order (no framing — the hash is the frame).
+/// The hashing walker of Fields: fixed-width little-endian words appended
+/// in list order (no framing — the hash is the frame).  size_t, uint64,
+/// bool and enum values are u64, int values i64, doubles their raw bits,
+/// and a list its count, then each kind.
 struct HashSink {
+  /// The manager actually run, hashed in place of config.manager
+  /// (RunOnSnapshot may replay one snapshot under several).
+  ManagerKind manager;
   std::vector<std::uint8_t> bytes;
 
   void u64(std::uint64_t v) {
@@ -304,78 +255,37 @@ struct HashSink {
       bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t raw = 0;
-    std::memcpy(&raw, &v, sizeof raw);
-    u64(raw);
+
+  template <class T, class R = Range>
+  void field(const char* /*key*/, const T& v, const R& /*range*/ = {}) {
+    if constexpr (std::is_same_v<T, ManagerKind>) {
+      u64(static_cast<std::uint64_t>(manager));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      std::uint64_t raw = 0;
+      std::memcpy(&raw, &v, sizeof raw);
+      u64(raw);
+    } else if constexpr (std::is_signed_v<T>) {
+      u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+      u64(static_cast<std::uint64_t>(v));
+    } else {
+      u64(v.size());
+      for (const auto kind : v) u64(static_cast<std::uint64_t>(kind));
+    }
   }
-  void b(bool v) { u64(v ? 1 : 0); }
+
+  template <class Body>
+  void group(const char* /*key*/, Body body, bool hashed = true) {
+    if (hashed) body();
+  }
 };
 
 }  // namespace
 
 std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
-  HashSink h;
+  HashSink h{manager, {}};
   h.u64(4);  // hash-layout salt: bump when fields are added, removed or moved
-  // Cluster.
-  h.u64(config.num_nodes);
-  h.i64(config.executors_per_node);
-  h.f64(config.disk_mbps);
-  h.f64(config.uplink_gbps);
-  h.f64(config.downlink_gbps);
-  h.f64(config.core_gbps);
-  // DFS.
-  h.f64(config.block_mb);
-  h.i64(config.replication);
-  h.b(config.dataset.popularity_replication);
-  h.i64(config.dataset.popularity_extra_replicas);
-  h.f64(config.dataset.hot_fraction);
-  h.f64(config.cache_mb_per_node);
-  // Scheduling — the manager actually run, not config.manager (RunOnSnapshot
-  // may replay one snapshot under several kinds).
-  h.u64(static_cast<std::uint64_t>(manager));
-  h.b(config.allocator.locality_fair);
-  h.b(config.allocator.priority_jobs);
-  h.u64(static_cast<std::uint64_t>(config.scheduler.kind));
-  h.f64(config.scheduler.locality_wait);
-  h.i64(config.shuffle_fan_in);
-  h.b(config.speculation);
-  h.f64(config.speculation_multiplier);
-  // Heterogeneity and failures.
-  h.f64(config.slow_node_fraction);
-  h.f64(config.slow_node_factor);
-  h.i64(config.node_failures);
-  h.f64(config.failure_start);
-  h.f64(config.failure_interval);
-  // Workload.
-  h.u64(config.kinds.size());
-  for (const WorkloadKind kind : config.kinds) {
-    h.u64(static_cast<std::uint64_t>(kind));
-  }
-  h.i64(config.trace.num_apps);
-  h.i64(config.trace.jobs_per_app);
-  h.f64(config.trace.mean_interarrival);
-  h.f64(config.trace.zipf_skew);
-  h.i64(config.trace.files_per_kind);
-  h.i64(config.params.pagerank_iterations);
-  h.f64(config.params.pagerank_compute_per_byte);
-  h.f64(config.params.pagerank_shuffle_ratio);
-  h.f64(config.params.pagerank_iter_compute_per_byte);
-  h.f64(config.params.wordcount_compute_per_byte);
-  h.f64(config.params.wordcount_shuffle_ratio);
-  h.f64(config.params.wordcount_reduce_secs);
-  h.f64(config.params.sort_compute_per_byte);
-  h.f64(config.params.sort_shuffle_ratio);
-  h.f64(config.params.sort_reduce_compute_per_byte);
-  // Steady state.
-  h.b(config.steady.enabled);
-  h.b(config.steady.retire_jobs);
-  h.b(config.steady.streaming_metrics);
-  h.f64(config.steady.warmup);
-  h.f64(config.steady.diurnal_amplitude);
-  h.f64(config.steady.diurnal_period);
-  h.u64(config.seed);
+  Fields(config, h);
   return snap::Fnv1a(h.bytes.data(), h.bytes.size());
 }
 

@@ -8,15 +8,7 @@
 namespace custody::workload {
 
 const char* WorkloadName(WorkloadKind kind) {
-  switch (kind) {
-    case WorkloadKind::kPageRank:
-      return "PageRank";
-    case WorkloadKind::kWordCount:
-      return "WordCount";
-    case WorkloadKind::kSort:
-      return "Sort";
-  }
-  return "unknown";
+  return NameIn(kWorkloadNames, kind);
 }
 
 std::vector<FileSpec> PlanDataset(WorkloadKind kind, int files,

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "app/job.h"
+#include "common/names.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "dfs/dfs.h"
@@ -24,6 +25,11 @@
 namespace custody::workload {
 
 enum class WorkloadKind { kPageRank, kWordCount, kSort };
+
+inline constexpr KindName<WorkloadKind> kWorkloadNames[] = {
+    {WorkloadKind::kPageRank, "PageRank"},
+    {WorkloadKind::kWordCount, "WordCount"},
+    {WorkloadKind::kSort, "Sort"}};
 
 [[nodiscard]] const char* WorkloadName(WorkloadKind kind);
 

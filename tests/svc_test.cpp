@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -279,6 +280,102 @@ TEST(JsonApi, RejectsUnknownAndMistypedFields) {
   }
 }
 
+TEST(JsonApi, RejectsIntegersOutsideTheFieldType) {
+  // Above 2^53 a JSON number is no longer exact: the encoder writes the
+  // seed digit for digit, and the decoder refuses it rather than rounding.
+  ExperimentConfig huge_seed;
+  huge_seed.seed = (std::uint64_t{1} << 53) + 1;
+  const std::string huge_seed_text = ConfigToJson(huge_seed);
+  EXPECT_NE(huge_seed_text.find("\"seed\":9007199254740993"),
+            std::string::npos);
+  for (const auto& [text, path] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"{\"executors_per_node\":4294967298}", "executors_per_node"},
+           {"{\"trace\":{\"num_apps\":4294967297}}", "trace.num_apps"},
+           {huge_seed_text, "seed"}}) {
+    try {
+      (void)ConfigFromJsonText(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(path + " ", 0), 0u) << e.what();
+    }
+  }
+}
+
+/// `value` as compact JSON, members in document order.
+std::string Dump(const JsonValue& value) {
+  std::string out;
+  switch (value.kind()) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return value.as_bool() ? "true" : "false";
+    case JsonValue::Kind::kNumber: return JsonNumber(value.as_number());
+    case JsonValue::Kind::kString: return JsonQuote(value.as_string());
+    case JsonValue::Kind::kArray:
+      for (const JsonValue& item : value.items()) {
+        out += (out.empty() ? "" : ",") + Dump(item);
+      }
+      return "[" + out + "]";
+    case JsonValue::Kind::kObject:
+      for (const auto& [key, member] : value.members()) {
+        out += (out.empty() ? "" : ",") + JsonQuote(key) + ":" + Dump(member);
+      }
+      return "{" + out + "}";
+  }
+  return out;
+}
+
+/// A copy of `value` whose `target`-th leaf, in document order, holds
+/// another value of its type.  `seen` counts the leaves walked; `path`
+/// receives the changed leaf's path.
+JsonValue ChangeLeaf(const JsonValue& value, const std::string& at,
+                     int target, int& seen, std::string& path) {
+  if (value.is_object()) {
+    std::vector<std::pair<std::string, JsonValue>> members;
+    for (const auto& [key, member] : value.members()) {
+      members.emplace_back(key, ChangeLeaf(member, at.empty() ? key
+                                                              : at + "." + key,
+                                           target, seen, path));
+    }
+    return JsonValue::MakeObject(std::move(members));
+  }
+  if (seen++ != target) return value;
+  path = at;
+  if (value.is_bool()) return JsonValue::MakeBool(!value.as_bool());
+  if (value.is_number()) return JsonValue::MakeNumber(value.as_number() + 1);
+  if (value.is_array()) {
+    return JsonValue::MakeArray({JsonValue::MakeString("WordCount")});
+  }
+  const std::map<std::string, std::string> other_name = {
+      {"manager", "pool"}, {"scheduler.kind", "fifo"}};
+  EXPECT_EQ(other_name.count(at), 1u) << "no other name for " << at;
+  return JsonValue::MakeString(other_name.count(at) ? other_name.at(at) : "");
+}
+
+TEST(JsonApi, EveryLeafRoundTripsAndOnlyTracingLeavesKeepTheHash) {
+  const JsonValue base = JsonReader::Parse(ConfigToJson(OffDefaultConfig()));
+  const ExperimentConfig base_config = ConfigFromJson(base);
+  const std::uint64_t base_hash =
+      workload::ConfigHash(base_config, base_config.manager);
+  int leaves = 0;
+  for (int target = 0;; ++target) {
+    int seen = 0;
+    std::string path;
+    const JsonValue changed = ChangeLeaf(base, "", target, seen, path);
+    if (seen <= target) break;
+    leaves = seen;
+    SCOPED_TRACE(path);
+    const ExperimentConfig decoded = ConfigFromJson(changed);
+    EXPECT_EQ(Dump(JsonReader::Parse(ConfigToJson(decoded))), Dump(changed));
+    const std::uint64_t hash = workload::ConfigHash(decoded, decoded.manager);
+    if (path.rfind("tracing.", 0) == 0) {
+      EXPECT_EQ(hash, base_hash);
+    } else {
+      EXPECT_NE(hash, base_hash);
+    }
+  }
+  EXPECT_EQ(leaves, 50) << "every config field is one leaf of the document";
+}
+
 // The snapshot header carries ConfigHash, so these constants moving means
 // checkpoints written by an earlier build no longer resume.
 TEST(ConfigHash, IsPinnedForThreeConfigsUnderEveryManager) {
@@ -438,6 +535,20 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
     ASSERT_NE(body.find("field"), nullptr) << response.body;
     EXPECT_EQ(body.find("field")->as_string(), table[i].second)
         << response.body;
+  }
+}
+
+TEST_F(ControlPlaneTest, IntegersOutsideTheFieldTypeAreStructured400s) {
+  for (const auto& [body, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"{\"executors_per_node\":4294967298}", "executors_per_node"},
+           {"{\"trace\":{\"num_apps\":4294967297}}", "trace.num_apps"}}) {
+    const ClientResponse response =
+        Fetch(port_, "POST", "/experiments", body);
+    EXPECT_EQ(response.status, 400) << response.body;
+    const JsonValue error = JsonReader::Parse(response.body);
+    ASSERT_NE(error.find("field"), nullptr) << response.body;
+    EXPECT_EQ(error.find("field")->as_string(), field) << response.body;
   }
 }
 

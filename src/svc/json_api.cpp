@@ -87,12 +87,11 @@ class Decoder {
   void field(const char* key, T& out, const R& names = {}) {
     const JsonValue* v = scope_->claim(key);
     if (v == nullptr) return;
-    const std::string path = scope_->member_path(key);
     const auto fail = [&](const std::string& want) {
-      throw std::invalid_argument(path + " must be " + want + " (got " +
-                                  (v->is_number() ? JsonNumber(v->as_number())
-                                                  : v->kind_name()) +
-                                  ")");
+      throw std::invalid_argument(
+          scope_->member_path(key) + " must be " + want + " (got " +
+          (v->is_number() ? JsonNumber(v->as_number()) : v->kind_name()) +
+          ")");
     };
     if constexpr (std::is_same_v<T, bool>) {
       if (!v->is_bool()) fail("a boolean");
@@ -115,13 +114,14 @@ class Decoder {
       out = static_cast<T>(n);
     } else if constexpr (std::is_enum_v<T>) {
       if (!v->is_string()) fail("a string");
-      out = KindNamed(names, v->as_string(), path);
+      out = KindNamed(names, v->as_string(), scope_->member_path(key));
     } else {  // a list of enum names
       if (!v->is_array()) fail("an array of names");
       out.clear();
       for (const JsonValue& item : v->items()) {
         if (!item.is_string()) fail("an array of names");
-        out.push_back(KindNamed(names, item.as_string(), path));
+        out.push_back(
+            KindNamed(names, item.as_string(), scope_->member_path(key)));
       }
     }
   }
@@ -180,7 +180,9 @@ class Encoder {
   void open(const char* key) {
     if (!first_) out += ",";
     first_ = false;
-    out += JsonQuote(key) + ":";
+    out += '"';
+    out += key;
+    out += "\":";
   }
 
   bool first_ = true;

@@ -78,7 +78,8 @@ class ObjectScope {
 
 /// The decoding walker of workload::Fields: absent keys keep the default,
 /// present ones must have the member's JSON type, and an integer must be
-/// exact in a double and fit the member's type.
+/// exact in a double and fit the member's type.  Ranges are ValidateConfig's
+/// to check; `names` matters only as an enum's name table.
 class Decoder {
  public:
   explicit Decoder(ObjectScope& root) : scope_(&root) {}

@@ -1,8 +1,9 @@
 // The wire codec between control-plane JSON and the workload types.
 //
 // The config codec walks workload::Fields (workload/experiment.h), the one
-// place a knob is declared with its JSON key, member and range.  A new knob
-// is one line there; the decoder, the encoder, ConfigHash and
+// place a knob is declared with its JSON key, member and range.  To add a
+// knob, add its member to ExperimentConfig, one line to Fields and a bump
+// of ConfigHash's salt; the decoder, the encoder, ConfigHash and
 // ValidateConfig all pick it up.
 //
 // Decoding is strict: unknown keys, wrong types and integers that do not

@@ -51,9 +51,9 @@ namespace custody::workload {
 /// Range-check every ExperimentConfig knob; throws std::invalid_argument
 /// naming the bad field and its value.  Each field's own range comes from
 /// the field list (Fields in experiment.h, the one place a knob is
-/// declared); the rules that tie one field to another are written out
-/// here.  RunExperiment, SubstrateSnapshot and the sweep engine all call
-/// this before building anything.
+/// declared); only the rules that tie one field to another are written out
+/// in ValidateConfig itself.  RunExperiment, SubstrateSnapshot and the
+/// sweep engine all call this before building anything.
 void ValidateConfig(const ExperimentConfig& config);
 
 /// The manager-independent inputs of one experiment, derived only from
@@ -176,10 +176,11 @@ class RunCancelled : public std::runtime_error {
 
 /// Canonical 64-bit hash over every determinism-relevant config knob plus
 /// the manager kind actually run: the field list (Fields in experiment.h)
-/// walked in order, so a knob added there is hashed too.  Stored in the
-/// snapshot header so a restore onto a different config or manager fails
-/// loudly instead of silently diverging.  Excludes the checkpoint and
-/// tracing knobs: they never influence simulation state.
+/// walked in order, so a knob added there is hashed too.  Adding one also
+/// bumps the salt in harness.cpp and re-records svc_test's ConfigHash pin.
+/// Stored in the snapshot header so a restore onto a different config or
+/// manager fails loudly instead of silently diverging.  Excludes the
+/// checkpoint and tracing knobs: they never influence simulation state.
 [[nodiscard]] std::uint64_t ConfigHash(const ExperimentConfig& config,
                                        ManagerKind manager);
 

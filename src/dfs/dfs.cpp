@@ -76,12 +76,8 @@ void Dfs::fail_node(NodeId node, const std::vector<NodeId>& live_nodes) {
   if (!std::is_sorted(live_nodes.begin(), live_nodes.end())) {
     throw std::invalid_argument("Dfs::fail_node: live_nodes must be sorted");
   }
-  // Snapshot: remove_replica(b, node) mutates the set we would iterate.
-  // blocks_on(node) is ordered by block id.
-  const auto& held_set = namenode_.blocks_on(node);
-  const std::vector<BlockId> held(held_set.begin(), held_set.end());
   std::vector<std::size_t> excluded;  // positions in live_nodes
-  for (BlockId b : held) {
+  for (const BlockId b : namenode_.blocks_on(node)) {  // ascending id
     const double bytes = namenode_.block(b).bytes;
     // The candidates are live_nodes minus `node` minus current replica
     // holders, in live_nodes (= sorted) order.  Instead of building that

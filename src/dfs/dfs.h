@@ -54,10 +54,11 @@ class Dfs final : public PlacementView {
   /// re-replicated onto a node drawn uniformly from `live_nodes` minus the
   /// block's current holders, and the dead copy is dropped.  Blocks whose
   /// last copy lived there keep it (the cluster would restore them from
-  /// cold storage).  Costs O(blocks on the node × replication × log nodes):
-  /// the target is drawn as an order statistic of the sorted live list, so
-  /// `live_nodes` must be ascending (Cluster::alive_nodes() is); an
-  /// unsorted list throws std::invalid_argument before anything changes.
+  /// cold storage).  The node's blocks come from one scan of the replica
+  /// table; each target costs O(replication × log nodes), drawn as an order
+  /// statistic of the sorted live list, so `live_nodes` must be ascending
+  /// (Cluster::alive_nodes() is); an unsorted list throws
+  /// std::invalid_argument before anything changes.
   void fail_node(NodeId node, const std::vector<NodeId>& live_nodes);
 
   // --- reading / inquiry (what Custody asks the NameNode) -----------------

@@ -1,7 +1,6 @@
 #include "dfs/namenode.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -23,7 +22,7 @@ FileId NameNode::create_file(const std::string& path, double bytes,
     throw std::invalid_argument("NameNode: path already exists: " + path);
   }
 
-  const FileId id(next_file_++);
+  const FileId id(static_cast<FileId::value_type>(files_.size()));
   FileInfo info;
   info.id = id;
   info.path = path;
@@ -32,37 +31,24 @@ FileId NameNode::create_file(const std::string& path, double bytes,
 
   const auto num_blocks =
       static_cast<std::uint32_t>(std::ceil(bytes / block_bytes));
+  info.blocks.reserve(num_blocks);
   double left = bytes;
   for (std::uint32_t i = 0; i < num_blocks; ++i) {
-    const BlockId bid(next_block_++);
+    const BlockId bid(static_cast<BlockId::value_type>(blocks_.size()));
     BlockInfo block;
     block.id = bid;
     block.file = id;
     block.index = i;
     block.bytes = std::min(block_bytes, left);
     left -= block.bytes;
-    blocks_.emplace(bid, block);
-    replicas_.emplace(bid, std::vector<NodeId>{});
+    blocks_.push_back(block);
+    replicas_.emplace_back().reserve(static_cast<std::size_t>(replication));
     info.blocks.push_back(bid);
   }
 
   by_path_.emplace(path, id);
-  files_.emplace(id, std::move(info));
+  files_.push_back(std::move(info));
   return id;
-}
-
-void NameNode::delete_file(FileId file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) throw std::invalid_argument("NameNode: no such file");
-  for (BlockId b : it->second.blocks) {
-    if (auto rit = replicas_.find(b); rit != replicas_.end()) {
-      for (NodeId n : rit->second) blocks_on_node_[n].erase(b);
-    }
-    blocks_.erase(b);
-    replicas_.erase(b);
-  }
-  by_path_.erase(it->second.path);
-  files_.erase(it);
 }
 
 std::optional<FileId> NameNode::lookup(const std::string& path) const {
@@ -72,17 +58,15 @@ std::optional<FileId> NameNode::lookup(const std::string& path) const {
 }
 
 const FileInfo& NameNode::file(FileId id) const {
-  auto it = files_.find(id);
-  if (it == files_.end()) throw std::invalid_argument("NameNode: no such file");
-  return it->second;
+  if (id.value() >= files_.size()) {
+    throw std::invalid_argument("NameNode: no such file");
+  }
+  return files_[id.value()];
 }
 
 const BlockInfo& NameNode::block(BlockId id) const {
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
-    throw std::invalid_argument("NameNode: no such block");
-  }
-  return it->second;
+  if (!has_block(id)) throw std::invalid_argument("NameNode: no such block");
+  return blocks_[id.value()];
 }
 
 const std::vector<BlockId>& NameNode::blocks_of(FileId id) const {
@@ -90,11 +74,8 @@ const std::vector<BlockId>& NameNode::blocks_of(FileId id) const {
 }
 
 const std::vector<NodeId>& NameNode::locations(BlockId block) const {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end()) {
-    throw std::invalid_argument("NameNode: no such block");
-  }
-  return it->second;
+  if (!has_block(block)) throw std::invalid_argument("NameNode: no such block");
+  return replicas_[block.value()];
 }
 
 bool NameNode::is_local(BlockId block, NodeId node) const {
@@ -103,25 +84,18 @@ bool NameNode::is_local(BlockId block, NodeId node) const {
 }
 
 void NameNode::add_replica(BlockId block, NodeId node) {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end()) {
-    throw std::invalid_argument("NameNode: no such block");
-  }
-  auto& locs = it->second;
+  if (!has_block(block)) throw std::invalid_argument("NameNode: no such block");
+  auto& locs = replicas_[block.value()];
   const auto pos = std::lower_bound(locs.begin(), locs.end(), node);
   if (pos != locs.end() && *pos == node) {
     throw std::invalid_argument("NameNode: replica already on node");
   }
   locs.insert(pos, node);
-  blocks_on_node_[node].insert(block);
 }
 
 void NameNode::remove_replica(BlockId block, NodeId node) {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end()) {
-    throw std::invalid_argument("NameNode: no such block");
-  }
-  auto& locs = it->second;
+  if (!has_block(block)) throw std::invalid_argument("NameNode: no such block");
+  auto& locs = replicas_[block.value()];
   if (locs.size() <= 1) {
     throw std::logic_error("NameNode: refusing to remove the last replica");
   }
@@ -130,30 +104,36 @@ void NameNode::remove_replica(BlockId block, NodeId node) {
     throw std::invalid_argument("NameNode: no replica on node");
   }
   locs.erase(pos);
-  if (auto nit = blocks_on_node_.find(node); nit != blocks_on_node_.end()) {
-    nit->second.erase(block);
-  }
 }
 
-const std::set<BlockId>& NameNode::blocks_on(NodeId node) const {
-  static const std::set<BlockId> kEmpty;
-  auto it = blocks_on_node_.find(node);
-  return it == blocks_on_node_.end() ? kEmpty : it->second;
+std::vector<BlockId> NameNode::blocks_on(NodeId node) const {
+  std::vector<BlockId> out;
+  for (std::size_t b = 0; b < replicas_.size(); ++b) {
+    const auto& locs = replicas_[b];
+    if (std::binary_search(locs.begin(), locs.end(), node)) {
+      out.push_back(BlockId(static_cast<BlockId::value_type>(b)));
+    }
+  }
+  return out;
 }
 
 template <class Self, class Io>
 void NameNode::Fields(Self& self, Io& io) {
   // The catalog is recreated by dataset materialization; its shape is
-  // written so a restore can check that it targets the same one.
-  auto next_file = self.next_file_;
-  auto next_block = self.next_block_;
+  // written so a restore can check that it targets the same one.  Ids are
+  // dense, so the next ids to issue are the table sizes.
+  const auto num_files = static_cast<FileId::value_type>(self.files_.size());
+  const auto num_blocks =
+      static_cast<BlockId::value_type>(self.blocks_.size());
+  auto next_file = num_files;
+  auto next_block = num_blocks;
   std::size_t files = self.files_.size();
   std::size_t blocks = self.blocks_.size();
   io.u32(next_file);
   io.u32(next_block);
   io.size(files);
   io.size(blocks);
-  if (next_file != self.next_file_ || next_block != self.next_block_ ||
+  if (next_file != num_files || next_block != num_blocks ||
       files != self.files_.size() || blocks != self.blocks_.size()) {
     throw snap::SnapshotError(
         "NameNode catalog mismatch: snapshot has " + std::to_string(files) +
@@ -161,25 +141,15 @@ void NameNode::Fields(Self& self, Io& io) {
         std::to_string(self.files_.size()) + " / " +
         std::to_string(self.blocks_.size()));
   }
-  // Per block its id and replica list, in creation-id order (deterministic
-  // bytes): saving walks the ids issued, skipping deleted blocks.
-  BlockId::value_type next = 0;
+  // Per block its id and replica list, in id order (deterministic bytes).
   for (std::size_t k = 0; k < blocks; ++k) {
-    auto it = self.replicas_.end();
-    if constexpr (Io::kLoading) {
-      const BlockId id(io.u32());
-      it = self.replicas_.find(id);
-      if (it == self.replicas_.end()) {
-        throw snap::SnapshotError("NameNode: snapshot names unknown block " +
-                                  std::to_string(id.value()));
-      }
-    } else {
-      do {
-        it = self.replicas_.find(BlockId(next++));
-      } while (it == self.replicas_.end());
-      io.u32(it->first);
+    auto id = static_cast<BlockId::value_type>(k);
+    io.u32(id);
+    if (id >= num_blocks) {
+      throw snap::SnapshotError("NameNode: snapshot names unknown block " +
+                                std::to_string(id));
     }
-    snap::Seq(io, it->second, [&io](auto& n) { io.u32(n); });
+    snap::Seq(io, self.replicas_[id], [&io](auto& n) { io.u32(n); });
   }
 }
 
@@ -187,30 +157,25 @@ void NameNode::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
 
 void NameNode::RestoreFrom(snap::SnapshotReader& r, std::size_t num_nodes) {
   Fields(*this, r);
-  blocks_on_node_.clear();
-  for (const auto& [id, locs] : replicas_) {
+  for (std::size_t b = 0; b < replicas_.size(); ++b) {
+    const auto& locs = replicas_[b];
     // Readers index per-node tables by these ids and binary-search the
     // list (is_local), and a block never loses its last replica.
     if (locs.empty() || locs.back().value() >= num_nodes ||
         std::adjacent_find(locs.begin(), locs.end(), std::greater_equal<>()) !=
             locs.end()) {
-      throw snap::SnapshotError("NameNode: block " +
-                                std::to_string(id.value()) +
+      throw snap::SnapshotError("NameNode: block " + std::to_string(b) +
                                 " needs a strictly ascending, non-empty"
                                 " replica list of nodes below " +
                                 std::to_string(num_nodes));
     }
-    for (NodeId n : locs) blocks_on_node_[n].insert(id);
   }
 }
 
 std::vector<BlockId> NameNode::all_blocks() const {
   std::vector<BlockId> out;
   out.reserve(blocks_.size());
-  for (BlockId::value_type i = 0; i < next_block_; ++i) {
-    const BlockId id(i);
-    if (blocks_.count(id)) out.push_back(id);
-  }
+  for (const BlockInfo& block : blocks_) out.push_back(block.id);
   return out;
 }
 

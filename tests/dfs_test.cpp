@@ -98,17 +98,6 @@ TEST(NameNode, RejectsDuplicateReplica) {
   EXPECT_THROW(nn.add_replica(b, NodeId(0)), std::invalid_argument);
 }
 
-TEST(NameNode, DeleteFileRemovesMetadata) {
-  NameNode nn;
-  const FileId f = nn.create_file("/a", MB(300.0), MB(128.0), 3);
-  const BlockId b = nn.blocks_of(f).front();
-  nn.delete_file(f);
-  EXPECT_EQ(nn.num_files(), 0u);
-  EXPECT_EQ(nn.num_blocks(), 0u);
-  EXPECT_FALSE(nn.lookup("/a").has_value());
-  EXPECT_THROW((void)nn.locations(b), std::invalid_argument);
-}
-
 TEST(Dfs, WriteFilePlacesAllReplicas) {
   Dfs dfs(Config(), Rng(1));
   const FileId f = dfs.write_file("/data", GB(1.0));
@@ -181,14 +170,11 @@ TEST(NameNode, BlocksOnTracksReplicaChurn) {
   nn.add_replica(b0, NodeId(2));
   nn.add_replica(b1, NodeId(2));
   nn.add_replica(b1, NodeId(4));
-  EXPECT_EQ(nn.blocks_on(NodeId(2)), (std::set<BlockId>{b0, b1}));
-  EXPECT_EQ(nn.blocks_on(NodeId(4)), (std::set<BlockId>{b1}));
+  EXPECT_EQ(nn.blocks_on(NodeId(2)), (std::vector<BlockId>{b0, b1}));
+  EXPECT_EQ(nn.blocks_on(NodeId(4)), (std::vector<BlockId>{b1}));
   EXPECT_TRUE(nn.blocks_on(NodeId(7)).empty());
   nn.remove_replica(b1, NodeId(2));
-  EXPECT_EQ(nn.blocks_on(NodeId(2)), (std::set<BlockId>{b0}));
-  nn.delete_file(f);
-  EXPECT_TRUE(nn.blocks_on(NodeId(2)).empty());
-  EXPECT_TRUE(nn.blocks_on(NodeId(4)).empty());
+  EXPECT_EQ(nn.blocks_on(NodeId(2)), (std::vector<BlockId>{b0}));
 }
 
 /// Restores a one-block catalog on a 4-node cluster from a forged section
@@ -358,6 +344,43 @@ TEST(Dfs, FailNodeRejectsUnsortedLiveNodes) {
     EXPECT_EQ(dfs.locations(blocks[k]), twin.locations(blocks[k]))
         << "block " << k << " after the sorted retry";
   }
+}
+
+// fail_node takes the dead node's blocks from one scan of the replica
+// table: it re-replicates every block whose list names the node, and no
+// other, in ascending block id, dropping each dead copy after its new one.
+TEST(Dfs, FailNodeReReplicatesExactlyTheNodesBlocksInAscendingId) {
+  Dfs dfs(Config(8, 2), Rng(33));
+  for (int i = 0; i < 4; ++i) {
+    dfs.write_file("/f" + std::to_string(i), MB(700.0));
+  }
+  const NodeId dead(5);
+  std::vector<BlockId> held;
+  for (const BlockId b : dfs.namenode().all_blocks()) {
+    if (dfs.is_local(b, dead)) held.push_back(b);
+  }
+  ASSERT_GE(held.size(), 2u);
+  std::vector<BlockId> added;
+  std::vector<BlockId> removed;
+  (void)dfs.add_replica_listener([&](BlockId b, NodeId n, bool is_added) {
+    if (is_added) {
+      EXPECT_NE(n, dead);
+      added.push_back(b);
+    } else {
+      EXPECT_EQ(n, dead);
+      EXPECT_EQ(added.size(), removed.size() + 1) << "block " << b.value();
+      removed.push_back(b);
+    }
+  });
+  std::vector<NodeId> live;
+  for (NodeId::value_type n = 0; n < 8; ++n) {
+    if (NodeId(n) != dead) live.emplace_back(n);
+  }
+  dfs.fail_node(dead, live);
+  EXPECT_EQ(added, held);
+  EXPECT_EQ(removed, held);
+  EXPECT_TRUE(dfs.namenode().blocks_on(dead).empty());
+  for (const BlockId b : held) EXPECT_EQ(dfs.locations(b).size(), 2u);
 }
 
 TEST(Dfs, ReplicaListenerSeesFailoverChurn) {

@@ -77,6 +77,31 @@ void IdleExecutorIndex::add(ExecutorId id, NodeId node) {
   ++count_;
 }
 
+void IdleExecutorIndex::add_all(std::span<const NodeId> home) {
+  assert(!round_active_ && count_ == 0 && home.size() == num_execs_);
+  const auto n = static_cast<std::uint32_t>(num_execs_);
+  // The list runs 0, 1, ..., n-1 from the sentinel n and back to it.
+  next_[n] = 0;
+  prev_[n] = n == 0 ? n : n - 1;
+  std::vector<std::uint32_t> per_node(num_nodes_, 0);
+  for (const NodeId node : home) {
+    assert(node.value() < num_nodes_);
+    ++per_node[node.value()];
+  }
+  for (std::size_t v = 0; v < num_nodes_; ++v) by_node_[v].reserve(per_node[v]);
+  for (std::uint32_t e = 0; e < n; ++e) {
+    next_[e] = e + 1;
+    prev_[e] = e == 0 ? n : e - 1;
+    by_node_[home[e].value()].push_back(e);
+    node_of_[e] = home[e].value();
+    // All ones: node i of the 1-indexed tree sums (i - lowbit(i), i].
+    const std::size_t i = e + 1;
+    fenwick_[i] = static_cast<std::int64_t>(i & (~i + 1));
+  }
+  idle_.assign(num_execs_, true);
+  count_ = num_execs_;
+}
+
 void IdleExecutorIndex::remove(ExecutorId id, NodeId node) {
   assert(!round_active_);
   const std::size_t e = id.value();
@@ -95,10 +120,10 @@ void IdleExecutorIndex::remove(ExecutorId id, NodeId node) {
   --count_;
 }
 
-ExecutorId IdleExecutorIndex::first_on(NodeId node) const {
+ExecutorId IdleExecutorIndex::first_on(NodeId node, std::size_t skip) const {
   if (node.value() >= num_nodes_) return ExecutorId::invalid();
   const auto& list = by_node_[node.value()];
-  return list.empty() ? ExecutorId::invalid() : ExecutorId(list.front());
+  return skip < list.size() ? ExecutorId(list[skip]) : ExecutorId::invalid();
 }
 
 void IdleExecutorIndex::append_ids(std::vector<ExecutorId>& out) const {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/model.h"
@@ -31,12 +32,16 @@ class IdleExecutorIndex {
  public:
   /// Executor ids must be dense in [0, num_executors); node ids dense in
   /// [0, num_nodes).  The index starts empty — the owner adds each idle
-  /// executor.
+  /// executor, or all of them at once with add_all.
   IdleExecutorIndex(std::size_t num_executors, std::size_t num_nodes);
 
   /// Executor `id` (living on `node`) became idle.  Must not be in the
   /// index already; must not be called while a round view is live.
   void add(ExecutorId id, NodeId node);
+  /// Every executor became idle, executor e living on `home[e]`: the same
+  /// state as add(e, home[e]) for each e ascending, built in one linear
+  /// pass.  The index must be empty and `home` hold num_executors nodes.
+  void add_all(std::span<const NodeId> home);
   /// Executor `id` left the idle set (granted, or its node died).
   void remove(ExecutorId id, NodeId node);
 
@@ -45,8 +50,9 @@ class IdleExecutorIndex {
   }
   [[nodiscard]] std::size_t count() const { return count_; }
 
-  /// Lowest-id idle executor on `node`; invalid when none.
-  [[nodiscard]] ExecutorId first_on(NodeId node) const;
+  /// Lowest-id idle executor on `node` past its `skip` lowest; invalid
+  /// when none.
+  [[nodiscard]] ExecutorId first_on(NodeId node, std::size_t skip = 0) const;
 
   /// Append the idle executors in ascending id order (== the order
   /// `Cluster::idle_executors()` reports them in).

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
@@ -295,25 +296,39 @@ class LinearIdlePool {
 // Property: a RoundView over the persistent index must follow the linear
 // claim model claim-for-claim, across rounds separated by random
 // add/remove churn, and dropping a view without applying its claims must
-// leave the index untouched.
+// leave the index untouched.  The first 20 inputs build the index by
+// random adds.  The last starts with every executor idle, built twice —
+// once in one pass by add_all, once by ascending adds — and both indices
+// must follow the model through the same claims and churn.
 TEST(IdleIndex, RoundViewMatchesPoolAcrossMutationsAndRounds) {
   Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial <= 20; ++trial) {
+    const bool bulk = trial == 20;
     const int num_nodes = rng.uniform_int(1, 8);
-    const int num_execs = rng.uniform_int(0, 40);
+    const int num_execs = bulk ? 40 : rng.uniform_int(0, 40);
     // Fixed executor -> node homes, like a real cluster.
     std::vector<NodeId> home;
     for (int e = 0; e < num_execs; ++e) {
       home.push_back(NodeId(static_cast<NodeId::value_type>(
           rng.index(num_nodes))));
     }
-    IdleExecutorIndex index(static_cast<std::size_t>(num_execs),
-                            static_cast<std::size_t>(num_nodes));
-    std::vector<bool> idle(static_cast<std::size_t>(num_execs), false);
-    for (int e = 0; e < num_execs; ++e) {
-      if (rng.uniform(0.0, 1.0) < 0.7) {
-        index.add(ExecutorId(static_cast<ExecutorId::value_type>(e)), home[e]);
-        idle[static_cast<std::size_t>(e)] = true;
+    std::vector<IdleExecutorIndex> indices(
+        bulk ? 2 : 1, IdleExecutorIndex(static_cast<std::size_t>(num_execs),
+                                        static_cast<std::size_t>(num_nodes)));
+    std::vector<bool> idle(static_cast<std::size_t>(num_execs), bulk);
+    if (bulk) {
+      indices[0].add_all(home);
+      for (int e = 0; e < num_execs; ++e) {
+        indices[1].add(ExecutorId(static_cast<ExecutorId::value_type>(e)),
+                       home[e]);
+      }
+    } else {
+      for (int e = 0; e < num_execs; ++e) {
+        if (rng.uniform(0.0, 1.0) < 0.7) {
+          indices[0].add(ExecutorId(static_cast<ExecutorId::value_type>(e)),
+                         home[e]);
+          idle[static_cast<std::size_t>(e)] = true;
+        }
       }
     }
 
@@ -325,58 +340,74 @@ TEST(IdleIndex, RoundViewMatchesPoolAcrossMutationsAndRounds) {
                            home[static_cast<std::size_t>(e)]});
         }
       }
-      ASSERT_EQ(index.count(), infos.size());
-      std::vector<ExecutorId> ids;
-      index.append_ids(ids);
-      ASSERT_EQ(ids.size(), infos.size());
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        ASSERT_EQ(ids[i], infos[i].id);
+      for (const IdleExecutorIndex& index : indices) {
+        ASSERT_EQ(index.count(), infos.size());
+        std::vector<ExecutorId> ids;
+        index.append_ids(ids);
+        ASSERT_EQ(ids.size(), infos.size());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          ASSERT_EQ(ids[i], infos[i].id);
+        }
       }
 
       LinearIdlePool reference(infos);
       std::vector<ExecutorId> claimed;
       {
-        IdleExecutorIndex::RoundView view(index);
+        std::vector<std::unique_ptr<IdleExecutorIndex::RoundView>> views;
+        for (IdleExecutorIndex& index : indices) {
+          views.push_back(std::make_unique<IdleExecutorIndex::RoundView>(index));
+        }
         for (int step = 0; step < num_execs + 4; ++step) {
+          ExecutorId want = ExecutorId::invalid();
           if (rng.uniform(0.0, 1.0) < 0.5) {
             std::vector<NodeId> nodes;
-            const int want = rng.uniform_int(1, 3);
-            for (int k = 0; k < want; ++k) {
+            const int count = rng.uniform_int(1, 3);
+            for (int k = 0; k < count; ++k) {
               nodes.push_back(NodeId(static_cast<NodeId::value_type>(
                   rng.index(num_nodes + 2))));  // may name unknown nodes
             }
-            ASSERT_EQ(view.has_on(nodes), reference.has_on(nodes));
-            const ExecutorId got = view.claim_on(nodes);
-            ASSERT_EQ(got, reference.claim_on(nodes));
-            if (got.valid()) claimed.push_back(got);
+            const bool has = reference.has_on(nodes);
+            want = reference.claim_on(nodes);
+            for (const auto& view : views) {
+              ASSERT_EQ(view->has_on(nodes), has);
+              ASSERT_EQ(view->claim_on(nodes), want);
+            }
           } else {
-            const ExecutorId got = view.claim_any();
-            ASSERT_EQ(got, reference.claim_any());
-            if (got.valid()) claimed.push_back(got);
+            want = reference.claim_any();
+            for (const auto& view : views) ASSERT_EQ(view->claim_any(), want);
           }
-          ASSERT_EQ(view.size(), reference.size());
-          ASSERT_EQ(view.empty(), reference.size() == 0);
+          if (want.valid()) claimed.push_back(want);
+          for (const auto& view : views) {
+            ASSERT_EQ(view->size(), reference.size());
+            ASSERT_EQ(view->empty(), reference.size() == 0);
+          }
         }
       }
-      // The dropped view left the index untouched.
-      ASSERT_EQ(index.count(), infos.size());
+      // The dropped views left the indices untouched.
+      for (const IdleExecutorIndex& index : indices) {
+        ASSERT_EQ(index.count(), infos.size());
+      }
 
       // Now apply the round: claimed executors leave the idle set, then
       // random churn (releases add, grants remove) before the next round.
       for (const ExecutorId e : claimed) {
-        index.remove(e, home[e.value()]);
+        for (IdleExecutorIndex& index : indices) {
+          index.remove(e, home[e.value()]);
+        }
         idle[e.value()] = false;
       }
       for (int e = 0; e < num_execs; ++e) {
         if (rng.uniform(0.0, 1.0) >= 0.3) continue;
         const auto id = ExecutorId(static_cast<ExecutorId::value_type>(e));
-        if (idle[static_cast<std::size_t>(e)]) {
-          index.remove(id, home[static_cast<std::size_t>(e)]);
-          idle[static_cast<std::size_t>(e)] = false;
-        } else {
-          index.add(id, home[static_cast<std::size_t>(e)]);
-          idle[static_cast<std::size_t>(e)] = true;
+        const auto i = static_cast<std::size_t>(e);
+        for (IdleExecutorIndex& index : indices) {
+          if (idle[i]) {
+            index.remove(id, home[i]);
+          } else {
+            index.add(id, home[i]);
+          }
         }
+        idle[i] = !idle[i];
       }
     }
   }

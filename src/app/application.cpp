@@ -278,9 +278,11 @@ int Application::wanted_executors() const {
 
 core::LocalityStats Application::locality() const { return achieved_; }
 
-void Application::on_executor_granted(ExecutorId exec) {
-  assert(cluster_.executor(exec).owner == id_);
-  if (tracer_ != nullptr) exec_idle_since_[exec] = sim_.now();
+void Application::on_executors_granted(std::span<const ExecutorId> execs) {
+  for (const ExecutorId exec : execs) {
+    assert(cluster_.executor(exec).owner == id_);
+    if (tracer_ != nullptr) exec_idle_since_[exec] = sim_.now();
+  }
   kick();
 }
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -122,7 +123,7 @@ class Application final : public cluster::AppHandle {
   [[nodiscard]] int wanted_executors() const override;
   [[nodiscard]] core::LocalityStats locality() const override;
   void set_share(int share) override { share_ = share; }
-  void on_executor_granted(ExecutorId exec) override;
+  void on_executors_granted(std::span<const ExecutorId> execs) override;
   void on_executor_lost(ExecutorId exec) override;
   bool consider_offer(ExecutorId exec, NodeId node) override;
 

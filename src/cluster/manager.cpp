@@ -1,6 +1,7 @@
 #include "cluster/manager.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/snapshot.h"
 #include "obs/trace.h"
@@ -20,16 +21,26 @@ void ClusterManager::release_executor(ExecutorId exec) {
   ++stats_.executors_released;
 }
 
-void ClusterManager::grant(AppHandle& app, ExecutorId exec) {
-  cluster_.assign(exec, app.id());
-  ++stats_.executors_granted;
-  if (tracer_ != nullptr) {
-    tracer_->instant({.app = obs::IdOf(app.id()),
-                      .id = obs::IdOf(exec),
-                      .node = obs::IdOf(cluster_.node_of(exec)),
-                      .kind = obs::EventKind::kGrant});
+void ClusterManager::grant(AppHandle& app, std::span<const ExecutorId> execs) {
+  if (execs.empty()) return;
+  std::vector<ExecutorId> sorted;
+  if (!std::is_sorted(execs.begin(), execs.end())) {
+    sorted.assign(execs.begin(), execs.end());
+    std::sort(sorted.begin(), sorted.end());
   }
-  app.on_executor_granted(exec);
+  const std::span<const ExecutorId> ids =
+      sorted.empty() ? execs : std::span<const ExecutorId>(sorted);
+  cluster_.assign(ids, app.id());
+  stats_.executors_granted += ids.size();
+  if (tracer_ != nullptr) {
+    for (const ExecutorId exec : execs) {
+      tracer_->instant({.app = obs::IdOf(app.id()),
+                        .id = obs::IdOf(exec),
+                        .node = obs::IdOf(cluster_.node_of(exec)),
+                        .kind = obs::EventKind::kGrant});
+    }
+  }
+  app.on_executors_granted(ids);
 }
 
 int ClusterManager::effective_budget(const AppHandle& app, int share) {

@@ -1,5 +1,6 @@
 #include "cluster/standalone_manager.h"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -30,37 +31,43 @@ void StandaloneManager::register_app(AppHandle& app) {
 void StandaloneManager::allocate_spread(AppHandle& app) {
   // "spreadOut": sweep the nodes round-robin, taking one idle executor per
   // node per sweep, until the share is filled.  The set looks fair but is
-  // oblivious to where the input blocks live.
-  int granted = 0;
+  // oblivious to where the input blocks live.  The picks are granted as one
+  // batch, so a node's k-th pick is its k-th lowest-id idle executor, read
+  // from the cluster's idle index (which never holds executors of dead
+  // nodes).
   const std::size_t num_nodes = cluster_.num_nodes();
+  std::vector<std::size_t> picked_on(num_nodes, 0);
+  std::vector<ExecutorId> picks;
   std::size_t nodes_without_idle = 0;
-  while (granted < share_ && nodes_without_idle < num_nodes) {
+  while (static_cast<int>(picks.size()) < share_ &&
+         nodes_without_idle < num_nodes) {
     const NodeId node(static_cast<NodeId::value_type>(next_node_));
     next_node_ = (next_node_ + 1) % num_nodes;
-    // Lowest-id idle executor on the node, from the cluster's idle index
-    // (which never holds executors of dead nodes).
-    const ExecutorId found = cluster_.first_idle_on(node);
+    const ExecutorId found =
+        cluster_.idle_index().first_on(node, picked_on[node.value()]);
     if (found.valid()) {
       nodes_without_idle = 0;
-      grant(app, found);
-      ++granted;
+      picks.push_back(found);
+      ++picked_on[node.value()];
     } else {
       ++nodes_without_idle;
     }
   }
+  grant(app, picks);
 }
 
 void StandaloneManager::allocate_random(AppHandle& app) {
   // The paper's baseline behaviour: "randomly allocate available resources
   // to applications when launching executors" — a uniform draw from the
-  // idle executors with no attention to nodes, let alone data.
+  // idle executors with no attention to nodes, let alone data.  The share
+  // is the head of the shuffled idle list, granted as one batch.
   std::vector<ExecutorId> idle;
   idle.reserve(cluster_.idle_count());
   cluster_.idle_index().append_ids(idle);  // ascending id order
   rng_.shuffle(idle);
   const auto take = std::min<std::size_t>(static_cast<std::size_t>(share_),
                                           idle.size());
-  for (std::size_t i = 0; i < take; ++i) grant(app, idle[i]);
+  grant(app, std::span<const ExecutorId>(idle).first(take));
 }
 
 void StandaloneManager::on_demand_changed(AppHandle& /*app*/) {

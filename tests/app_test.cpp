@@ -106,6 +106,24 @@ TEST(Application, CustodyGivesPerfectLocalityWhenUncontended) {
   EXPECT_EQ(app.launch_breakdown().uncovered, 0);
 }
 
+// A standalone registration grants the whole share as one batch: the app
+// hears it once and kicks once.  No job exists yet, so the kick visits one
+// free executor and launches nothing.
+TEST(Application, StandaloneRegistrationKicksOnce) {
+  Harness h(8, 2);
+  cluster::StandaloneManager standalone(
+      h.sim, h.cluster, cluster::StandaloneConfig{.expected_apps = 2});
+  AppConfig config;
+  config.dynamic_executors = false;
+  Application app(AppId(0), h.sim, h.net, h.dfs, h.cluster, h.metrics, h.ids,
+                  Rng(1), config);
+  app.attach_manager(standalone);
+  EXPECT_EQ(app.executors_held(), 8);
+  EXPECT_EQ(app.work().kicks, 1u);
+  EXPECT_EQ(app.work().kick_probes, 1u);
+  EXPECT_EQ(app.work().launches, 0u);
+}
+
 TEST(Application, SubmitRequiresManager) {
   Harness h;
   Application orphan(AppId(9), h.sim, h.net, h.dfs, h.cluster, h.metrics,

@@ -4,8 +4,10 @@
 // retries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 
 #include "cluster/custody_manager.h"
 #include "cluster/offer_manager.h"
@@ -29,8 +31,9 @@ class MockApp final : public AppHandle {
     return locality_stats;
   }
   void set_share(int s) override { share = s; }
-  void on_executor_granted(ExecutorId exec) override {
-    granted.push_back(exec);
+  void on_executors_granted(std::span<const ExecutorId> execs) override {
+    granted.insert(granted.end(), execs.begin(), execs.end());
+    ++grant_calls;
   }
   bool consider_offer(ExecutorId exec, NodeId node) override {
     offers.emplace_back(exec, node);
@@ -42,6 +45,8 @@ class MockApp final : public AppHandle {
   core::LocalityStats locality_stats;
   int share = -1;
   std::vector<ExecutorId> granted;
+  /// Grant notifications: an application kicks once per notification.
+  int grant_calls = 0;
   std::vector<std::pair<ExecutorId, NodeId>> offers;
   bool accept_offers = true;
 
@@ -62,6 +67,13 @@ TEST(StandaloneManager, GrantsFairShareAtRegistration) {
   EXPECT_EQ(app.share, 5);
   EXPECT_EQ(app.granted.size(), 5u);
   EXPECT_EQ(cluster.owned_by(AppId(0)), 5);
+  // The share is one batch: the app hears every id, ascending, at once,
+  // so it kicks once.
+  std::vector<ExecutorId> held;
+  cluster.held_executors(AppId(0), held);
+  EXPECT_EQ(app.granted, held);
+  EXPECT_TRUE(std::is_sorted(app.granted.begin(), app.granted.end()));
+  EXPECT_EQ(app.grant_calls, 1);
 }
 
 TEST(StandaloneManager, SpreadOutUsesDistinctNodes) {
@@ -75,6 +87,7 @@ TEST(StandaloneManager, SpreadOutUsesDistinctNodes) {
   std::set<NodeId> nodes;
   for (ExecutorId e : app.granted) nodes.insert(cluster.node_of(e));
   EXPECT_EQ(nodes.size(), app.granted.size());  // one per node
+  EXPECT_EQ(app.grant_calls, 1);
 }
 
 TEST(StandaloneManager, FourAppsPartitionTheCluster) {

@@ -844,17 +844,17 @@ constexpr LayoutPin kLayoutPins[] = {
     {ManagerKind::kStandalone, 5.0,
      {0x5a4ff058dbde03c0, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
       0x4006a5c2383cbd7e, 0, 0x1af41f903d82523,
-      0x41be4d2ebf8d6672, 0x718e5e0e5b2554d0, 0xeec81704d4d5929f,
+      0x41be4d2ebf8d6672, 0xa976081f7a6019d0, 0xeec81704d4d5929f,
       0xd619028566440391, 0xf2c2db1442177f1f}},
     {ManagerKind::kStandalone, 14.0,
      {0x714827c278feb528, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
       0x7bd9f5addef3a387, 0, 0x248961727ce34987,
-      0x41be4d2ebf8d6672, 0x9a6135bd82e7677f, 0xf0e9adb543307f9a,
+      0x41be4d2ebf8d6672, 0x3dcaf066f2c292c1, 0xf0e9adb543307f9a,
       0xa08f81108a264043, 0x22310996537864a5}},
     {ManagerKind::kStandalone, 30.0,
      {0xbe65bdc01e7b49c7, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
       0x48b59c4a1cea04f3, 0, 0x6124d31a4e3cd3c1,
-      0x41be4d2ebf8d6672, 0xb4624c2b7223a6bd, 0x698f3752b5dafde9,
+      0x41be4d2ebf8d6672, 0xda83455efa98f19f, 0x698f3752b5dafde9,
       0x3e3fcce07264ec16, 0x21ccf80c66a673ff}},
     {ManagerKind::kPool, 5.0,
      {0x723706b4868c4c8a, 0xdef6f20feeeb86df, 0xe43d418f2836a100,

@@ -186,19 +186,24 @@ void Fields(Config& c, Io& io) {
     io.field("zipf_skew", c.trace.zipf_skew, kNonNegative);
     io.field("files_per_kind", c.trace.files_per_kind, kPositive);
   });
+  // A zero compute cost or iteration count is a valid (instant) stage; a
+  // shuffle stage must move some bytes, since a flow carries at least one.
   io.group("params", [&] {
     auto& p = c.params;
-    io.field("pagerank_iterations", p.pagerank_iterations);
-    io.field("pagerank_compute_per_byte", p.pagerank_compute_per_byte);
-    io.field("pagerank_shuffle_ratio", p.pagerank_shuffle_ratio);
+    io.field("pagerank_iterations", p.pagerank_iterations, kNonNegative);
+    io.field("pagerank_compute_per_byte", p.pagerank_compute_per_byte,
+             kNonNegative);
+    io.field("pagerank_shuffle_ratio", p.pagerank_shuffle_ratio, kPositive);
     io.field("pagerank_iter_compute_per_byte",
-             p.pagerank_iter_compute_per_byte);
-    io.field("wordcount_compute_per_byte", p.wordcount_compute_per_byte);
-    io.field("wordcount_shuffle_ratio", p.wordcount_shuffle_ratio);
-    io.field("wordcount_reduce_secs", p.wordcount_reduce_secs);
-    io.field("sort_compute_per_byte", p.sort_compute_per_byte);
-    io.field("sort_shuffle_ratio", p.sort_shuffle_ratio);
-    io.field("sort_reduce_compute_per_byte", p.sort_reduce_compute_per_byte);
+             p.pagerank_iter_compute_per_byte, kNonNegative);
+    io.field("wordcount_compute_per_byte", p.wordcount_compute_per_byte,
+             kNonNegative);
+    io.field("wordcount_shuffle_ratio", p.wordcount_shuffle_ratio, kPositive);
+    io.field("wordcount_reduce_secs", p.wordcount_reduce_secs, kNonNegative);
+    io.field("sort_compute_per_byte", p.sort_compute_per_byte, kNonNegative);
+    io.field("sort_shuffle_ratio", p.sort_shuffle_ratio, kPositive);
+    io.field("sort_reduce_compute_per_byte", p.sort_reduce_compute_per_byte,
+             kNonNegative);
   });
   io.group("steady", [&] {
     io.field("enabled", c.steady.enabled);

@@ -15,8 +15,6 @@ namespace custody::svc {
 
 using workload::ExperimentConfig;
 using workload::ExperimentResult;
-using workload::WorkloadKind;
-using cluster::ManagerKind;
 
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) {
@@ -25,14 +23,6 @@ std::string JsonNumber(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-ManagerKind ManagerKindFromName(const std::string& name) {
-  return KindNamed(cluster::kManagerNames, name, "manager");
-}
-
-WorkloadKind WorkloadKindFromName(const std::string& name) {
-  return KindNamed(workload::kWorkloadNames, name, "kinds");
 }
 
 namespace {

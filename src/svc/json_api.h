@@ -53,9 +53,4 @@ namespace custody::svc {
 [[nodiscard]] std::string ResultToJson(
     const workload::ExperimentResult& result);
 
-[[nodiscard]] cluster::ManagerKind ManagerKindFromName(
-    const std::string& name);
-[[nodiscard]] workload::WorkloadKind WorkloadKindFromName(
-    const std::string& name);
-
 }  // namespace custody::svc

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): the hot paths of the simulator and
 // the allocator — event queue churn, max-min rate recomputation, the
-// matching algorithms, Dinic max-flow, and a full Custody allocation round
-// at cluster scale.  These bound the overhead Custody would add to a real
+// matching algorithms, Dinic max-flow, a full Custody allocation round
+// at cluster scale, and a run's substrate construction.  These bound the overhead Custody would add to a real
 // cluster manager's allocation path.
 #include <benchmark/benchmark.h>
 
@@ -717,6 +717,58 @@ BENCHMARK(BM_TracerOverhead)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+/// Substrate construction: one LiveRun per iteration — the
+/// SimulationContext (DFS materialization, network, cluster, cache) plus
+/// the manager and the applications' registration — over a prebuilt
+/// SubstrateSnapshot of perfbench's steady-10k shape (WordCount + Sort,
+/// 128 files per kind, 4 apps, 2 executors per node).  Destruction is not
+/// timed.  Counters: the replicas materialized and the executors built.
+void BM_LiveRunConstruct(benchmark::State& state,
+                         workload::ManagerKind manager) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  workload::ExperimentConfig config;
+  config.num_nodes = nodes;
+  config.executors_per_node = 2;
+  config.kinds = {workload::WorkloadKind::kWordCount,
+                  workload::WorkloadKind::kSort};
+  config.trace.files_per_kind = 128;
+  config.trace.num_apps = 4;
+  config.trace.jobs_per_app = 25;
+  config.trace.mean_interarrival = 16.0 * 100.0 / static_cast<double>(nodes);
+  config.steady.enabled = true;
+  config.steady.retire_jobs = true;
+  config.steady.streaming_metrics = true;
+  const auto snapshot = workload::SubstrateSnapshot::Build(config);
+  std::size_t replicas = 0;
+  std::size_t executors = 0;
+  {
+    workload::SimulationContext context(snapshot);
+    for (const BlockId b : context.dfs().namenode().all_blocks()) {
+      replicas += context.dfs().locations(b).size();
+    }
+    executors = context.cluster().num_executors();
+  }
+  for (auto _ : state) {
+    auto run = std::make_unique<workload::LiveRun>(snapshot, manager);
+    state.PauseTiming();
+    run.reset();
+    state.ResumeTiming();
+  }
+  state.counters["replicas"] = static_cast<double>(replicas);
+  state.counters["executors"] = static_cast<double>(executors);
+}
+BENCHMARK_CAPTURE(BM_LiveRunConstruct, custody, workload::ManagerKind::kCustody)
+    ->ArgName("nodes")
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LiveRunConstruct, standalone,
+                  workload::ManagerKind::kStandalone)
+    ->ArgName("nodes")
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 /// End-to-end simulator throughput: events per second on a busy network.

@@ -45,9 +45,6 @@ class IdleExecutorIndex {
   /// Executor `id` left the idle set (granted, or its node died).
   void remove(ExecutorId id, NodeId node);
 
-  [[nodiscard]] bool contains(ExecutorId id) const {
-    return idle_[id.value()];
-  }
   [[nodiscard]] std::size_t count() const { return count_; }
 
   /// Lowest-id idle executor on `node` past its `skip` lowest; invalid

@@ -80,7 +80,9 @@ class Dfs final : public PlacementView {
   [[nodiscard]] std::size_t num_nodes() const override {
     return config_.num_nodes;
   }
-  [[nodiscard]] double bytes_on(NodeId node) const override;
+
+  /// Bytes of disk replicas stored on `node`.
+  [[nodiscard]] double bytes_on(NodeId node) const;
 
   [[nodiscard]] const DfsConfig& config() const { return config_; }
 

@@ -50,26 +50,4 @@ std::vector<NodeId> RoundRobinPlacement::place(const BlockInfo& block,
   return nodes;
 }
 
-std::vector<NodeId> LoadBalancedPlacement::place(const BlockInfo& /*block*/,
-                                                 int replicas,
-                                                 const PlacementView& view,
-                                                 Rng& rng) {
-  std::vector<NodeId> chosen;
-  chosen.reserve(static_cast<std::size_t>(replicas));
-  for (int r = 0; r < replicas; ++r) {
-    NodeId best = NodeId::invalid();
-    for (int c = 0; c < choices_; ++c) {
-      // Sample candidates distinct from already-chosen replicas.
-      const auto candidates =
-          SampleDistinctNodes(view.num_nodes(), 1, chosen, rng);
-      const NodeId candidate = candidates.front();
-      if (!best.valid() || view.bytes_on(candidate) < view.bytes_on(best)) {
-        best = candidate;
-      }
-    }
-    chosen.push_back(best);
-  }
-  return chosen;
-}
-
 }  // namespace custody::dfs

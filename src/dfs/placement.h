@@ -19,8 +19,6 @@ class PlacementView {
  public:
   virtual ~PlacementView() = default;
   [[nodiscard]] virtual std::size_t num_nodes() const = 0;
-  /// Bytes currently stored on a node (for load-balanced placement).
-  [[nodiscard]] virtual double bytes_on(NodeId node) const = 0;
 };
 
 class PlacementPolicy {
@@ -40,21 +38,6 @@ class RandomPlacement final : public PlacementPolicy {
   [[nodiscard]] std::vector<NodeId> place(const BlockInfo& block, int replicas,
                                           const PlacementView& view,
                                           Rng& rng) override;
-};
-
-/// Load-balanced: each replica picks the least-loaded of `choices` random
-/// candidates (power-of-d-choices), spreading storage — and therefore
-/// locality opportunities — more evenly than pure random placement.
-class LoadBalancedPlacement final : public PlacementPolicy {
- public:
-  explicit LoadBalancedPlacement(int choices = 2) : choices_(choices) {}
-
-  [[nodiscard]] std::vector<NodeId> place(const BlockInfo& block, int replicas,
-                                          const PlacementView& view,
-                                          Rng& rng) override;
-
- private:
-  int choices_;
 };
 
 /// Deterministic: block b's replicas go to nodes (b, b+1, ...) mod N.

@@ -131,7 +131,6 @@ class MaxMinFairSolver {
              SolveCounters* counters = nullptr);
 
   [[nodiscard]] std::size_t flow_count() const { return live_slots_.size(); }
-  [[nodiscard]] std::size_t link_count() const { return capacity_.size(); }
   /// True when `slot` holds a registered flow.
   [[nodiscard]] bool flow_live(std::size_t slot) const {
     return slot < flows_.size() && flows_[slot].live;

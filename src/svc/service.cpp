@@ -122,11 +122,6 @@ ExperimentService::DeleteOutcome ExperimentService::destroy(std::uint64_t id) {
   return DeleteOutcome::kRemoved;
 }
 
-std::size_t ExperimentService::job_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_.size();
-}
-
 void ExperimentService::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -75,9 +75,6 @@ class ExperimentService {
   enum class DeleteOutcome { kCancelRequested, kRemoved };
   DeleteOutcome destroy(std::uint64_t id);
 
-  /// Jobs currently registered (live + retained terminal).
-  [[nodiscard]] std::size_t job_count() const;
-
   /// Stop the pool: cancel every live job, drain, join.  Idempotent.
   void shutdown();
 

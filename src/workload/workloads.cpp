@@ -119,10 +119,4 @@ app::JobSpec MakeJobSpec(WorkloadKind kind, FileId file, const dfs::Dfs& dfs,
   return spec;
 }
 
-FileId SampleFile(const Dataset& dataset, const ZipfDistribution& zipf,
-                  Rng& rng) {
-  assert(zipf.size() == dataset.files.size());
-  return dataset.files[zipf(rng)];
-}
-
 }  // namespace custody::workload

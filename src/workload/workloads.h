@@ -97,8 +97,4 @@ Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind, int files,
 app::JobSpec MakeJobSpec(WorkloadKind kind, FileId file, const dfs::Dfs& dfs,
                          const WorkloadParams& params);
 
-/// Sample an input file for a new job (Zipf over the catalog).
-FileId SampleFile(const Dataset& dataset, const ZipfDistribution& zipf,
-                  Rng& rng);
-
 }  // namespace custody::workload

@@ -454,26 +454,5 @@ TEST(Placement, RandomCoversClusterEventually) {
   EXPECT_GE(nodes_with_data, 7);
 }
 
-TEST(Placement, LoadBalancedIsMoreEvenThanRandom) {
-  auto spread = [](Dfs& dfs) {
-    for (int i = 0; i < 60; ++i) {
-      dfs.write_file("/f" + std::to_string(i), MB(128.0));
-    }
-    double max_bytes = 0.0;
-    double min_bytes = 1e18;
-    for (std::size_t n = 0; n < dfs.num_nodes(); ++n) {
-      const double b = dfs.bytes_on(NodeId(static_cast<NodeId::value_type>(n)));
-      max_bytes = std::max(max_bytes, b);
-      min_bytes = std::min(min_bytes, b);
-    }
-    return max_bytes - min_bytes;
-  };
-  DfsConfig config = Config(10, 1);
-  Dfs random_dfs(config, Rng(20));
-  Dfs balanced_dfs(config, Rng(20),
-                   std::make_unique<LoadBalancedPlacement>(4));
-  EXPECT_LE(spread(balanced_dfs), spread(random_dfs));
-}
-
 }  // namespace
 }  // namespace custody::dfs

@@ -201,7 +201,6 @@ JobId Application::submit_job(const JobSpec& spec) {
 
   active_jobs_.push_back(&j);
   jobs_by_id_.emplace(j.id, std::move(owned));
-  ++jobs_submitted_;
   peak_live_tasks_ = std::max<std::uint64_t>(peak_live_tasks_, tasks_.size());
 
   // The input stage is runnable immediately; Custody's allocation round is
@@ -987,9 +986,9 @@ bool Application::Fields(Self& self, Io& io) {
   io.layer(self.rng_);
   io.i64(self.share_);
   io.i64(self.running_tasks_);
-  for (auto* count : {&self.jobs_submitted_, &self.jobs_completed_,
-                      &self.jobs_retired_, &self.peak_live_tasks_,
-                      &self.spec_launches_, &self.spec_wins_}) {
+  for (auto* count : {&self.jobs_completed_, &self.jobs_retired_,
+                      &self.peak_live_tasks_, &self.spec_launches_,
+                      &self.spec_wins_}) {
     io.u64(*count);
   }
   auto& achieved = self.achieved_;

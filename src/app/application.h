@@ -145,9 +145,6 @@ class Application final : public cluster::AppHandle {
     return breakdown_;
   }
 
-  [[nodiscard]] std::uint64_t jobs_submitted() const {
-    return jobs_submitted_;
-  }
   [[nodiscard]] std::uint64_t jobs_completed() const {
     return jobs_completed_;
   }
@@ -163,8 +160,6 @@ class Application final : public cluster::AppHandle {
   [[nodiscard]] std::uint64_t peak_live_tasks() const {
     return peak_live_tasks_;
   }
-  /// Jobs currently materialized (submitted minus retired).
-  [[nodiscard]] std::size_t live_jobs() const { return jobs_by_id_.size(); }
   [[nodiscard]] bool idle() const { return active_jobs_.empty(); }
   /// Null for unknown ids — including jobs already retired.
   [[nodiscard]] const Job* find_job(JobId id) const;
@@ -301,7 +296,6 @@ class Application final : public cluster::AppHandle {
   /// Job storage; a job's address is stable while it is live.
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_by_id_;
   std::vector<Job*> active_jobs_;  // submission order (FIFO for scheduling)
-  std::uint64_t jobs_submitted_ = 0;
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_retired_ = 0;
   std::uint64_t peak_live_tasks_ = 0;

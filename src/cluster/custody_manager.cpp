@@ -1,10 +1,12 @@
 #include "cluster/custody_manager.h"
 
+#include <cassert>
 #include <chrono>
 #include <stdexcept>
 
 #include "common/log.h"
 #include "common/snapshot.h"
+#include "obs/trace.h"
 
 namespace custody::cluster {
 
@@ -78,25 +80,18 @@ bool CustodyManager::any_app_below_budget() const {
 void CustodyManager::reallocate_now() {
   const std::size_t idle_count = cluster_.idle_count();
   if (idle_count == 0) return;
+  ++stats_.allocation_rounds;
 
   if (!any_app_below_budget()) {
     // Incremental round trigger: every app already holds its demand-capped
     // budget, so the allocator would grant nothing (phase 2 backfills any
     // below-budget app from a non-empty pool, so zero grants implies this
-    // condition — and conversely).  Count the round, skip building the
+    // condition — and conversely: asserted below, and what
+    // round_yield_fraction() rests on).  Count the round, skip building the
     // demands.  The round event itself was still posted and consumed, so
     // the event sequence is the same as if the allocator had run.
-    ++stats_.allocation_rounds;
     ++stats_.rounds_skipped;
-    stats_.last_round_wall_seconds = 0.0;
-    if (round_observer_) {
-      AllocationRoundInfo info;
-      info.when = sim_.now();
-      info.idle_executors = idle_count;
-      info.apps = apps_.size();
-      info.skipped = true;
-      round_observer_(info);
-    }
+    time_round(idle_count, /*grants=*/0, /*wall=*/0.0);
     return;
   }
 
@@ -119,24 +114,16 @@ void CustodyManager::reallocate_now() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     round_start)
           .count();
+  assert(!result.assignments.empty() &&
+         "a round that runs the allocator grants (see the skip above)");
 
-  // Every round that ran the allocator counts, even when it granted
-  // nothing — fruitless rounds are exactly the overhead worth watching.
-  ++stats_.allocation_rounds;
   stats_.allocation_wall_seconds += wall;
-  stats_.last_round_wall_seconds = wall;
   stats_.executors_scanned += result.stats.executors_scanned;
   stats_.apps_considered += result.stats.apps_considered;
   stats_.demand_apps += result.stats.demand_apps;
   stats_.demanded_tasks += result.stats.demanded_tasks;
   stats_.demands_saturated += result.stats.demands_saturated;
-  if (round_observer_) {
-    round_observer_({sim_.now(), wall, idle_count,
-                     result.assignments.size(), apps_.size(),
-                     result.stats.executors_scanned,
-                     result.stats.demand_apps, result.stats.demanded_tasks,
-                     /*skipped=*/false});
-  }
+  time_round(idle_count, result.assignments.size(), wall);
 
   for (const core::Assignment& assignment : result.assignments) {
     AppHandle* app = apps_by_id_.at(assignment.app);
@@ -144,6 +131,30 @@ void CustodyManager::reallocate_now() {
               << assignment.app;
     grant(*app, assignment.exec);
   }
+}
+
+void CustodyManager::time_round(std::size_t idle_count, std::size_t grants,
+                                double wall) {
+  round_wall_.add(wall);
+  if (tracer_ != nullptr) {
+    tracer_->instant({.value = wall,
+                      .id = static_cast<std::int32_t>(idle_count),
+                      .aux = static_cast<std::int32_t>(grants),
+                      .kind = obs::EventKind::kAllocRound});
+  }
+}
+
+Summary CustodyManager::round_wall() const {
+  Summary summary = round_wall_.summarize();
+  summary.count = stats_.allocation_rounds;
+  return summary;
+}
+
+double CustodyManager::round_yield_fraction() const {
+  const std::uint64_t rounds = stats_.allocation_rounds;
+  return rounds == 0 ? 0.0
+                     : static_cast<double>(rounds - stats_.rounds_skipped) /
+                           static_cast<double>(rounds);
 }
 
 }  // namespace custody::cluster

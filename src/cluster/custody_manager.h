@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/manager.h"
+#include "common/streaming_stats.h"
 #include "core/allocator.h"
 
 namespace custody::cluster {
@@ -40,9 +41,15 @@ class CustodyManager final : public ClusterManager {
   /// Run one allocation round immediately (tests drive this directly).
   void reallocate_now();
 
+  [[nodiscard]] Summary round_wall() const override;
+  /// Every round that runs the allocator grants, so this is the share of
+  /// rounds the incremental trigger did not skip.
+  [[nodiscard]] double round_yield_fraction() const override;
+
   /// Stats only: Custody keeps no RNG or cursor, and its rounds are
   /// zero-delay posts, drained before any between-events boundary (SaveTo
-  /// fails loudly if one is pending).
+  /// fails loudly if one is pending).  The round-wall samples are not
+  /// state: a restored manager times only its own rounds.
   void SaveTo(snap::SnapshotWriter& w) const override;
   void RestoreFrom(snap::SnapshotReader& r) override;
 
@@ -52,6 +59,8 @@ class CustodyManager final : public ClusterManager {
   /// an executor (demand-capped budget above its held count)?  O(apps)
   /// with the O(1) owned_by/wanted_executors counters.
   [[nodiscard]] bool any_app_below_budget() const;
+  /// Book a round's wall time and trace it, before its grants.
+  void time_round(std::size_t idle_count, std::size_t grants, double wall);
 
   core::BlockLocationsFn locations_;
   CustodyConfig config_;
@@ -61,6 +70,8 @@ class CustodyManager final : public ClusterManager {
   /// assignment (the seed's O(assignments x apps) loop).
   std::unordered_map<AppId, AppHandle*> apps_by_id_;
   bool round_pending_ = false;
+  /// Wall seconds per round this process ran; skipped rounds add 0.
+  StreamingSummary round_wall_;
 };
 
 }  // namespace custody::cluster

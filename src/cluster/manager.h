@@ -8,11 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/stats.h"
 #include "common/types.h"
 #include "core/model.h"
 #include "sim/simulator.h"
@@ -70,17 +70,18 @@ class AppHandle {
 };
 
 /// Counters every manager maintains (offer churn matters for Sec. II-A).
-/// `allocation_rounds` counts every round that ran the allocator, including
-/// rounds that granted nothing — `executors_granted` separates the yield.
+/// `allocation_rounds` counts every round, including rounds that granted
+/// nothing — `executors_granted` separates the yield.
 struct ManagerStats {
   std::uint64_t allocation_rounds = 0;
   std::uint64_t executors_granted = 0;
   std::uint64_t executors_released = 0;
   std::uint64_t offers_made = 0;
   std::uint64_t offers_rejected = 0;
-  // Allocation-round cost (wall-clock, not simulated time; Custody only).
-  double allocation_wall_seconds = 0.0;    ///< cumulative across rounds
-  double last_round_wall_seconds = 0.0;
+  /// Wall-clock seconds inside the allocator (Custody only).  Observation,
+  /// not simulation state: snapshots leave it out, so a restored run counts
+  /// only the rounds it ran itself.
+  double allocation_wall_seconds = 0.0;
   std::uint64_t executors_scanned = 0;     ///< candidates enumerated, total
   std::uint64_t apps_considered = 0;       ///< inter-app picks, total
   /// Rounds the incremental trigger short-circuited because no app sat
@@ -90,22 +91,6 @@ struct ManagerStats {
   std::uint64_t demand_apps = 0;       ///< apps with >=1 unsatisfied task
   std::uint64_t demanded_tasks = 0;    ///< unsatisfied input tasks
   std::uint64_t demands_saturated = 0; ///< demands fully served by a round
-};
-
-/// One allocation round's cost, pushed to the observer as it completes so
-/// experiment harnesses can feed metrics without the manager linking them.
-struct AllocationRoundInfo {
-  SimTime when = 0.0;            ///< simulated instant of the round
-  double wall_seconds = 0.0;     ///< real time spent inside Allocate
-  std::size_t idle_executors = 0;
-  std::size_t grants = 0;
-  std::size_t apps = 0;
-  std::uint64_t executors_scanned = 0;
-  // Round input sizes (zero on skipped rounds — demands are not built).
-  std::uint64_t demand_apps = 0;       ///< apps with >=1 unsatisfied task
-  std::uint64_t demanded_tasks = 0;    ///< total unsatisfied input tasks
-  /// True when the incremental trigger short-circuited the round.
-  bool skipped = false;
 };
 
 class ClusterManager {
@@ -130,12 +115,14 @@ class ClusterManager {
 
   [[nodiscard]] const ManagerStats& stats() const { return stats_; }
 
-  /// Called after each allocation round with its cost; managers that do
-  /// not run discrete rounds (standalone) never invoke it.
-  using RoundObserver = std::function<void(const AllocationRoundInfo&)>;
-  void set_round_observer(RoundObserver observer) {
-    round_observer_ = std::move(observer);
-  }
+  /// Wall-clock seconds per timed allocation round.  The count is every
+  /// round of the run, restores included (`allocation_rounds`); the moments
+  /// cover only the rounds this process timed.  Empty for managers without
+  /// timed rounds (all but Custody).
+  [[nodiscard]] virtual Summary round_wall() const { return {}; }
+  /// Fraction of those rounds that granted at least one executor; 0 for
+  /// managers without timed rounds.
+  [[nodiscard]] virtual double round_yield_fraction() const { return 0.0; }
 
   /// Optional span tracing (null disables; the default).  Grants are
   /// recorded as instants; tracing never changes what the manager decides.
@@ -151,8 +138,8 @@ class ClusterManager {
   virtual void RestoreFrom(snap::SnapshotReader& r);
 
  protected:
-  /// The base field list (the stats counters); a derived manager's own
-  /// field list starts with it.
+  /// The base field list (the stats counters, allocation_wall_seconds
+  /// left out); a derived manager's own field list starts with it.
   template <class Self, class Io>
   static void Fields(Self& self, Io& io) {
     auto& s = self.stats_;
@@ -161,8 +148,6 @@ class ClusterManager {
                           &s.offers_rejected}) {
       io.u64(*counter);
     }
-    io.f64(s.allocation_wall_seconds);
-    io.f64(s.last_round_wall_seconds);
     for (auto* counter : {&s.executors_scanned, &s.apps_considered,
                           &s.rounds_skipped, &s.demand_apps,
                           &s.demanded_tasks, &s.demands_saturated}) {
@@ -182,7 +167,6 @@ class ClusterManager {
   sim::Simulator& sim_;
   Cluster& cluster_;
   ManagerStats stats_;
-  RoundObserver round_observer_;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -24,7 +24,10 @@
 //   - Only *dynamic* state is serialized.  Static substrate (link
 //     capacities, dataset plans, executor topology) is rebuilt from the
 //     ExperimentConfig on restore; the config hash in the header pins the
-//     two together.
+//     two together.  Of the dynamic state, only what the simulation reads:
+//     wall-clock diagnostics are observation, and state derivable from
+//     other saved state is rebuilt by the restore, not read and checked.
+//     So two identical runs save identical bytes.
 //   - No closures.  Pending events are stored as typed descriptors
 //     (kind, time, original sequence number) and re-armed through
 //     layer-specific callbacks on restore.
@@ -76,7 +79,13 @@ inline constexpr std::uint32_t kMagic = 0x50'4E'53'43;  // "CSNP" little-endian
 // v6: an application's APPS section carries its seven work counters
 //     (kicks, kick probes, launches, release checks, verdicts, blocks
 //     walked, free ids copied) after the launch breakdown.
-inline constexpr std::uint32_t kFormatVersion = 6;
+// v7: only primary simulation state.  No wall-clock values (NET's solve
+//     wall, MGR's round walls, METR's round-wall samples), no copies (METR's
+//     round records and counters, its network stats), no derived state
+//     (CACH's merged location map; NET's slot-table size, list links, head,
+//     tail and live count: the flow table is the free list, then the live
+//     flows in start order); APPS drops its submitted-jobs counter.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Append-only binary encoder.  Sections group one layer's fields behind a
 /// 4-char tag and a byte length so the reader can hard-verify framing.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <string>
 
 #include "common/snapshot.h"
@@ -150,30 +149,6 @@ void BlockCache::fail_node(NodeId node) {
   }
 }
 
-namespace {
-
-// unordered_map payloads serialized in sorted-key order so snapshot bytes
-// are stable; per-key vector contents stay verbatim.  Readers index
-// per-node tables by the restored node ids, so each must be below
-// `num_nodes`; a merged list must also keep its ascending order.
-template <class Io, class Map>
-void BlockMapFields(Io& io, Map& map, std::size_t num_nodes, bool ascending) {
-  snap::SortedMap(io, map, "BlockCache: repeated block",
-                  [&](BlockId block, auto& holders) {
-    snap::Seq(io, holders, [&io](auto& n) { io.u32(n); });
-    if (std::any_of(holders.begin(), holders.end(),
-                    [num_nodes](NodeId n) { return n.value() >= num_nodes; }) ||
-        (ascending && std::adjacent_find(holders.begin(), holders.end(),
-                                         std::greater_equal<>()) !=
-                          holders.end())) {
-      throw snap::SnapshotError("BlockCache: bad location list for block " +
-                                std::to_string(block.value()));
-    }
-  });
-}
-
-}  // namespace
-
 template <class Self, class Io>
 void BlockCache::Fields(Self& self, Io& io) {
   double capacity = self.capacity_bytes_;
@@ -196,8 +171,20 @@ void BlockCache::Fields(Self& self, Io& io) {
     snap::Seq(io, cache.lru, [&io](auto& block) { io.u32(block); });
     io.f64(cache.bytes);
   }
-  BlockMapFields(io, self.cached_on_, nodes, /*ascending=*/false);
-  BlockMapFields(io, self.merged_, nodes, /*ascending=*/true);
+  // In sorted-key order so the bytes are stable; each holder list
+  // verbatim.  The restore rebuilds a merged list per entry from the DFS,
+  // and readers index per-node tables by the holders, so a block must be
+  // known and a holder on the cluster.
+  snap::SortedMap(io, self.cached_on_, "BlockCache: repeated block",
+                  [&](BlockId block, auto& holders) {
+    snap::Seq(io, holders, [&io](auto& n) { io.u32(n); });
+    if (!self.dfs_.namenode().has_block(block) ||
+        std::any_of(holders.begin(), holders.end(),
+                    [nodes](NodeId n) { return n.value() >= nodes; })) {
+      throw snap::SnapshotError("BlockCache: bad holder list for block " +
+                                std::to_string(block.value()));
+    }
+  });
   io.u64(self.stats_.insertions);
   io.u64(self.stats_.evictions);
   io.u64(self.stats_.hits);
@@ -208,6 +195,11 @@ void BlockCache::SaveTo(snap::SnapshotWriter& w) const { Fields(*this, w); }
 
 void BlockCache::RestoreFrom(snap::SnapshotReader& r) {
   Fields(*this, r);
+  // The merged map has an entry exactly where cached_on_ has one (each is
+  // made by rebuild_merged right after a holder change, and neither is
+  // ever erased), built from the DFS restored before the cache.
+  merged_.clear();
+  for (const auto& entry : cached_on_) rebuild_merged(entry.first);
   for (NodeCache& cache : nodes_) {
     cache.index.clear();
     for (auto it = cache.lru.begin(); it != cache.lru.end(); ++it) {

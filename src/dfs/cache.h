@@ -104,9 +104,9 @@ class BlockCache {
   [[nodiscard]] double bytes_on(NodeId node) const;
 
   /// Serialize per-node LRU lists (recency order is state), the cached-on
-  /// working sets, the merged location map verbatim (entry order and the
-  /// set of blocks with entries) and the hit counters.  Listeners and
-  /// tracer are left untouched.
+  /// working sets and the hit counters.  The restore rebuilds the merged
+  /// location map from the working sets and the DFS, which must be
+  /// restored first.  Listeners and tracer are left untouched.
   void SaveTo(snap::SnapshotWriter& w) const;
   void RestoreFrom(snap::SnapshotReader& r);
 
@@ -132,8 +132,9 @@ class BlockCache {
   std::vector<NodeCache> nodes_;
   /// block -> nodes caching it (unsorted working set)
   std::unordered_map<BlockId, std::vector<NodeId>> cached_on_;
-  /// block -> disk ∪ cache locations for every block ever cached,
-  /// rebuilt on cache churn and on disk replica changes of the block
+  /// block -> disk ∪ cache locations for every block ever cached (the
+  /// keys of cached_on_), rebuilt on cache churn and on disk replica
+  /// changes of the block
   std::unordered_map<BlockId, std::vector<NodeId>> merged_;
   struct Listener {
     ListenerId id;

@@ -8,7 +8,7 @@
 namespace custody::metrics {
 
 void MetricsCollector::enable_streaming() {
-  if (!tasks_.empty() || !jobs_.empty() || !rounds_.empty()) {
+  if (!tasks_.empty() || !jobs_.empty()) {
     throw std::logic_error(
         "MetricsCollector: enable_streaming after records were collected");
   }
@@ -49,20 +49,6 @@ void MetricsCollector::record_job(const JobRecord& record) {
   jobs_.push_back(record);
 }
 
-void MetricsCollector::record_round(const AllocationRoundRecord& record) {
-  ++rounds_recorded_;
-  if (record.grants > 0) ++productive_rounds_;
-  if (record.skipped) ++rounds_skipped_total_;
-  executors_scanned_total_ += record.executors_scanned;
-  grants_total_ += record.grants;
-  demanded_tasks_total_ += record.demanded_tasks;
-  if (streaming_) {
-    round_wall_stream_.add(record.wall_seconds);
-    return;
-  }
-  rounds_.push_back(record);
-}
-
 Summary MetricsCollector::job_locality_summary() const {
   if (streaming_) return locality_stream_.summarize();
   return Summarize(per_job_locality_percent());
@@ -81,11 +67,6 @@ Summary MetricsCollector::input_stage_summary() const {
 Summary MetricsCollector::sched_delay_summary() const {
   if (streaming_) return sched_delay_stream_.summarize();
   return Summarize(input_scheduler_delays());
-}
-
-Summary MetricsCollector::round_wall_summary() const {
-  if (streaming_) return round_wall_stream_.summarize();
-  return Summarize(round_wall_times());
 }
 
 std::vector<double> MetricsCollector::per_job_locality_percent() const {
@@ -144,29 +125,6 @@ std::vector<double> MetricsCollector::per_app_local_job_fraction(
   return out;
 }
 
-std::vector<double> MetricsCollector::round_wall_times() const {
-  std::vector<double> out;
-  out.reserve(rounds_.size());
-  for (const AllocationRoundRecord& r : rounds_) out.push_back(r.wall_seconds);
-  return out;
-}
-
-std::vector<double> MetricsCollector::round_grant_counts() const {
-  std::vector<double> out;
-  out.reserve(rounds_.size());
-  for (const AllocationRoundRecord& r : rounds_) {
-    out.push_back(static_cast<double>(r.grants));
-  }
-  return out;
-}
-
-double MetricsCollector::round_yield_fraction() const {
-  return rounds_recorded_ == 0
-             ? 0.0
-             : static_cast<double>(productive_rounds_) /
-                   static_cast<double>(rounds_recorded_);
-}
-
 template <class Self, class Io>
 void MetricsCollector::Fields(Self& self, Io& io) {
   bool streaming = self.streaming_;
@@ -199,45 +157,19 @@ void MetricsCollector::Fields(Self& self, Io& io) {
     io.i64(j.input_tasks);
     io.i64(j.local_input_tasks);
   });
-  snap::Seq(io, self.rounds_, [&io](auto& r) {
-    io.f64(r.when);
-    io.f64(r.wall_seconds);
-    for (auto* count : {&r.idle_executors, &r.grants, &r.apps_active,
-                        &r.executors_scanned, &r.demand_apps,
-                        &r.demanded_tasks}) {
-      io.u64(*count);
-    }
-    io.b(r.skipped);
-  });
-
   for (auto* stream : {&self.locality_stream_, &self.jct_stream_,
-                       &self.input_stage_stream_, &self.sched_delay_stream_,
-                       &self.round_wall_stream_}) {
+                       &self.input_stage_stream_, &self.sched_delay_stream_}) {
     io.layer(*stream);
   }
 
   io.f64(self.makespan_);
-  for (auto* count :
-       {&self.jobs_recorded_, &self.perfectly_local_jobs_,
-        &self.input_tasks_total_, &self.input_tasks_local_,
-        &self.rounds_recorded_, &self.productive_rounds_,
-        &self.executors_scanned_total_, &self.grants_total_,
-        &self.rounds_skipped_total_, &self.demanded_tasks_total_}) {
+  for (auto* count : {&self.jobs_recorded_, &self.perfectly_local_jobs_,
+                      &self.input_tasks_total_, &self.input_tasks_local_}) {
     io.u64(*count);
   }
   for (auto* per_app : {&self.app_local_jobs_, &self.app_total_jobs_}) {
     snap::Seq(io, *per_app, [&io](auto& v) { io.u64(v); });
   }
-
-  auto& net = self.network_;
-  for (auto* count :
-       {&net.recomputes_requested, &net.recomputes_run,
-        &net.recomputes_batched, &net.flows_scanned, &net.links_scanned,
-        &net.rounds, &net.components_total, &net.components_dirty,
-        &net.rates_changed, &net.completion_rescans}) {
-    io.u64(*count);
-  }
-  io.f64(net.wall_seconds);
 }
 
 void MetricsCollector::SaveTo(snap::SnapshotWriter& w) const {

@@ -47,33 +47,11 @@ struct TaskRecord {
   [[nodiscard]] SimTime duration() const { return finish_time - launch_time; }
 };
 
-/// One manager allocation round: when it ran (simulated), what it cost
-/// (wall-clock) and what it did.  Mirrors cluster::AllocationRoundInfo so
-/// the metrics layer stays free of cluster dependencies; the experiment
-/// runner bridges the two.
-struct AllocationRoundRecord {
-  SimTime when = 0.0;
-  double wall_seconds = 0.0;
-  // 64-bit like every other long-run counter: a steady-state run records
-  // millions of rounds and the totals derived from these must not wrap.
-  std::uint64_t idle_executors = 0;
-  std::uint64_t grants = 0;
-  std::uint64_t apps_active = 0;
-  std::uint64_t executors_scanned = 0;
-  // --- round input sizes (what the round was asked to do) -----------------
-  std::uint64_t demand_apps = 0;     ///< apps with >=1 unsatisfied task
-  std::uint64_t demanded_tasks = 0;  ///< total unsatisfied tasks across apps
-  /// Short-circuited by the demand-driven trigger: no app could accept a
-  /// grant, so the allocator never ran (wall_seconds and grants are 0).
-  bool skipped = false;
-};
-
 /// What the fluid network's rate path cost over a whole run: recomputes
 /// executed vs. batched away by same-timestamp coalescing, and the scan
 /// counters that show the per-event work is sub-linear.  Mirrors
 /// net::NetStats so the metrics layer stays free of network dependencies;
-/// the experiment runner bridges the two (exactly like the allocation
-/// round records above).
+/// LiveRun::collect fills it from Network::stats().
 struct NetworkStatsRecord {
   std::uint64_t recomputes_requested = 0;
   std::uint64_t recomputes_run = 0;
@@ -132,18 +110,10 @@ class MetricsCollector {
 
   void record_task(const TaskRecord& record);
   void record_job(const JobRecord& record);
-  void record_round(const AllocationRoundRecord& record);
-  void record_network(const NetworkStatsRecord& record) { network_ = record; }
 
   // --- raw records (exact mode only; empty while streaming) --------------
   [[nodiscard]] const std::vector<TaskRecord>& tasks() const { return tasks_; }
   [[nodiscard]] const std::vector<JobRecord>& jobs() const { return jobs_; }
-  [[nodiscard]] const std::vector<AllocationRoundRecord>& rounds() const {
-    return rounds_;
-  }
-  [[nodiscard]] const NetworkStatsRecord& network_stats() const {
-    return network_;
-  }
 
   // --- figure-level summaries (both modes) -------------------------------
   /// Fig. 7: distribution over jobs of % local input tasks.  Exact mode
@@ -156,8 +126,6 @@ class MetricsCollector {
   [[nodiscard]] Summary input_stage_summary() const;
   /// Fig. 10: scheduler delay of input tasks.
   [[nodiscard]] Summary sched_delay_summary() const;
-  /// Wall-clock cost per allocation round.
-  [[nodiscard]] Summary round_wall_summary() const;
 
   /// Fraction of all input tasks that were local, in percent.
   [[nodiscard]] double overall_input_locality_percent() const;
@@ -183,28 +151,6 @@ class MetricsCollector {
   /// Fig. 10 samples: one per *input task* — scheduler delay.
   [[nodiscard]] std::vector<double> input_scheduler_delays() const;
 
-  // --- allocation-round instrumentation (both modes) ---------------------
-  /// Wall-clock seconds per allocation round (exact mode samples).
-  [[nodiscard]] std::vector<double> round_wall_times() const;
-  /// Executors granted per round (exact mode samples).
-  [[nodiscard]] std::vector<double> round_grant_counts() const;
-  /// Total pool slots inspected across all recorded rounds.
-  [[nodiscard]] std::uint64_t total_executors_scanned() const {
-    return executors_scanned_total_;
-  }
-  /// Total executors granted across all recorded rounds.
-  [[nodiscard]] std::uint64_t total_grants() const { return grants_total_; }
-  /// Fraction of rounds that granted at least one executor.
-  [[nodiscard]] double round_yield_fraction() const;
-  /// Rounds short-circuited by the demand-driven trigger.
-  [[nodiscard]] std::uint64_t total_rounds_skipped() const {
-    return rounds_skipped_total_;
-  }
-  /// Total unsatisfied tasks handed to the allocator across all rounds.
-  [[nodiscard]] std::uint64_t total_demanded_tasks() const {
-    return demanded_tasks_total_;
-  }
-
   /// Serialize every aggregate — exact-mode record vectors, streaming
   /// banks, and the running counters — so a restored run's summaries are
   /// bit-identical to an uninterrupted one's.  Mode and warm-up are part
@@ -222,14 +168,12 @@ class MetricsCollector {
   // Exact-mode storage.
   std::vector<TaskRecord> tasks_;
   std::vector<JobRecord> jobs_;
-  std::vector<AllocationRoundRecord> rounds_;
 
   // Streaming-mode aggregates.
   StreamingSummary locality_stream_;
   StreamingSummary jct_stream_;
   StreamingSummary input_stage_stream_;
   StreamingSummary sched_delay_stream_;
-  StreamingSummary round_wall_stream_;
 
   // Mode-independent running counters (cheap; kept in both modes so the
   // scalar accessors never need the vectors).
@@ -238,17 +182,9 @@ class MetricsCollector {
   std::uint64_t perfectly_local_jobs_ = 0;
   std::uint64_t input_tasks_total_ = 0;
   std::uint64_t input_tasks_local_ = 0;
-  std::uint64_t rounds_recorded_ = 0;
-  std::uint64_t productive_rounds_ = 0;
-  std::uint64_t executors_scanned_total_ = 0;
-  std::uint64_t grants_total_ = 0;
-  std::uint64_t rounds_skipped_total_ = 0;
-  std::uint64_t demanded_tasks_total_ = 0;
   /// Per-app [perfectly local, total] job counts, grown on demand.
   std::vector<std::uint64_t> app_local_jobs_;
   std::vector<std::uint64_t> app_total_jobs_;
-
-  NetworkStatsRecord network_;
 };
 
 }  // namespace custody::metrics

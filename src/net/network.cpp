@@ -144,6 +144,20 @@ std::uint32_t Network::alloc_slot() {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
+void Network::link_slot(std::uint32_t slot) {
+  Slot& f = slots_[slot];
+  f.prev = tail_;
+  f.next = kNil;
+  f.live = true;
+  if (tail_ != kNil) {
+    slots_[tail_].next = slot;
+  } else {
+    head_ = slot;
+  }
+  tail_ = slot;
+  ++live_count_;
+}
+
 void Network::unlink_slot(std::uint32_t slot) {
   Slot& f = slots_[slot];
   if (f.prev != kNil) {
@@ -183,16 +197,7 @@ FlowId Network::start_flow(NodeId src, NodeId dst, double bytes,
   f.on_complete = std::move(on_complete);
   f.label = label;
   f.id = id;
-  f.prev = tail_;
-  f.next = kNil;
-  f.live = true;
-  if (tail_ != kNil) {
-    slots_[tail_].next = slot;
-  } else {
-    head_ = slot;
-  }
-  tail_ = slot;
-  ++live_count_;
+  link_slot(slot);
   slot_of_.emplace(id, slot);
 
   const std::size_t n = config_.num_nodes;
@@ -417,10 +422,37 @@ void Network::arm_completion_event() {
 
 template <class Self, class Io>
 bool Network::Fields(Self& self, Io& io) {
-  // Dead slots carry no state beyond the free list.
-  snap::Seq(io, self.slots_, [&io](auto& f) {
-    io.b(f.live);
-    if (!f.live) return;
+  // The flow table is its free list, then its live flows in start order.
+  // Its size (the two lists' lengths), the start-order links and the live
+  // count follow from them; the restore rebuilds those, and each slot must
+  // be listed exactly once.
+  snap::Seq(io, self.free_slots_, [&io](auto& s) { io.u32(s); });
+  std::size_t live = self.live_count_;
+  io.size(live);
+  std::vector<bool> listed;
+  const auto list_slot = [&listed](std::uint32_t s) {
+    if (s >= listed.size() || listed[s]) {
+      throw snap::SnapshotError("Network: slot " + std::to_string(s) +
+                                " is listed twice or past the flow table (" +
+                                std::to_string(listed.size()) + " slots)");
+    }
+    listed[s] = true;
+  };
+  if constexpr (Io::kLoading) {
+    self.slots_.assign(live + self.free_slots_.size(), Slot{});
+    self.head_ = self.tail_ = kNil;
+    self.live_count_ = 0;
+    listed.assign(self.slots_.size(), false);
+    for (const std::uint32_t s : self.free_slots_) list_slot(s);
+  }
+  std::uint32_t slot = self.head_;
+  for (std::size_t i = 0; i < live; ++i) {
+    io.u32(slot);
+    if constexpr (Io::kLoading) {
+      list_slot(slot);
+      self.link_slot(slot);
+    }
+    auto& f = self.slots_[slot];
     io.u32(f.src);
     io.u32(f.dst);
     io.f64(f.remaining);
@@ -430,13 +462,8 @@ bool Network::Fields(Self& self, Io& io) {
     io.u32(f.label.b);
     io.u64(f.label.c);
     io.u32(f.id);
-    io.u32(f.prev);
-    io.u32(f.next);
-  });
-  snap::Seq(io, self.free_slots_, [&io](auto& s) { io.u32(s); });
-  io.u32(self.head_);
-  io.u32(self.tail_);
-  io.u64(self.live_count_);
+    slot = f.next;  // restoring: kNil, the next read overwrites it
+  }
   io.u32(self.next_flow_);
   io.f64(self.bytes_delivered_);
   io.f64(self.last_update_);
@@ -448,7 +475,6 @@ bool Network::Fields(Self& self, Io& io) {
         &stats.rates_changed, &stats.completion_rescans}) {
     io.u64(*counter);
   }
-  io.f64(stats.wall_seconds);
   bool pending =
       self.completion_event_.valid() && !self.completion_event_.cancelled();
   io.b(pending);
@@ -481,20 +507,20 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
   const bool pending = Fields(*this, r);
   dirty_ = false;
   slot_of_.clear();
-  std::size_t live_slots = 0;
-  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
     Slot& f = slots_[s];
-    if (!f.live) continue;
-    ++live_slots;
     if (f.src.value() >= config_.num_nodes ||
         f.dst.value() >= config_.num_nodes) {
       throw snap::SnapshotError(
           "Network: restored flow endpoints exceed num_nodes");
     }
+    if (!slot_of_.emplace(f.id, s).second) {
+      throw snap::SnapshotError("Network: flow id " +
+                                std::to_string(f.id.value()) +
+                                " is live twice");
+    }
     f.on_complete = resolve(f.id, f.label, f.src, f.dst);
-    slot_of_.emplace(f.id, s);
   }
-  validate_restored_lists(live_slots);
   // The solver's link lists name their slots independently of the flow
   // table; they must name exactly the live flows.
   if (solver_.flow_count() != live_count_) {
@@ -527,51 +553,6 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
   comp_min_.clear();
   comp_heap_.clear();
   delta_.clear();
-}
-
-void Network::validate_restored_lists(std::size_t live_slots) const {
-  // Every later walk (the census in RestoreFrom, progress, completions,
-  // arms) follows these links unchecked, so a corrupt snapshot must not
-  // leave one out of range, dangling at a dead slot, or in a cycle.
-  if (live_count_ != live_slots || slot_of_.size() != live_slots) {
-    throw snap::SnapshotError("Network: live flow count mismatch");
-  }
-  const auto live_or_nil = [this](std::uint32_t s) {
-    return s == kNil || (s < slots_.size() && slots_[s].live);
-  };
-  if (!live_or_nil(head_) || !live_or_nil(tail_)) {
-    throw snap::SnapshotError("Network: flow list head or tail names no live "
-                              "slot");
-  }
-  for (const Slot& f : slots_) {
-    if (f.live && (!live_or_nil(f.prev) || !live_or_nil(f.next))) {
-      throw snap::SnapshotError("Network: flow list link names no live slot");
-    }
-  }
-  // Every step must be its predecessor's successor; more steps than live
-  // flows means a cycle.  Ending at the tail after exactly live_count_
-  // steps then covers every live slot once.
-  std::uint32_t prev = kNil;
-  std::size_t visited = 0;
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    if (++visited > live_count_ || slots_[s].prev != prev) {
-      throw snap::SnapshotError("Network: flow list is not a chain");
-    }
-    prev = s;
-  }
-  if (prev != tail_ || visited != live_count_) {
-    throw snap::SnapshotError(
-        "Network: flow list does not reach every live flow and end at its "
-        "tail");
-  }
-  std::vector<bool> freed(slots_.size(), false);
-  for (const std::uint32_t s : free_slots_) {
-    if (s >= slots_.size() || slots_[s].live || freed[s]) {
-      throw snap::SnapshotError(
-          "Network: free list names a live, missing or repeated slot");
-    }
-    freed[s] = true;
-  }
 }
 
 void Network::on_completion_event() {

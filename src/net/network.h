@@ -46,9 +46,9 @@ struct NetworkConfig {
   double core_bps = 0.0;
 };
 
-/// What the rate path cost — surfaced through the experiment runner next to
-/// the allocation-round records so the batching and the asymptotic solver
-/// win show up as counters, not just wall time.
+/// What the rate path cost — surfaced in the experiment result next to the
+/// manager's round stats so the batching and the asymptotic solver win
+/// show up as counters, not just wall time.
 struct NetStats {
   /// Flow-set changes that requested a rate recompute.
   std::uint64_t recomputes_requested = 0;
@@ -70,7 +70,8 @@ struct NetStats {
   /// since the last arm, or the minima cache was cold); same-timestamp
   /// bursts re-arm from the rate delta instead.
   std::uint64_t completion_rescans = 0;
-  /// Wall-clock seconds spent inside rate solves.
+  /// Wall-clock seconds spent inside rate solves.  Observation, not
+  /// simulation state: snapshots leave it out.
   double wall_seconds = 0.0;
 
   /// Recomputes absorbed by same-timestamp batching.
@@ -143,20 +144,21 @@ class Network {
   /// Lower bound on the time to ship `bytes` between two idle nodes.
   [[nodiscard]] double uncontended_transfer_time(double bytes) const;
 
-  /// Serialize the flow table verbatim — dead slots, free-list order and
-  /// intrusive-list links included, so restored slot indices (which feed
-  /// the solver's floating-point traversal order) match the live run — plus
-  /// rates as last solved, the solver's link incidence, counters and the
-  /// pending completion event's (time, seq).  Requires a flushed rate state
-  /// (the post-event hook guarantees that at any between-events boundary)
-  /// and a label on every live flow.
+  /// Serialize the flow table as its free list (in order) and its live
+  /// flows in start order, each with its slot, so restored slot indices
+  /// (which feed the solver's floating-point traversal order) match the
+  /// live run — plus rates as last solved, the solver's link incidence,
+  /// counters and the pending completion event's (time, seq).  Requires a
+  /// flushed rate state (the post-event hook guarantees that at any
+  /// between-events boundary) and a label on every live flow.
   void SaveTo(snap::SnapshotWriter& w) const;
   /// Rebuild from a snapshot taken on an identically-configured network:
-  /// callbacks are re-created through `resolve`, rates are restored (not
-  /// re-solved) and the completion event is re-armed under its original
-  /// sequence number.  The flow list and the solver's slot set are
-  /// validated before anything walks them; an inconsistent snapshot throws
-  /// snap::SnapshotError.
+  /// the slot table and its start-order list are rebuilt from the two
+  /// lists, callbacks are re-created through `resolve`, rates are restored
+  /// (not re-solved) and the completion event is re-armed under its
+  /// original sequence number.  Every slot must be listed exactly once and
+  /// the solver must hold exactly the live slots; an inconsistent snapshot
+  /// throws snap::SnapshotError.
   void RestoreFrom(snap::SnapshotReader& r, const CompletionResolver& resolve);
 
  private:
@@ -184,6 +186,8 @@ class Network {
   };
 
   std::uint32_t alloc_slot();
+  /// Append `slot` to the start-order list as a live flow.
+  void link_slot(std::uint32_t slot);
   void unlink_slot(std::uint32_t slot);
 
   /// Account progress of all active flows since `last_update_`.
@@ -200,9 +204,6 @@ class Network {
   [[noreturn]] void throw_stranded() const;
   /// Book a live flow's removal into the rate censuses.
   void forget_rate(double rate);
-  /// Check the restored flow table's intrusive list and free list; throws
-  /// snap::SnapshotError unless both are consistent with the live slots.
-  void validate_restored_lists(std::size_t live_slots) const;
 
   sim::Simulator& sim_;
   NetworkConfig config_;

@@ -238,11 +238,14 @@ struct ExperimentResult {
   std::vector<double> per_app_local_job_fraction;
   cluster::ManagerStats manager_stats;
   /// Allocation-round cost (Custody rounds): wall time per round and the
-  /// fraction of rounds that granted at least one executor.
+  /// fraction of rounds that granted at least one executor.  round_wall's
+  /// count covers every round of the run, restores included; its moments
+  /// cover only the rounds this process timed.
   Summary round_wall;
   double round_yield_fraction = 0.0;
   /// Fluid-network rate-path cost: recomputes run vs. batched away, scan
-  /// counters, wall time.
+  /// counters, and the wall time this process spent solving (like the
+  /// round moments, not carried across a restore).
   metrics::NetworkStatsRecord net_stats;
   /// App-layer work counters summed over applications: what the kicks
   /// and release checks enumerated (cost, not outcome).

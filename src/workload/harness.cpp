@@ -321,19 +321,6 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
     metrics_.set_warmup(config.steady.warmup);
     if (config.steady.streaming_metrics) metrics_.enable_streaming();
   }
-  manager_->set_round_observer(
-      [this, tracer](const cluster::AllocationRoundInfo& info) {
-        metrics_.record_round({info.when, info.wall_seconds,
-                               info.idle_executors, info.grants, info.apps,
-                               info.executors_scanned, info.demand_apps,
-                               info.demanded_tasks, info.skipped});
-        if (tracer != nullptr) {
-          tracer->instant({.value = info.wall_seconds,
-                           .id = static_cast<std::int32_t>(info.idle_executors),
-                           .aux = static_cast<std::int32_t>(info.grants),
-                           .kind = obs::EventKind::kAllocRound});
-        }
-      });
   app::AppConfig app_config;
   app_config.dynamic_executors = manager_kind != ManagerKind::kStandalone;
   app_config.scheduler = config.scheduler;
@@ -570,11 +557,6 @@ ExperimentResult LiveRun::collect() {
   const ExperimentConfig& config = snapshot_.config();
   net::Network& net = ctx_.network();
   const net::NetStats& ns = net.stats();
-  metrics_.record_network(
-      {ns.recomputes_requested, ns.recomputes_run, ns.recomputes_batched(),
-       ns.flows_scanned, ns.links_scanned, ns.rounds, ns.components_total,
-       ns.components_dirty, ns.rates_changed, ns.completion_rescans,
-       ns.wall_seconds});
 
   ExperimentResult result;
   result.manager_name = ManagerName(manager_kind_);
@@ -591,9 +573,13 @@ ExperimentResult LiveRun::collect() {
   result.per_app_local_job_fraction = metrics_.per_app_local_job_fraction(
       static_cast<std::size_t>(config.trace.num_apps));
   result.manager_stats = manager_->stats();
-  result.round_wall = metrics_.round_wall_summary();
-  result.round_yield_fraction = metrics_.round_yield_fraction();
-  result.net_stats = metrics_.network_stats();
+  result.round_wall = manager_->round_wall();
+  result.round_yield_fraction = manager_->round_yield_fraction();
+  result.net_stats = {
+      ns.recomputes_requested, ns.recomputes_run, ns.recomputes_batched(),
+      ns.flows_scanned, ns.links_scanned, ns.rounds, ns.components_total,
+      ns.components_dirty, ns.rates_changed, ns.completion_rescans,
+      ns.wall_seconds};
   result.net_bytes_delivered = net.bytes_delivered();
   result.cache_insertions = ctx_.cache().stats().insertions;
   result.cache_hits = ctx_.cache().stats().hits;

@@ -426,7 +426,7 @@ struct ForgedApp {
         std::count_if(tasks.begin(), tasks.end(), [](const ForgedTask& t) {
           return t.state == TaskState::kRunning;
         })));
-    for (int i = 0; i < 6; ++i) w.u64(0);  // job and clone counters
+    for (int i = 0; i < 5; ++i) w.u64(0);  // job and clone counters
     for (int i = 0; i < 4; ++i) w.i64(0);  // locality stats
     for (int i = 0; i < 3; ++i) w.u64(0);  // launch breakdown
     for (int i = 0; i < 7; ++i) w.u64(0);  // work counters

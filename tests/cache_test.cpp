@@ -99,7 +99,6 @@ struct ForgedCache {
   std::vector<std::uint32_t> lru = {0};  ///< node 5's LRU list
   double bytes = MB(128.0);              ///< node 5's cached bytes
   std::vector<std::uint32_t> cached_on = {5};  ///< holders of block 0
-  std::vector<std::uint32_t> merged = {0, 5};  ///< block 0's merged list
 
   void restore_into(BlockCache& cache) const {
     snap::SnapshotWriter w;
@@ -113,12 +112,10 @@ struct ForgedCache {
       for (const std::uint32_t b : held) w.u32(b);
       w.f64(n == 5 ? bytes : 0.0);
     }
-    for (const std::vector<std::uint32_t>* holders : {&cached_on, &merged}) {
-      w.size(1);  // one block with an entry: block 0
-      w.u32(0);
-      w.size(holders->size());
-      for (const std::uint32_t n : *holders) w.u32(n);
-    }
+    w.size(1);  // one block with an entry: block 0
+    w.u32(0);
+    w.size(cached_on.size());
+    for (const std::uint32_t n : cached_on) w.u32(n);
     for (int i = 0; i < 4; ++i) w.u64(0);  // stats
     w.end_section();
     snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
@@ -138,11 +135,6 @@ TEST(BlockCache, RestoreRejectsLocationOffTheCluster) {
   forged.restore_into(cache);
   EXPECT_TRUE(cache.peek_cached(NodeId(5), f.block(0)));
   forged.cached_on = {8};
-  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
-  forged = ForgedCache{};
-  forged.merged = {0, 8};
-  EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
-  forged.merged = {5, 0};  // merged lists are ascending
   EXPECT_THROW(forged.restore_into(cache), snap::SnapshotError);
 }
 
@@ -167,7 +159,6 @@ TEST(BlockCache, InsertAfterRestoreEvictsNoFurtherThanTheList) {
   forged.lru = {};
   forged.bytes = MB(512.0);
   forged.cached_on = {};
-  forged.merged = {0};
   forged.restore_into(cache);
   cache.insert(NodeId(5), f.block(1));
   EXPECT_TRUE(cache.peek_cached(NodeId(5), f.block(1)));
@@ -231,6 +222,42 @@ TEST(BlockCache, MergedLocationsFollowDiskFailover) {
   }
   const auto& merged = cache.merged_locations(evicted);
   EXPECT_EQ(std::count(merged.begin(), merged.end(), NodeId(0)), 0);
+}
+
+// The merged map is not in the snapshot: the restore rebuilds it from the
+// cached-on sets and the DFS.  After caching, evictions and a disk
+// failover under a cached block, a restored cache offers every block the
+// live cache's merged locations.
+TEST(BlockCache, RestoreRebuildsMergedLocations) {
+  CacheFixture f;
+  BlockCache cache(f.dfs, MB(256.0));  // room for two blocks per node
+  for (int i = 0; i < 5; ++i) cache.insert(NodeId(5), f.block(i));
+  EXPECT_EQ(cache.stats().evictions, 3u);  // blocks 0..2 left node 5
+  cache.insert(NodeId(6), f.block(1));
+  cache.insert(NodeId(7), f.block(2));
+  // Node 2 holds block 2's one disk replica; failover moves it while node
+  // 7 caches the block.
+  std::vector<NodeId> live;
+  for (NodeId::value_type n = 0; n < 8; ++n) {
+    if (n != 2) live.push_back(NodeId(n));
+  }
+  f.dfs.fail_node(NodeId(2), live);
+  cache.fail_node(NodeId(2));
+  ASSERT_NE(f.dfs.locations(f.block(2)), std::vector<NodeId>{NodeId(2)});
+
+  snap::SnapshotWriter w;
+  w.begin_section("CACH");
+  cache.SaveTo(w);
+  w.end_section();
+  snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
+  BlockCache restored(f.dfs, MB(256.0));
+  r.begin_section("CACH");
+  restored.RestoreFrom(r);
+  r.end_section();
+  for (const BlockId b : f.dfs.namenode().all_blocks()) {
+    EXPECT_EQ(restored.merged_locations(b), cache.merged_locations(b))
+        << "block " << b.value();
+  }
 }
 
 TEST(BlockCache, StatsCountHitsAndLookups) {

@@ -108,21 +108,6 @@ TEST(Metrics, RawRecordsAccessible) {
   EXPECT_EQ(m.jobs().size(), 1u);
 }
 
-TEST(Metrics, AllocationRoundRecords) {
-  MetricsCollector m;
-  EXPECT_DOUBLE_EQ(m.round_yield_fraction(), 0.0);  // no rounds yet
-  m.record_round({/*when=*/1.0, /*wall_seconds=*/2e-4, /*idle_executors=*/8,
-                  /*grants=*/4, /*apps_active=*/2, /*executors_scanned=*/40});
-  m.record_round({2.0, 1e-4, 4, 0, 2, 12});  // fruitless round
-  m.record_round({3.0, 3e-4, 4, 2, 2, 20});
-
-  ASSERT_EQ(m.rounds().size(), 3u);
-  EXPECT_EQ(m.round_wall_times(), (std::vector<double>{2e-4, 1e-4, 3e-4}));
-  EXPECT_EQ(m.round_grant_counts(), (std::vector<double>{4.0, 0.0, 2.0}));
-  EXPECT_EQ(m.total_executors_scanned(), 72u);
-  EXPECT_NEAR(m.round_yield_fraction(), 2.0 / 3.0, 1e-12);
-}
-
 // ---------------------------------------------------------------------------
 // Streaming mode
 // ---------------------------------------------------------------------------
@@ -197,29 +182,6 @@ TEST(MetricsStreaming, WarmupFiltersIdenticallyInBothModes) {
 // ---------------------------------------------------------------------------
 // 64-bit counter widening (large-horizon overflow regression)
 // ---------------------------------------------------------------------------
-
-TEST(Metrics, RoundCountersAccumulatePast32Bits) {
-  // A steady-state horizon records enough rounds that the scanned-executor
-  // total passes 2^32; the widened counters must not wrap.  Drive the total
-  // directly with per-round values near the old int ceiling.
-  MetricsCollector m;
-  m.enable_streaming();
-  const std::uint64_t per_round = std::uint64_t{1} << 31;
-  for (int i = 0; i < 4; ++i) {
-    AllocationRoundRecord r;
-    r.when = static_cast<double>(i);
-    r.wall_seconds = 1e-6;
-    r.idle_executors = per_round;
-    r.grants = per_round;
-    r.executors_scanned = per_round;
-    r.apps_active = 2;
-    m.record_round(r);
-  }
-  EXPECT_EQ(m.total_executors_scanned(), std::uint64_t{1} << 33);
-  EXPECT_EQ(m.total_grants(), std::uint64_t{1} << 33);
-  EXPECT_GT(m.total_executors_scanned(),
-            std::uint64_t{std::numeric_limits<std::uint32_t>::max()});
-}
 
 TEST(Metrics, InputTaskTotalsAccumulatePast32Bits) {
   MetricsCollector m;

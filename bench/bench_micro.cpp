@@ -433,10 +433,11 @@ BENCHMARK(BM_CustodyAllocationRound)->Arg(25)->Arg(100);
 /// Allocation rounds at production scale — 1k/5k/10k executors, 8 apps,
 /// pending tasks ~ 4x the pool (a contended round: every executor is
 /// granted and most tasks stay unsatisfied).  Each iteration builds a
-/// round-local idle index from the idle vector and runs the round on it
-/// with the incremental min-locality tracker.  items_per_second is executor
-/// grants per second; the label's slots-scanned count is the round's
-/// candidate work, which stays near three per grant at every scale.
+/// round-local idle index from the idle vector and runs the round on it;
+/// with 8 applications, every grant re-runs the linear min-locality pick.
+/// items_per_second is executor grants per second; the label's
+/// slots-scanned count is the round's candidate work, which stays near
+/// three per grant at every scale.
 void BM_AllocationRoundAtScale(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
   const auto inst = MakeAllocationRound(execs / 2, 8, execs / 96);

@@ -1,7 +1,6 @@
 #include "core/allocator.h"
 
 #include <algorithm>
-#include <optional>
 
 namespace custody::core {
 
@@ -43,29 +42,22 @@ AllocationResult CustodyAllocator::AllocateOnIndex(
     result.stats.demanded_tasks += unsatisfied;
   }
 
-  // The incremental MINLOCALITY index answers each pick and each per-grant
-  // re-check in O(log apps) instead of rescanning the apps.  While an app
-  // is being served its stats mutate, so it is detached from the tracker
-  // for the duration of its intra-app pass and re-attached afterwards.
-  std::optional<MinLocalityTracker> tracker;
-  if (options.locality_fair) tracker.emplace(apps);
-
   // INTER-APP FAIRNESS (Algorithm 1): while executors remain, the app with
   // the lowest percentage of local jobs picks next (under the naive-fair
   // ablation, the app holding the fewest executors).
   while (!pool.empty()) {
-    const auto pick = tracker ? tracker->min() : PickFewestHeld(apps);
+    const auto pick = options.locality_fair ? PickMinLocality(apps)
+                                            : PickFewestHeld(apps);
     if (!pick) break;  // every app is at its budget
     const std::size_t current = *pick;
     ++result.stats.apps_considered;
-    if (tracker) tracker->remove(current);
 
     const auto before_tasks = apps[current].projected.local_tasks;
     const auto before_jobs = apps[current].projected.local_jobs;
     const auto pass = IntraAppAllocate(
         apps, current, jobs[current], pool, locations,
         [&result](const Assignment& a) { result.assignments.push_back(a); },
-        options.priority_jobs, tracker ? &*tracker : nullptr);
+        options.priority_jobs, options.locality_fair);
     result.tasks_satisfied[current] +=
         apps[current].projected.local_tasks - before_tasks;
     result.jobs_satisfied[current] +=
@@ -78,7 +70,6 @@ AllocationResult CustodyAllocator::AllocateOnIndex(
       // out of the round prevents a livelock on the min-locality pick.
       apps[current].budget = apps[current].held;
     }
-    if (tracker) tracker->restore(current);
   }
 
   result.projected.reserve(apps.size());

@@ -7,17 +7,15 @@
 // incrementally on grant/release/failure; a round borrows an epoch-stamped
 // `RoundView` without touching per-executor state up front.  The claim
 // contract: `claim_on` takes the lowest-id idle executor on any of the
-// given nodes, `claim_any` the first idle executor at or after a rotating
-// scan start (wrapping once), so backfill grants spread across nodes.
-// CustodyAllocator::Allocate builds a round-local index the same way when
-// a caller holds an explicit idle vector.
+// given nodes, `claim_any` the lowest-id idle executor not yet claimed this
+// round.  Executor ids are node-major, so backfill grants fill the lowest
+// nodes first.  CustodyAllocator::Allocate builds a round-local index the
+// same way when a caller holds an explicit idle vector.
 //
-// Internals: per-node ascending idle-id lists (claim_on heads), a Fenwick
-// tree over executor ids (rank/select for claim_any's positional rotation
-// and O(log E) sorted-list insertion), and an intrusive doubly-linked list
-// over idle ids for O(idle) in-order enumeration.  All round scratch
-// (taken marks, node cursors, union-find parents) is epoch-stamped, so
-// starting a round is O(1) — nothing is cleared.
+// Internals: a bitset of idle executor ids (in-order enumeration and
+// claim_any's forward cursor) and per-node ascending idle-id lists
+// (claim_on heads).  Round scratch (taken marks, node cursors) is
+// epoch-stamped, so starting a round is O(1) — nothing is cleared.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +72,8 @@ class IdleExecutorIndex {
     ExecutorId claim_on(const std::vector<NodeId>& nodes) {
       return index_->view_claim_on(nodes);
     }
-    /// Claim the first unclaimed idle executor at or after the rotating
-    /// scan start (wrapping once); the start moves past each claim.
+    /// Claim the lowest-id unclaimed idle executor; invalid id when none
+    /// exists.
     ExecutorId claim_any() { return index_->view_claim_any(); }
     [[nodiscard]] bool has_on(const std::vector<NodeId>& nodes) const {
       return index_->view_has_on(nodes);
@@ -103,48 +101,37 @@ class IdleExecutorIndex {
   ExecutorId view_claim_any();
   [[nodiscard]] bool view_has_on(const std::vector<NodeId>& nodes) const;
 
+  [[nodiscard]] bool is_idle(std::size_t exec) const {
+    return (idle_[exec / 64] >> (exec % 64) & 1) != 0;
+  }
+  /// Lowest idle executor id >= `from`; num_execs_ when none.
+  [[nodiscard]] std::size_t next_idle(std::size_t from) const;
   /// Lowest unclaimed idle executor id on `node` this round, or kNone.
   [[nodiscard]] std::size_t head_on(NodeId node) const;
   /// Mark `exec` claimed for this round.
   void take(std::size_t exec);
-  /// First round-start rank >= r whose executor is unclaimed; round_n_
-  /// when none.  Links claimed ranks lazily (union-find, path-compressed).
-  [[nodiscard]] std::size_t find_free(std::size_t r);
-  [[nodiscard]] std::size_t uf_find(std::size_t r);
-
-  // Fenwick tree over executor ids, 1 == idle.
-  void fen_add(std::size_t id, int delta);
-  /// Number of idle executors with id < `id`.
-  [[nodiscard]] std::size_t fen_rank(std::size_t id) const;
-  /// Id of the (k+1)-th smallest idle executor (k 0-based, k < count_).
-  [[nodiscard]] std::size_t fen_select(std::size_t k) const;
 
   std::size_t num_execs_;
   std::size_t num_nodes_;
-  std::size_t fen_mask_;  ///< highest power of two <= num_execs_
-  std::vector<bool> idle_;
+  /// Bit e % 64 of word e / 64 is set while executor e is idle.
+  std::vector<std::uint64_t> idle_;
   /// Home node of each executor ever added (for append_infos).
   std::vector<NodeId::value_type> node_of_;
   std::size_t count_ = 0;
-  std::vector<std::int64_t> fenwick_;  ///< 1-indexed, size num_execs_+1
   /// node -> idle executor ids on it, ascending.
   std::vector<std::vector<std::uint32_t>> by_node_;
-  /// Intrusive list over idle ids, ascending; sentinel at num_execs_.
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> prev_;
 
   // Round scratch — valid only where the stored epoch == epoch_.
   std::uint64_t epoch_ = 0;
   bool round_active_ = false;
   std::size_t round_n_ = 0;      ///< idle count at round start
   std::size_t round_taken_ = 0;  ///< claims so far this round
-  std::size_t scan_start_ = 0;   ///< rotating claim_any rank (reset per round)
+  /// claim_any's cursor: every idle executor below it is claimed this round.
+  std::size_t any_cursor_ = 0;
   mutable std::uint64_t enumerated_ = 0;
   std::vector<std::uint64_t> taken_epoch_;        ///< per executor id
   mutable std::vector<std::uint64_t> cursor_epoch_;  ///< per node
   mutable std::vector<std::uint32_t> cursor_pos_;    ///< per node
-  std::vector<std::uint64_t> uf_epoch_;   ///< per round rank + sentinel
-  std::vector<std::uint32_t> uf_parent_;  ///< per round rank + sentinel
 };
 
 }  // namespace custody::core

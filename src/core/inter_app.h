@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "core/model.h"
@@ -37,8 +36,9 @@ struct AppAllocState {
 bool MinLocalityLess(const AppAllocState& a, const AppAllocState& b);
 
 /// Index of the app that should pick next among those that can take more
-/// executors; nullopt when every app is at budget.  The linear argmin that
-/// MinLocalityTracker maintains incrementally (kept as its test oracle).
+/// executors; nullopt when every app is at budget.  A linear argmin (the
+/// lower index wins a full tie): rounds hold a handful of applications, so
+/// the pick and the per-grant re-check of Algorithm 2 rescan them all.
 std::optional<std::size_t> PickMinLocality(
     const std::vector<AppAllocState>& apps);
 
@@ -50,44 +50,5 @@ std::optional<std::size_t> PickFewestHeld(
 /// Initialize allocation state from a demand: projected totals include the
 /// pending jobs/tasks, all initially non-local.
 AppAllocState MakeAllocState(const AppDemand& demand, std::size_t index);
-
-/// Incremental MINLOCALITY index: an ordered set over the apps that can
-/// still take executors, keyed exactly like PickMinLocality's linear argmin
-/// ((job %, task %, app id) ascending, then vector index so duplicate app
-/// ids keep the scan's first-wins behaviour).  Picking the next app and the
-/// per-grant ALLOCATEEXECUTOR re-check both become O(log apps) instead of
-/// re-scanning every application — an O(apps) rescan per grant would make
-/// a round O(executors x apps).
-///
-/// Contract: an app's key fields (projected stats, held, budget) may only
-/// be mutated while that app is detached via remove(); everything else in
-/// the set must stay unchanged, which holds because an intra-app pass only
-/// ever mutates the app it serves.
-class MinLocalityTracker {
- public:
-  explicit MinLocalityTracker(const std::vector<AppAllocState>& apps);
-
-  /// Detach `index` before mutating apps[index] (no-op when absent).
-  void remove(std::size_t index);
-  /// Re-attach `index` after mutation iff it can still take executors.
-  void restore(std::size_t index);
-
-  /// The app PickMinLocality would choose among the attached apps.
-  [[nodiscard]] std::optional<std::size_t> min() const;
-
-  /// The ALLOCATEEXECUTOR re-check of Algorithm 2 (line 5) for a
-  /// *detached* index: true iff re-attaching it would make it the pick.
-  /// Used after every single allocation.
-  [[nodiscard]] bool would_pick(std::size_t index) const;
-
- private:
-  struct IndexLess {
-    const std::vector<AppAllocState>* apps;
-    bool operator()(std::size_t a, std::size_t b) const;
-  };
-
-  const std::vector<AppAllocState>* apps_;
-  std::set<std::size_t, IndexLess> ordered_;
-};
 
 }  // namespace custody::core

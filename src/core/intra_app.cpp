@@ -17,16 +17,16 @@ namespace {
 /// ALLOCATEEXECUTOR (Algorithm 2, lines 1-6): record the assignment, update
 /// the projected state, and report whether the app lost its pick position
 /// (TRUE means "return to the inter-application loop").  Under the naive
-/// executor-count fairness ablation (no tracker) every grant yields back to
-/// the outer loop, producing a strict round-robin over applications.
+/// executor-count fairness ablation (locality_fair off) every grant yields
+/// back to the outer loop, producing a strict round-robin over applications.
 bool AllocateExecutor(std::vector<AppAllocState>& apps, std::size_t current,
                       ExecutorId exec, TaskUid hint,
                       const std::function<void(const Assignment&)>& emit,
-                      const MinLocalityTracker* tracker) {
+                      bool locality_fair) {
   AppAllocState& app = apps[current];
   emit(Assignment{exec, app.app, hint});
   app.held += 1;
-  return tracker == nullptr || !tracker->would_pick(current);
+  return !locality_fair || PickMinLocality(apps) != current;
 }
 
 /// Claim a data-local executor for one task of `job`; returns whether any
@@ -36,8 +36,8 @@ bool ServeOneTask(std::vector<AppAllocState>& apps, std::size_t current,
                   JobDemand& job, IdleExecutorIndex::RoundView& pool,
                   const BlockLocationsFn& locations,
                   const std::function<void(const Assignment&)>& emit,
-                  IntraAppPassResult& result,
-                  const MinLocalityTracker* tracker, bool& lost_min) {
+                  IntraAppPassResult& result, bool locality_fair,
+                  bool& lost_min) {
   AppAllocState& app = apps[current];
   auto& tasks = job.unsatisfied;
   for (auto it = tasks.begin(); it != tasks.end(); ++it) {
@@ -48,7 +48,8 @@ bool ServeOneTask(std::vector<AppAllocState>& apps, std::size_t current,
     app.projected.local_tasks += 1;
     if (tasks.empty()) app.projected.local_jobs += 1;
     ++result.executors_taken;
-    lost_min = AllocateExecutor(apps, current, exec, hint, emit, tracker);
+    lost_min =
+        AllocateExecutor(apps, current, exec, hint, emit, locality_fair);
     return true;
   }
   return false;
@@ -61,7 +62,7 @@ IntraAppPassResult IntraAppAllocate(
     std::vector<JobDemand>& jobs, IdleExecutorIndex::RoundView& pool,
     const BlockLocationsFn& locations,
     const std::function<void(const Assignment&)>& emit, bool priority_jobs,
-    const MinLocalityTracker* tracker) {
+    bool locality_fair) {
   AppAllocState& app = apps[current];
   IntraAppPassResult result;
 
@@ -93,7 +94,8 @@ IntraAppPassResult IntraAppAllocate(
         app.projected.local_tasks += 1;
         if (tasks.empty()) app.projected.local_jobs += 1;
         ++result.executors_taken;
-        if (AllocateExecutor(apps, current, exec, hint, emit, tracker)) {
+        if (AllocateExecutor(apps, current, exec, hint, emit,
+                             locality_fair)) {
           result.stop = IntraAppStop::kLostMinLocality;
           return result;
         }
@@ -121,7 +123,7 @@ IntraAppPassResult IntraAppAllocate(
         }
         bool lost_min = false;
         if (ServeOneTask(apps, current, job, pool, locations, emit, result,
-                         tracker, lost_min)) {
+                         locality_fair, lost_min)) {
           progress = true;
           if (lost_min) {
             result.stop = IntraAppStop::kLostMinLocality;
@@ -140,7 +142,7 @@ IntraAppPassResult IntraAppAllocate(
     const ExecutorId exec = pool.claim_any();
     assert(exec.valid());
     ++result.executors_taken;
-    if (AllocateExecutor(apps, current, exec, kNoTask, emit, tracker)) {
+    if (AllocateExecutor(apps, current, exec, kNoTask, emit, locality_fair)) {
       result.stop = IntraAppStop::kLostMinLocality;
       return result;
     }

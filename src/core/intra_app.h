@@ -42,16 +42,15 @@ struct IntraAppPassResult {
 /// state over the idle index.  `emit` receives every assignment as it
 /// happens.
 ///
-/// `tracker` holds every competing app except `current` (detached by the
-/// caller), so the per-grant MINLOCALITY re-check costs O(log apps).  Null
-/// under the naive-fair ablation (locality_fair off), where every grant
-/// yields back to the inter-application loop — a strict round-robin.
+/// With `locality_fair`, the pass yields back to the inter-application loop
+/// as soon as PickMinLocality(apps) no longer picks `current`.  Off (the
+/// naive-fair ablation), every grant yields back — a strict round-robin.
 IntraAppPassResult IntraAppAllocate(
     std::vector<AppAllocState>& apps, std::size_t current,
     std::vector<JobDemand>& jobs, IdleExecutorIndex::RoundView& pool,
     const BlockLocationsFn& locations,
     const std::function<void(const Assignment&)>& emit, bool priority_jobs,
-    const MinLocalityTracker* tracker);
+    bool locality_fair);
 
 /// The job-priority comparator (fewest unsatisfied input tasks first;
 /// deterministic tie-break by job uid — the paper breaks ties randomly).

@@ -171,9 +171,9 @@ TEST(IdlePool, ClaimAnyDrainsPool) {
 
 // ---------- idle pool edge cases --------------------------------------------
 
-// claim_any rotates: each claim resumes at the slot after the previous one,
-// and the modulo wrap after claiming the last slot must leave the cursor in
-// a valid state (an exhausted pool then reports invalid, not a crash).
+// claim_any takes the lowest-id unclaimed executor: its cursor only moves
+// forward, past each claim and over executors claim_on took, and running
+// off the end of an exhausted pool reports invalid, not a crash.
 TEST(IdlePool, ClaimAnyCursorRotatesAndWrapsAtEnd) {
   IdleExecutorIndex index = IndexOf({{ExecutorId(0), NodeId(0)},
                                      {ExecutorId(1), NodeId(1)},
@@ -181,11 +181,11 @@ TEST(IdlePool, ClaimAnyCursorRotatesAndWrapsAtEnd) {
                                      {ExecutorId(3), NodeId(0)}});
   IdleExecutorIndex::RoundView pool(index);
   EXPECT_EQ(pool.claim_any(), ExecutorId(0));  // cursor -> 1
-  // claim_on does not move the cursor; it takes slot 3 out from under a
-  // future claim_any sweep.
+  // claim_on does not move the cursor; it takes executor 3 out from under
+  // a later claim_any.
   EXPECT_EQ(pool.claim_on({NodeId(0)}), ExecutorId(3));
   EXPECT_EQ(pool.claim_any(), ExecutorId(1));  // cursor -> 2
-  EXPECT_EQ(pool.claim_any(), ExecutorId(2));  // cursor wraps past slot 3
+  EXPECT_EQ(pool.claim_any(), ExecutorId(2));  // the last unclaimed one
   EXPECT_TRUE(pool.empty());
   EXPECT_FALSE(pool.claim_any().valid());
   EXPECT_FALSE(pool.claim_any().valid());  // stays invalid, cursor stable
@@ -247,7 +247,9 @@ TEST(IdlePool, UnknownAndEmptyNodeQueriesAreInvalid) {
 /// round's idle executors in ascending id order: claim_on takes the first
 /// unclaimed executor on any of the nodes; claim_any the first unclaimed
 /// one at or after a scan start (wrapping once), then moves the start past
-/// it; claim_on leaves the start alone.
+/// it; claim_on leaves the start alone.  Every executor below the start is
+/// claimed, so the wrap never finds one: this is the lowest-unclaimed rule
+/// of the index, reached by another route.
 class LinearIdlePool {
  public:
   explicit LinearIdlePool(std::vector<ExecutorInfo> idle)
@@ -297,15 +299,17 @@ class LinearIdlePool {
 // claim model claim-for-claim, across rounds separated by random
 // add/remove churn, and dropping a view without applying its claims must
 // leave the index untouched.  The first 20 inputs build the index by
-// random adds.  The last starts with every executor idle, built twice —
-// once in one pass by add_all, once by ascending adds — and both indices
-// must follow the model through the same claims and churn.
+// random adds, over up to 200 executors, so the idle bitset spans up to
+// four 64-bit words.  The last starts with all 130 executors idle (a
+// partial last word), built twice — once in one pass by add_all, once by
+// ascending adds — and both indices must follow the model through the same
+// claims and churn.
 TEST(IdleIndex, RoundViewMatchesPoolAcrossMutationsAndRounds) {
   Rng rng(4242);
   for (int trial = 0; trial <= 20; ++trial) {
     const bool bulk = trial == 20;
     const int num_nodes = rng.uniform_int(1, 8);
-    const int num_execs = bulk ? 40 : rng.uniform_int(0, 40);
+    const int num_execs = bulk ? 130 : rng.uniform_int(0, 200);
     // Fixed executor -> node homes, like a real cluster.
     std::vector<NodeId> home;
     for (int e = 0; e < num_execs; ++e) {
@@ -574,48 +578,6 @@ TEST(CustodyAllocator, PropertySomeBusyRoundsMatchGoldenDigests) {
                                   {true, false, 0x0b335978e0824aa5ULL},
                                   {false, true, 0xfb89225c3a538907ULL},
                                   {false, false, 0x2fcdcbb37f2b760aULL}});
-}
-
-// ---------- min-locality tracker --------------------------------------------
-
-TEST(MinLocalityTracker, MatchesPickMinLocality) {
-  std::vector<AppAllocState> apps(3);
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    apps[i].app = AppId(static_cast<AppId::value_type>(i));
-    apps[i].budget = 2;
-  }
-  apps[0].projected = {3, 4, 30, 40};  // 75% local jobs
-  apps[1].projected = {1, 4, 10, 40};  // 25% — the min
-  apps[2].projected = {2, 4, 20, 40};  // 50%
-  MinLocalityTracker tracker(apps);
-  ASSERT_EQ(tracker.min(), PickMinLocality(apps));
-  ASSERT_TRUE(tracker.min().has_value());
-  EXPECT_EQ(*tracker.min(), 1u);
-
-  // Detach the min, improve it past app 2, re-attach: order updates.
-  tracker.remove(1);
-  EXPECT_EQ(*tracker.min(), 2u);
-  EXPECT_TRUE(tracker.would_pick(1));  // unchanged, it would still win
-  apps[1].projected.local_jobs = 3;    // now 75%, tied with app 0 on jobs
-  EXPECT_FALSE(tracker.would_pick(1));
-  tracker.restore(1);
-  ASSERT_EQ(tracker.min(), PickMinLocality(apps));
-
-  // Apps at budget leave the ordering, exactly like PickMinLocality.
-  tracker.remove(2);
-  apps[2].held = apps[2].budget;
-  tracker.restore(2);  // no-op: cannot take more
-  ASSERT_EQ(tracker.min(), PickMinLocality(apps));
-
-  // Everyone full -> no pick.
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    tracker.remove(i);
-    apps[i].held = apps[i].budget;
-    tracker.restore(i);
-  }
-  EXPECT_FALSE(tracker.min().has_value());
-  EXPECT_FALSE(PickMinLocality(apps).has_value());
-  EXPECT_FALSE(tracker.would_pick(0));
 }
 
 // ---------- the paper's motivating scenarios --------------------------------

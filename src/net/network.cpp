@@ -514,6 +514,12 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
       throw snap::SnapshotError(
           "Network: restored flow endpoints exceed num_nodes");
     }
+    if (f.id.value() >= next_flow_) {
+      throw snap::SnapshotError("Network: live flow id " +
+                                std::to_string(f.id.value()) +
+                                " is not below the next flow id " +
+                                std::to_string(next_flow_));
+    }
     if (!slot_of_.emplace(f.id, s).second) {
       throw snap::SnapshotError("Network: flow id " +
                                 std::to_string(f.id.value()) +

@@ -564,8 +564,9 @@ constexpr std::size_t kLiveCount = kFreeEntry + 4;
 constexpr std::size_t kLiveBytes = 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8 + 4;
 constexpr std::size_t kLive0Slot = kLiveCount + 8;
 constexpr std::size_t kLive1Slot = kLive0Slot + kLiveBytes;
+constexpr std::size_t kNextFlowId = kLive0Slot + 2 * kLiveBytes;
 constexpr std::size_t kSolverFlows =
-    kLive0Slot + 2 * kLiveBytes + 4 + 8 + 8 + 9 * 8 + 1 + 8 + 8;
+    kNextFlowId + 4 + 8 + 8 + 9 * 8 + 1 + 8 + 8;
 // Uplink 2's list holds slot 1, after the lists of uplinks 0 ({0}) and 1 ({}).
 constexpr std::size_t kUplink2Entry = kSolverFlows + 8 + 8 + (8 + 4) + 8 + 8;
 
@@ -633,6 +634,16 @@ TEST(NetworkSnapshot, HeadOutsideTheFlowTableThrows) {
 TEST(NetworkSnapshot, CyclicFlowListThrows) {
   ExpectPatchedSlotThrows(kLive1Slot, 0);  // slot 0 live twice
   ExpectPatchedSlotThrows(kFreeEntry, 0);  // slot 0 live and free
+}
+
+// A live flow holding the next flow id would share it with the next
+// start_flow, which could then be neither found nor cancelled.
+TEST(NetworkSnapshot, FlowIdAtOrPastTheNextIdThrows) {
+  std::vector<std::uint8_t> bytes = TwoFlowSnapshot();
+  ASSERT_EQ(ReadLe(bytes, kNextFlowId, 4), 3u);
+  WriteLe(bytes, kLive1Slot + kLiveBytes - 4, 4, 3);  // slot 1's flow id
+  Reseal(bytes);
+  EXPECT_THROW(Restore(std::move(bytes)), snap::SnapshotError);
 }
 
 TEST(NetworkSnapshot, SolverSlotOutsideTheFlowTableThrows) {

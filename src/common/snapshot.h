@@ -85,7 +85,9 @@ inline constexpr std::uint32_t kMagic = 0x50'4E'53'43;  // "CSNP" little-endian
 //     (CACH's merged location map; NET's slot-table size, list links, head,
 //     tail and live count: the flow table is the free list, then the live
 //     flows in start order); APPS drops its submitted-jobs counter.
-inline constexpr std::uint32_t kFormatVersion = 7;
+// v8: NET drops its completion-rescan counter (the network no longer
+//     rescans its flows to re-arm the completion event).
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Append-only binary encoder.  Sections group one layer's fields behind a
 /// 4-char tag and a byte length so the reader can hard-verify framing.

@@ -60,11 +60,14 @@ struct NetworkStatsRecord {
   std::uint64_t links_scanned = 0;
   std::uint64_t rounds = 0;
   /// Live components after each solve (summed), dirty components
-  /// re-solved, flow rates rewritten, and completion re-arms that fell back
-  /// to a full flow rescan.
+  /// re-solved and flow rates rewritten.
   std::uint64_t components_total = 0;
   std::uint64_t components_dirty = 0;
   std::uint64_t rates_changed = 0;
+  /// Always 0: the network re-arms its completion event from the minima its
+  /// one progress walk computes and never rescans the flows.  Kept because
+  /// the benchmark (perfbench/bench.cpp, `net.completion_rescans`) and the
+  /// result JSON read it; dropping it changes the benchmark.
   std::uint64_t completion_rescans = 0;
   double wall_seconds = 0.0;
 };

@@ -24,7 +24,6 @@ void MaxMinFairSolver::reset_links(std::vector<double> capacity) {
   dirty_comps_.clear();
   free_comp_ids_.clear();
   merged_comps_.clear();
-  zero_degree_pending_.clear();
   live_comps_ = 0;
   flow_stamp_.clear();
   bfs_epoch_ = 0;
@@ -118,10 +117,6 @@ void MaxMinFairSolver::update_binds(std::uint32_t l) {
 
 void MaxMinFairSolver::partition_add(std::size_t slot) {
   const FlowEntry& flow = flows_[slot];
-  if (flow.degree == 0) {
-    zero_degree_pending_.push_back(static_cast<std::uint32_t>(slot));
-    return;
-  }
   // Merge the components of the flow's links that can bind into one.
   std::uint32_t target = kNoComponent;
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
@@ -160,7 +155,7 @@ void MaxMinFairSolver::partition_add(std::size_t slot) {
 
 void MaxMinFairSolver::add_flow(std::size_t slot, const std::size_t* links,
                                 std::size_t count) {
-  assert(count <= kMaxLinksPerFlow);
+  assert(count >= 1 && count <= kMaxLinksPerFlow);
   if (slot >= flows_.size()) flows_.resize(slot + 1);
   FlowEntry& flow = flows_[slot];
   assert(!flow.live);
@@ -318,7 +313,6 @@ void MaxMinFairSolver::rebuild_partition() {
   dirty_comps_.clear();
   free_comp_ids_.clear();
   merged_comps_.clear();
-  zero_degree_pending_.clear();
   live_comps_ = 0;
   for (const std::uint32_t slot : live_slots_) {
     const FlowEntry& flow = flows_[slot];
@@ -453,18 +447,6 @@ void MaxMinFairSolver::solve(std::vector<double>& rates, SolveDelta& delta,
   if (rates.size() < flows_.size()) rates.resize(flows_.size(), 0.0);
   delta.clear();
   if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size());
-
-  for (const std::uint32_t slot : zero_degree_pending_) {
-    // A pending zero-degree slot may have been removed (and even reused by
-    // a constrained flow) before this solve ran; only live zero-degree
-    // flows get the unconstrained rate.
-    if (slot < flows_.size() && flows_[slot].live &&
-        flows_[slot].degree == 0) {
-      rates[slot] = std::numeric_limits<double>::infinity();
-      delta.unconstrained_slots.push_back(slot);
-    }
-  }
-  zero_degree_pending_.clear();
 
   for (const std::uint32_t c : merged_comps_) {
     delta.retired_components.push_back(c);

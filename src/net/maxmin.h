@@ -58,13 +58,12 @@ struct SolveCounters {
   std::uint64_t components_dirty = 0;
 };
 
-/// What one solve changed: the slots whose rates were
-/// (re)written, grouped by the freshly built component that owns them, plus
-/// the component ids retired since the previous solve.  Clean components'
-/// slots never appear here — their rates are untouched by the solve — so
-/// the Network can re-estimate its single pending completion event from the
-/// changed flows plus the surviving per-component minima instead of
-/// rescanning every live flow.
+/// What one solve changed: the slots whose rates were (re)written, grouped
+/// by the freshly built component that owns them, plus the component ids
+/// retired since the previous solve.  Clean components' slots never appear
+/// here — their rates are untouched by the solve — so the Network re-arms
+/// its single pending completion event by patching its per-component
+/// minima with the changed flows instead of rescanning every live flow.
 struct SolveDelta {
   /// Slots re-solved this call, grouped by fresh component (all slots of
   /// fresh component i occupy [component_ends[i-1], component_ends[i])).
@@ -77,15 +76,12 @@ struct SolveDelta {
   /// be reused by fresh_components of the same delta; consumers must retire
   /// before adopting.
   std::vector<std::uint32_t> retired_components;
-  /// Slots of zero-degree flows assigned an unbounded rate this call.
-  std::vector<std::uint32_t> unconstrained_slots;
 
   void clear() {
     changed_slots.clear();
     component_ends.clear();
     fresh_components.clear();
     retired_components.clear();
-    unconstrained_slots.clear();
   }
 };
 
@@ -96,7 +92,7 @@ class MaxMinFairSolver {
   static constexpr std::size_t kMaxLinksPerFlow = 3;
 
   /// Component id of a link outside the partition (no flows, or it cannot
-  /// bind) / of a zero-degree flow.
+  /// bind).  Every live flow has a component once its solve has run.
   static constexpr std::uint32_t kNoComponent = 0xffffffffu;
 
   /// Relative margin δ of the can-bind test.  A link that cannot bind must
@@ -113,8 +109,8 @@ class MaxMinFairSolver {
   void reset_links(std::vector<double> capacity);
 
   /// Register flow `slot` traversing `links[0..count)` (distinct link
-  /// indices, count <= kMaxLinksPerFlow).  Slots are caller-managed dense
-  /// indices and may be reused after remove_flow.
+  /// indices, 1 <= count <= kMaxLinksPerFlow).  Slots are caller-managed
+  /// dense indices and may be reused after remove_flow.
   void add_flow(std::size_t slot, const std::size_t* links, std::size_t count);
 
   /// Unregister a flow; O(degree) via swap-removal from its link lists.
@@ -139,8 +135,9 @@ class MaxMinFairSolver {
   /// Upper bound on component ids in use; sized for per-component side
   /// tables.
   [[nodiscard]] std::size_t component_count() const { return comps_.size(); }
-  /// Component of a live flow: that of its first link that can bind
-  /// (kNoComponent for a zero-degree flow).
+  /// Component of a live flow: that of its first link that can bind.  Every
+  /// flow's smallest-capacity link can bind, so between solves this is
+  /// never kNoComponent.
   [[nodiscard]] std::uint32_t component_of_slot(std::size_t slot) const;
   /// Live components right now.
   [[nodiscard]] std::size_t live_component_count() const {
@@ -247,8 +244,6 @@ class MaxMinFairSolver {
   std::size_t live_comps_ = 0;
   /// Ids merged away since the last solve; reported retired, then freed.
   std::vector<std::uint32_t> merged_comps_;
-  /// Zero-degree slots added since the last solve (rate := infinity there).
-  std::vector<std::uint32_t> zero_degree_pending_;
 
   // Scratch reused across solves (allocation-free recomputes).
   std::vector<double> rem_cap_;

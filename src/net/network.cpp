@@ -4,11 +4,10 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
-#include "common/log.h"
 #include "common/simtime.h"
 #include "common/snapshot.h"
 #include "obs/trace.h"
@@ -95,10 +94,6 @@ std::vector<double> MaxMinFairRates(
     }
   }
   return rate;
-}
-
-bool AllFlowsStranded(std::size_t active_flows, double max_rate) {
-  return active_flows > 0 && !(max_rate > 0.0);
 }
 
 Network::Network(sim::Simulator& sim, NetworkConfig config)
@@ -214,7 +209,6 @@ void Network::cancel_flow(FlowId id) {
   advance_progress();
   const std::uint32_t slot = it->second;
   slot_of_.erase(it);
-  forget_rate(slots_[slot].rate);
   solver_.remove_flow(slot);
   unlink_slot(slot);
   request_recompute();
@@ -239,22 +233,37 @@ void Network::advance_progress() {
   const SimTime now = sim_.now();
   const double elapsed = now - last_update_;
   last_update_ = now;
-  if (elapsed <= 0.0) return;
-  // Elapsed time shifts every remaining/rate delay, so the cached
-  // per-component completion minima are stale from here on.
-  completion_cache_valid_ = false;
+  if (elapsed > 0.0) walk_flows(elapsed, nullptr);
+}
+
+void Network::walk_flows(double elapsed, std::vector<std::uint32_t>* done) {
   assert(!dirty_);  // time must never pass with stale rates
+  const double time_epsilon = TimeEpsilonAt(sim_.now());
+  comp_min_.assign(solver_.component_count(),
+                   std::numeric_limits<double>::quiet_NaN());
   for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
     Slot& flow = slots_[s];
     const double moved = std::min(flow.remaining, flow.rate * elapsed);
     flow.remaining -= moved;
     bytes_delivered_ += moved;
+    if (done != nullptr &&
+        (flow.remaining <= kByteEpsilon ||
+         (flow.rate > 0.0 && flow.remaining <= flow.rate * time_epsilon))) {
+      done->push_back(s);
+    }
+    if (flow.rate <= 0.0) continue;
+    const std::uint32_t c = solver_.component_of_slot(s);
+    assert(c != MaxMinFairSolver::kNoComponent);
+    const double d = flow.remaining / flow.rate;
+    double& m = comp_min_[c];
+    if (std::isnan(m) || d < m) m = d;
   }
-}
-
-void Network::forget_rate(double rate) {
-  if (rate > 0.0) --positive_rate_count_;
-  if (std::isinf(rate)) --unconstrained_live_;
+  comp_heap_.clear();
+  for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(comp_min_.size());
+       ++c) {
+    if (!std::isnan(comp_min_[c])) comp_heap_.push_back({comp_min_[c], c});
+  }
+  std::make_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
 }
 
 void Network::request_recompute() {
@@ -273,25 +282,12 @@ void Network::recompute() {
   const auto wall_start = std::chrono::steady_clock::now();
   SolveCounters counters;
   // Only dirty components were re-solved, so only their slots' rates can
-  // have changed — copy those, keep the rate censuses current, and leave
-  // clean components untouched.
+  // have changed — copy those and leave clean components untouched.
   solver_.solve(rates_scratch_, delta_, &counters);
   for (const std::uint32_t s : delta_.changed_slots) {
-    Slot& flow = slots_[s];
-    const double fresh = rates_scratch_[s];
-    positive_rate_count_ += (fresh > 0.0 ? 1 : 0) - (flow.rate > 0.0 ? 1 : 0);
-    flow.rate = fresh;
+    slots_[s].rate = rates_scratch_[s];
   }
-  for (const std::uint32_t s : delta_.unconstrained_slots) {
-    Slot& flow = slots_[s];
-    const double fresh = rates_scratch_[s];
-    positive_rate_count_ += (fresh > 0.0 ? 1 : 0) - (flow.rate > 0.0 ? 1 : 0);
-    unconstrained_live_ +=
-        (std::isinf(fresh) ? 1 : 0) - (std::isinf(flow.rate) ? 1 : 0);
-    flow.rate = fresh;
-  }
-  const std::size_t changed =
-      delta_.changed_slots.size() + delta_.unconstrained_slots.size();
+  const std::size_t changed = delta_.changed_slots.size();
   stats_.rates_changed += changed;
   stats_.components_total += counters.components_total;
   stats_.components_dirty += counters.components_dirty;
@@ -312,108 +308,69 @@ void Network::recompute() {
   arm_completion_event();
 }
 
-[[noreturn]] void Network::throw_stranded() const {
-  // Every active flow clamped to rate 0 (only reachable through
-  // floating-point rounding in the progressive filling): no completion
-  // event can be armed and the flows would hang silently.  Fail loudly.
-  LOG_ERROR << "net: all " << live_count_
-            << " active flows stranded at rate 0; no completion event can "
-               "be armed (progressive-filling rounding collapse)";
-  throw std::runtime_error(
-      "Network: all active flows stranded at rate 0 — the fluid model "
-      "cannot make progress (rounding collapse in progressive filling)");
-}
-
 void Network::arm_completion_event() {
   completion_event_.cancel();
   if (live_count_ == 0) {
-    // The delta that drained the last components was never folded into the
-    // minima cache; start cold when flows return.
-    completion_cache_valid_ = false;
+    // Every component is retired; the next solve builds fresh ones.
+    comp_min_.clear();
+    comp_heap_.clear();
     return;
   }
-  // The stranded check comes from the positive-rate census, and `soonest`
-  // from per-component minima — patched from the solve's delta while no
-  // simulated time has passed (a min over disjoint groups is the min of the
-  // group minima, so this is the exact value a scan of every flow would
-  // produce), rebuilt by a full rescan otherwise (elapsed time shifts every
-  // remaining/rate, and recomputing each delay fresh keeps the value
-  // bit-identical to that scan).
-  if (AllFlowsStranded(live_count_, positive_rate_count_ > 0 ? 1.0 : 0.0)) {
-    throw_stranded();
+  // comp_min_ holds each component's soonest remaining/rate as of the last
+  // walk, and no simulated time has passed since: a clean component kept
+  // its rates and bytes, so its minimum still stands.  Patch the components
+  // this solve retired and rebuilt; a min over disjoint groups is the min
+  // of the group minima, so `soonest` is the exact value a scan of every
+  // flow would produce.
+  for (const std::uint32_t c : delta_.retired_components) {
+    if (c < comp_min_.size()) {
+      comp_min_[c] = std::numeric_limits<double>::quiet_NaN();
+    }
   }
-  double soonest = std::numeric_limits<double>::infinity();
-  // Infinite-rate (zero-degree) flows belong to no component; while any is
-  // live the patch path cannot see its 0 delay, so force the rescan.  The
-  // Network itself never creates them (every flow crosses >= 2 links); this
-  // keeps the solver-level generality safe.
-  if (unconstrained_live_ > 0) completion_cache_valid_ = false;
-  if (!completion_cache_valid_) {
-    ++stats_.completion_rescans;
-    comp_min_.assign(solver_.component_count(),
+  if (comp_min_.size() < solver_.component_count()) {
+    comp_min_.resize(solver_.component_count(),
                      std::numeric_limits<double>::quiet_NaN());
-    comp_heap_.clear();
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      const Slot& flow = slots_[s];
+  }
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < delta_.fresh_components.size(); ++i) {
+    const std::uint32_t c = delta_.fresh_components[i];
+    const std::size_t end = delta_.component_ends[i];
+    double m = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t k = begin; k < end; ++k) {
+      const Slot& flow = slots_[delta_.changed_slots[k]];
       if (flow.rate <= 0.0) continue;
       const double d = flow.remaining / flow.rate;
-      const std::uint32_t c = solver_.component_of_slot(s);
-      if (c == MaxMinFairSolver::kNoComponent) {
-        soonest = std::min(soonest, d);
-        continue;
-      }
-      double& m = comp_min_[c];
       if (std::isnan(m) || d < m) m = d;
     }
-    for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(comp_min_.size());
-         ++c) {
-      if (std::isnan(comp_min_[c])) continue;
-      comp_heap_.push_back({comp_min_[c], c});
+    comp_min_[c] = m;
+    if (!std::isnan(m)) {
+      comp_heap_.push_back({m, c});
       std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
     }
-    completion_cache_valid_ = true;
-  } else {
-    for (const std::uint32_t c : delta_.retired_components) {
-      if (c < comp_min_.size()) {
-        comp_min_[c] = std::numeric_limits<double>::quiet_NaN();
-      }
-    }
-    if (comp_min_.size() < solver_.component_count()) {
-      comp_min_.resize(solver_.component_count(),
-                       std::numeric_limits<double>::quiet_NaN());
-    }
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < delta_.fresh_components.size(); ++i) {
-      const std::uint32_t c = delta_.fresh_components[i];
-      const std::size_t end = delta_.component_ends[i];
-      double m = std::numeric_limits<double>::quiet_NaN();
-      for (std::size_t k = begin; k < end; ++k) {
-        const Slot& flow = slots_[delta_.changed_slots[k]];
-        if (flow.rate <= 0.0) continue;
-        const double d = flow.remaining / flow.rate;
-        if (std::isnan(m) || d < m) m = d;
-      }
-      comp_min_[c] = m;
-      if (!std::isnan(m)) {
-        comp_heap_.push_back({m, c});
-        std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
-      }
-      begin = end;
-    }
+    begin = end;
   }
   // Lazy peek: drop entries whose component was retired or re-solved to a
   // different minimum since they were pushed.
+  double soonest = std::numeric_limits<double>::infinity();
   while (!comp_heap_.empty()) {
     const CompMinEntry top = comp_heap_.front();
-    if (top.comp < comp_min_.size() && !std::isnan(comp_min_[top.comp]) &&
-        comp_min_[top.comp] == top.delay) {
-      soonest = std::min(soonest, top.delay);
+    if (top.comp < comp_min_.size() && comp_min_[top.comp] == top.delay) {
+      soonest = top.delay;
       break;
     }
     std::pop_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
     comp_heap_.pop_back();
   }
-  if (!std::isfinite(soonest)) return;
+  if (!std::isfinite(soonest)) {
+    // Every live flow has rate 0 (a rounding collapse in the progressive
+    // filling) or a remaining/rate that overflows (a rate too small for its
+    // bytes): no completion event can be armed, and the run would end as if
+    // the flows had drained.  Fail loudly.
+    throw std::runtime_error(
+        "Network: none of the " + std::to_string(live_count_) +
+        " live flows can finish — every rate is 0 (rounding collapse in "
+        "progressive filling) or remaining/rate overflows the clock");
+  }
   const double delay = std::max(0.0, soonest);
   completion_event_ = sim_.schedule(delay, [this] { on_completion_event(); });
   completion_time_ = sim_.now() + delay;
@@ -472,7 +429,7 @@ bool Network::Fields(Self& self, Io& io) {
        {&stats.recomputes_requested, &stats.recomputes_run,
         &stats.flows_scanned, &stats.links_scanned, &stats.rounds,
         &stats.components_total, &stats.components_dirty,
-        &stats.rates_changed, &stats.completion_rescans}) {
+        &stats.rates_changed}) {
     io.u64(*counter);
   }
   bool pending =
@@ -546,45 +503,31 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
                                       [this] { on_completion_event(); });
   }
   // The partition itself was rebuilt inside the solver (it is derived
-  // state); the completion-minima cache and the rate censuses are rebuilt
-  // here.  The cache starts cold — the first arm rescans.
-  positive_rate_count_ = 0;
-  unconstrained_live_ = 0;
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    const Slot& f = slots_[s];
-    if (f.rate > 0.0) ++positive_rate_count_;
-    if (std::isinf(f.rate)) ++unconstrained_live_;
-  }
-  completion_cache_valid_ = false;
-  comp_min_.clear();
-  comp_heap_.clear();
+  // state); a walk that moves no bytes rebuilds the completion minima.
+  walk_flows(0.0, nullptr);
   delta_.clear();
 }
 
 void Network::on_completion_event() {
-  advance_progress();
+  // The walk runs even when no time has passed: it finds the finished flows.
+  const SimTime now = sim_.now();
+  const double elapsed = now - last_update_;
+  last_update_ = now;
+  finished_.clear();
+  walk_flows(elapsed, &finished_);
 
   // Collect finished flows first, then mutate state, then run callbacks:
-  // callbacks routinely start new flows re-entrantly.  Walking the intrusive
-  // list visits flows in start order, matching the seed's vector scan, so
-  // completion callbacks fire in the same deterministic order.
+  // callbacks routinely start new flows re-entrantly.  The walk visits
+  // flows in start order, matching the seed's vector scan, so completion
+  // callbacks fire in the same deterministic order.
   std::vector<CompletionFn> callbacks;
-  const double time_epsilon = TimeEpsilonAt(sim_.now());
-  std::uint32_t s = head_;
-  while (s != kNil) {
+  callbacks.reserve(finished_.size());
+  for (const std::uint32_t s : finished_) {
     Slot& flow = slots_[s];
-    const std::uint32_t next = flow.next;
-    const bool done = flow.remaining <= kByteEpsilon ||
-                      (flow.rate > 0.0 &&
-                       flow.remaining <= flow.rate * time_epsilon);
-    if (done) {
-      callbacks.push_back(std::move(flow.on_complete));
-      slot_of_.erase(flow.id);
-      forget_rate(flow.rate);
-      solver_.remove_flow(s);
-      unlink_slot(s);
-    }
-    s = next;
+    callbacks.push_back(std::move(flow.on_complete));
+    slot_of_.erase(flow.id);
+    solver_.remove_flow(s);
+    unlink_slot(s);
   }
   request_recompute();
 

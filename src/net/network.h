@@ -11,9 +11,11 @@
 // one event costs one solve, not k), flushed by a simulator post-event hook
 // or lazily when a rate is observed.  The solve runs on MaxMinFairSolver's
 // persistent link-incidence structure and re-solves only the components
-// dirtied since the last one; the completion event is re-armed from the
-// solve's delta while no simulated time has passed.  The rates equal the
-// pure oracle MaxMinFairRates bit for bit (see maxmin.h).
+// dirtied since the last one.  When simulated time moves, one walk over
+// the live flows moves their bytes and folds each component's soonest
+// finish; the completion event is then re-armed from those minima, patched
+// with the solve's delta for the components it rebuilt.  The rates equal
+// the pure oracle MaxMinFairRates bit for bit (see maxmin.h).
 //
 // The default capacities mirror the paper's Linode nodes (Sec. VI-A):
 // 40 Gbps downlink and 2 Gbps uplink per node.  An optional aggregate core
@@ -66,10 +68,6 @@ struct NetStats {
   std::uint64_t components_dirty = 0;
   /// Flow rates (re)written by solves: the dirty components' flows.
   std::uint64_t rates_changed = 0;
-  /// Completion re-arms that had to rescan every live flow (time advanced
-  /// since the last arm, or the minima cache was cold); same-timestamp
-  /// bursts re-arm from the rate delta instead.
-  std::uint64_t completion_rescans = 0;
   /// Wall-clock seconds spent inside rate solves.  Observation, not
   /// simulation state: snapshots leave it out.
   double wall_seconds = 0.0;
@@ -192,6 +190,11 @@ class Network {
 
   /// Account progress of all active flows since `last_update_`.
   void advance_progress();
+  /// The one walk over the live flows, in start order: move each flow's
+  /// bytes for `elapsed` seconds, append the finished ones to `done` (when
+  /// given) and rebuild the per-component completion minima.  Runs only
+  /// with flushed rates, so every live flow has a component.
+  void walk_flows(double elapsed, std::vector<std::uint32_t>* done);
   /// A flow-set change happened: mark the rates dirty and let the
   /// end-of-event hook / next observation flush.
   void request_recompute();
@@ -201,9 +204,6 @@ class Network {
   void recompute();
   void arm_completion_event();
   void on_completion_event();
-  [[noreturn]] void throw_stranded() const;
-  /// Book a live flow's removal into the rate censuses.
-  void forget_rate(double rate);
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -223,14 +223,10 @@ class Network {
   /// What the last solve changed (consumed by the completion re-arm; valid
   /// only between recompute() and arm_completion_event()).
   SolveDelta delta_;
-  /// Live flows with rate > 0, for the stranded check at arm time.
-  std::size_t positive_rate_count_ = 0;
-  /// Live flows with an infinite (unconstrained, zero-degree) rate; any
-  /// forces the completion re-arm onto the full-rescan path.
-  std::size_t unconstrained_live_ = 0;
   /// Per-component minimum of remaining/rate, NaN = no positive-rate flow
-  /// or component retired.  Valid only while no simulated time has passed
-  /// since the values were computed (delays shift when time advances).
+  /// or component retired.  Rebuilt by every walk; no simulated time
+  /// passes between a walk and the re-arms that follow it, so they only
+  /// patch the components each solve rebuilt.
   std::vector<double> comp_min_;
   /// Lazy min-heap over (delay, component); entries whose delay no longer
   /// matches comp_min_ are dropped on pop.
@@ -243,9 +239,8 @@ class Network {
     return a.comp > b.comp;
   }
   std::vector<CompMinEntry> comp_heap_;
-  /// False once simulated time advances (or after restore / a drained flow
-  /// set): the next arm must rescan every live flow instead of patching.
-  bool completion_cache_valid_ = false;
+  /// Slots a completion event's walk found finished (scratch).
+  std::vector<std::uint32_t> finished_;
 
   SimTime last_update_ = 0.0;
   sim::EventHandle completion_event_;
@@ -269,12 +264,5 @@ class Network {
 std::vector<double> MaxMinFairRates(
     const std::vector<std::vector<std::size_t>>& flow_links,
     const std::vector<double>& capacity, SolveCounters* counters = nullptr);
-
-/// True when a non-empty flow set has no flow with a positive rate: nothing
-/// can make progress, no completion event can be armed, and the simulation
-/// would silently hang.  Reachable only through floating-point rounding (the
-/// rem_cap clamp-to-zero path); Network fails loudly when it happens.
-[[nodiscard]] bool AllFlowsStranded(std::size_t active_flows,
-                                    double max_rate);
 
 }  // namespace custody::net

@@ -578,7 +578,7 @@ ExperimentResult LiveRun::collect() {
   result.net_stats = {
       ns.recomputes_requested, ns.recomputes_run, ns.recomputes_batched(),
       ns.flows_scanned, ns.links_scanned, ns.rounds, ns.components_total,
-      ns.components_dirty, ns.rates_changed, ns.completion_rescans,
+      ns.components_dirty, ns.rates_changed, /*completion_rescans=*/0,
       ns.wall_seconds};
   result.net_bytes_delivered = net.bytes_delivered();
   result.cache_insertions = ctx_.cache().stats().insertions;

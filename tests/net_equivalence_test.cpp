@@ -149,6 +149,8 @@ TEST(MaxMinFairSolver, BitIdenticalToReferenceUnderChurn) {
           slot = next_slot++;
         }
         std::vector<std::size_t> links;
+        // Every flow crosses a link; a zero degree takes one without
+        // consuming a draw.
         const int degree = rng.uniform_int(0, 3);
         for (int d = 0; d < degree; ++d) {
           const std::size_t l = rng.index(num_links);
@@ -156,6 +158,7 @@ TEST(MaxMinFairSolver, BitIdenticalToReferenceUnderChurn) {
             links.push_back(l);
           }
         }
+        if (degree == 0) links.push_back(slot % num_links);
         solver.add_flow(slot, links.data(), links.size());
         live.push_back({slot, links});
       }
@@ -172,14 +175,8 @@ TEST(MaxMinFairSolver, BitIdenticalToReferenceUnderChurn) {
 
       ASSERT_EQ(ref.size(), live.size());
       for (std::size_t i = 0; i < live.size(); ++i) {
-        const double got = rates[live[i].slot];
-        const double want = ref[i];
-        if (std::isinf(want)) {
-          EXPECT_TRUE(std::isinf(got)) << "seed " << seed << " batch " << batch;
-        } else {
-          EXPECT_EQ(got, want)  // bitwise: no tolerance
-              << "seed " << seed << " batch " << batch << " flow " << i;
-        }
+        EXPECT_EQ(rates[live[i].slot], ref[i])  // bitwise: no tolerance
+            << "seed " << seed << " batch " << batch << " flow " << i;
       }
       std::vector<double> live_rates;
       for (const auto& f : live) live_rates.push_back(rates[f.slot]);
@@ -363,6 +360,8 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
           slot = next_slot++;
         }
         std::vector<std::size_t> links;
+        // Every flow crosses a link; a zero degree takes one without
+        // consuming a draw.
         const int degree = rng.uniform_int(0, 3);
         for (int d = 0; d < degree; ++d) {
           const std::size_t l = rng.index(num_links);
@@ -370,11 +369,21 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
             links.push_back(l);
           }
         }
+        if (degree == 0) links.push_back(slot % num_links);
         solver.add_flow(slot, links.data(), links.size());
         live.push_back({slot, links});
       }
 
+      const SolveCounters before = counters;
       solver.solve(rates, delta, &counters);
+      // Each solve adds the live components to the total and re-solves
+      // only components it retires.
+      EXPECT_EQ(counters.components_total - before.components_total,
+                solver.live_component_count())
+          << "seed " << seed << " batch " << batch;
+      EXPECT_LE(counters.components_dirty - before.components_dirty,
+                delta.retired_components.size())
+          << "seed " << seed << " batch " << batch;
 
       // Delta framing: one end offset per fresh component, monotone, the
       // last covering every changed slot.
@@ -388,9 +397,6 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
 
       if (shadow.size() < rates.size()) shadow.resize(rates.size(), -1.0);
       for (const std::uint32_t slot : delta.changed_slots) {
-        shadow[slot] = rates[slot];
-      }
-      for (const std::uint32_t slot : delta.unconstrained_slots) {
         shadow[slot] = rates[slot];
       }
 
@@ -411,9 +417,9 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
         EXPECT_EQ(shadow[slot], ref[i])
             << "delta missed a changed slot: seed " << seed << " batch "
             << batch << " flow " << i;
-        // Zero-degree flows own no links and no component.
-        EXPECT_EQ(solver.component_of_slot(slot) == MaxMinFairSolver::kNoComponent,
-                  live[i].links.empty())
+        // Every live flow has a component.
+        EXPECT_NE(solver.component_of_slot(slot),
+                  MaxMinFairSolver::kNoComponent)
             << "seed " << seed << " batch " << batch << " flow " << i;
       }
       // The partition couples flows only through links that can bind: it
@@ -422,9 +428,7 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
       EXPECT_EQ(solver.live_component_count(), oracle.classes)
           << "seed " << seed << " batch " << batch;
       for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i].links.empty()) continue;
         for (std::size_t j = 0; j < live.size(); ++j) {
-          if (live[j].links.empty()) continue;
           EXPECT_EQ(solver.component_of_slot(live[i].slot) ==
                         solver.component_of_slot(live[j].slot),
                     oracle.flow_class[i] == oracle.flow_class[j])
@@ -433,8 +437,6 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
         }
       }
     }
-    // Across the run, at least as many components existed as were dirty.
-    EXPECT_GE(counters.components_total, counters.components_dirty);
   }
 }
 

@@ -819,62 +819,62 @@ struct LayoutPin {
 constexpr LayoutPin kLayoutPins[] = {
     {ManagerKind::kCustody, 5.0,
      {0x8a882b086660b3e0, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
-      0xb403d430ebfc13a5, 0x63dadb53f2010c21, 0xbdae87024e3b990e,
+      0xb403d430ebfc13a5, 0x595238135c415612, 0xbdae87024e3b990e,
       0x66d38d86d999e92b, 0x9cffc1826a04800f, 0x579fb6264ad96eac,
       0x60ab56434be51846, 0xf2c2db1442177f1f}},
     {ManagerKind::kCustody, 14.0,
      {0x1861c509b6efcfb6, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
-      0xb403d430ebfc13a5, 0x9fce17ff7fc706dc, 0x73592ebeea4546b5,
+      0xb403d430ebfc13a5, 0x35aae5640e8f4ada, 0x73592ebeea4546b5,
       0x95a1337192968947, 0x9dffc2cc219e1912, 0x87a089fc2f0b1eb3,
       0x5a99de35379cd9e, 0x22310996537864a5}},
     {ManagerKind::kCustody, 30.0,
      {0xa561537136a08321, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
-      0x8d8f29315ade3778, 0xf748c3f01f465d74, 0xd670672a9d4b368,
+      0x8d8f29315ade3778, 0x7aa5f09055290e8, 0xd670672a9d4b368,
       0x2b58373800221943, 0x10dd1a7b8b1b59e7, 0xc38ae8a8692de570,
       0xfe78a04b4951c413, 0x21ccf80c66a673ff}},
     {ManagerKind::kStandalone, 5.0,
      {0x5a4ff058dbde03c0, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
-      0x9d79611e5d9030fd, 0x907e16c896b8f431, 0x1af41f903d82523,
+      0x9d79611e5d9030fd, 0x8c5f84bc7f569f57, 0x1af41f903d82523,
       0x1681b189269d3872, 0x4c6a9d51c16be909, 0xc1af6e1439288add,
       0xd619028566440391, 0xf2c2db1442177f1f}},
     {ManagerKind::kStandalone, 14.0,
      {0x714827c278feb528, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
-      0x5bc11a3a4c045cf7, 0x925f5722d6c0979b, 0x248961727ce34987,
+      0x5bc11a3a4c045cf7, 0x78cc3bc11635c943, 0x248961727ce34987,
       0x1681b189269d3872, 0x53f5d1d8fb1cee29, 0x9937f6c0cf9ad204,
       0xa08f81108a264043, 0x22310996537864a5}},
     {ManagerKind::kStandalone, 30.0,
      {0xbe65bdc01e7b49c7, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
-      0xecb94dec8055fffd, 0xecda7845c737457a, 0x6124d31a4e3cd3c1,
+      0xecb94dec8055fffd, 0x17282bd8da53ce10, 0x6124d31a4e3cd3c1,
       0x1681b189269d3872, 0x1eb486d297b98324, 0x531ab682513c0c83,
       0x3e3fcce07264ec16, 0x21ccf80c66a673ff}},
     {ManagerKind::kPool, 5.0,
      {0x723706b4868c4c8a, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
-      0x3adbaede16a31f32, 0xee9591207c1b038f, 0xcde380d53079f49f,
+      0x3adbaede16a31f32, 0x50a894386398336f, 0xcde380d53079f49f,
       0xe007849c759d65ba, 0xfde52a6f045a79bd, 0xaa7726c8d4861b22,
       0xe66c91f4b74f6181, 0xf2c2db1442177f1f}},
     {ManagerKind::kPool, 14.0,
      {0x4d8bcd2bbf833202, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
-      0x62d29a8a4020ba00, 0x9dd14588530c4c16, 0xe384df59ac8db885,
+      0x62d29a8a4020ba00, 0x87571cfde080b9db, 0xe384df59ac8db885,
       0xab836bac3bc099ac, 0x267fce2224e5cc41, 0x63d523e94e9d0b7d,
       0x9865b958e1a0914b, 0x22310996537864a5}},
     {ManagerKind::kPool, 30.0,
      {0x9779cb2638197e2e, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
-      0x40a85eb7cd41abbc, 0xb7a771564fa59be9, 0x47180b7a02ec3895,
+      0x40a85eb7cd41abbc, 0xdb5e43f7c089e982, 0x47180b7a02ec3895,
       0x8e3083c30f7f89d5, 0xa959b0ed8074f920, 0xdbbcdcc933d0a010,
       0x59e1e43e4f0552b9, 0x21ccf80c66a673ff}},
     {ManagerKind::kOffer, 5.0,
      {0xbcc35b60455ef6ae, 0xdef6f20feeeb86df, 0xe43d418f2836a100,
-      0x3ef667baca9c2088, 0x1c6ac05eddad7c15, 0xd3e79fca68fe467,
+      0x3ef667baca9c2088, 0x79fbfc3d2093c986, 0xd3e79fca68fe467,
       0x461c08a82e23d3d3, 0x7cce9674c02b40e1, 0xadd59c3c5576ad68,
       0x9823747350656f4f, 0xf2c2db1442177f1f}},
     {ManagerKind::kOffer, 14.0,
      {0x20d8cd9c93bb507a, 0x6ec8ae66426800f8, 0x92d3b6db36857661,
-      0xb65768b93ee8c1e0, 0xba20cc503daefb71, 0xc7bafa6dc07ca2a7,
+      0xb65768b93ee8c1e0, 0x84f5cc509fdfcf5b, 0xc7bafa6dc07ca2a7,
       0xd382a072c54b2190, 0x3cddc628acac4ddc, 0x7d99a84787770b1a,
       0xe5027f04b16311be, 0x22310996537864a5}},
     {ManagerKind::kOffer, 30.0,
      {0x54aab2970979cbbf, 0xe82bb6515c3e0b9b, 0x61940e5fd227026e,
-      0x5f8072997949de29, 0xda3d8056ee471ca9, 0x551b46ab3a1fddd0,
+      0x5f8072997949de29, 0x7f42ea518879216f, 0x551b46ab3a1fddd0,
       0x797aea19b37508bb, 0x534915fe0a27e8b1, 0x945df928bb5a6a92,
       0xef17668166a4405, 0x21ccf80c66a673ff}},
 };

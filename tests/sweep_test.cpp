@@ -478,6 +478,13 @@ TEST(ValidateConfig, RunExperimentValidatesUpFront) {
   config = SmallConfig(ManagerKind::kCustody);
   config.trace.num_apps = -1;
   EXPECT_THROW(RunExperiment(config), std::invalid_argument);
+  // A subnormal uplink is positive, so it validates, but no remote read can
+  // finish on it (bytes / rate overflows): the run fails loudly instead of
+  // ending as if its flows had drained.
+  config = SmallConfig(ManagerKind::kStandalone);
+  config.uplink_gbps = 1e-315;
+  EXPECT_NO_THROW(ValidateConfig(config));
+  EXPECT_THROW(RunExperiment(config), std::runtime_error);
 }
 
 }  // namespace

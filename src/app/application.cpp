@@ -20,6 +20,11 @@ constexpr std::uint32_t kFlowInputRead = 1;  // attempt 0
 constexpr std::uint32_t kFlowCloneRead = 2;  // attempt 1
 constexpr std::uint32_t kFlowShuffleFetch = 3;
 
+/// Finished input tasks a job needs before its stage's durations are
+/// trusted for straggler detection.  At least 1, with a non-negative
+/// speculation multiplier: a task launched now is never slow.
+constexpr int kSpeculationMinFinished = 3;
+
 void FoldRetry(std::optional<SimTime>& earliest,
                const std::optional<SimTime>& at) {
   if (at && (!earliest || *at < *earliest)) earliest = at;
@@ -406,7 +411,7 @@ void Application::collect_stragglers(std::vector<Straggler>& out) {
   for (Job* j : active_jobs_) {
     const Stage& input = j->stages.front();
     if (j->running_inputs.empty() ||
-        input.finished < config_.speculation_min_finished) {
+        input.finished < kSpeculationMinFinished) {
       continue;
     }
     if (j->slow_after_finished != input.finished) {

@@ -58,9 +58,6 @@ struct AppConfig {
   /// A running task is slow when its elapsed time exceeds this multiple of
   /// the mean duration of its stage's finished tasks.
   double speculation_multiplier = 1.5;
-  /// Minimum finished siblings before durations are trusted.  At least 1,
-  /// with a non-negative multiplier: a task launched now is never slow.
-  int speculation_min_finished = 3;
 
   /// Steady-state retirement: destroy a job (stages and task records
   /// included) the moment it finishes, returning its memory to the

@@ -26,7 +26,6 @@ namespace custody::cluster {
 
 struct WorkerConfig {
   int executors_per_node = 2;           ///< paper Sec. VI-A
-  int cores = 8;                        ///< informational
   double disk_bps = units::MBps(400.0); ///< local (SSD) sequential read rate
   double memory_bps = units::MBps(2000.0); ///< cached (in-memory) read rate
 };

@@ -46,7 +46,7 @@ void Dfs::remove_replica_listener(ListenerId id) const {
 }
 
 void Dfs::place_block(const BlockInfo& block, int replicas) {
-  const auto nodes = policy_->place(block, replicas, *this, rng_);
+  const auto nodes = policy_->place(block, replicas, config_.num_nodes, rng_);
   assert(static_cast<int>(nodes.size()) == replicas);
   for (NodeId n : nodes) {
     namenode_.add_replica(block.id, n);

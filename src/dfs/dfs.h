@@ -27,7 +27,7 @@ struct DfsConfig {
   int default_replication = 3;            ///< paper default
 };
 
-class Dfs final : public PlacementView {
+class Dfs final {
  public:
   /// Observes disk-replica churn: fires with added=true when `node` gains a
   /// replica of `block` (placement, re-replication, boosting) and
@@ -76,10 +76,7 @@ class Dfs final : public PlacementView {
     return namenode_.block(id);
   }
 
-  // --- PlacementView -----------------------------------------------------
-  [[nodiscard]] std::size_t num_nodes() const override {
-    return config_.num_nodes;
-  }
+  [[nodiscard]] std::size_t num_nodes() const { return config_.num_nodes; }
 
   /// Bytes of disk replicas stored on `node`.
   [[nodiscard]] double bytes_on(NodeId node) const;

@@ -30,22 +30,21 @@ std::vector<NodeId> SampleDistinctNodes(std::size_t num_nodes, int count,
 }
 
 std::vector<NodeId> RandomPlacement::place(const BlockInfo& /*block*/,
-                                           int replicas,
-                                           const PlacementView& view,
+                                           int replicas, std::size_t num_nodes,
                                            Rng& rng) {
-  return SampleDistinctNodes(view.num_nodes(), replicas, {}, rng);
+  return SampleDistinctNodes(num_nodes, replicas, {}, rng);
 }
 
 std::vector<NodeId> RoundRobinPlacement::place(const BlockInfo& block,
                                                int replicas,
-                                               const PlacementView& view,
+                                               std::size_t num_nodes,
                                                Rng& /*rng*/) {
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(replicas));
   for (int r = 0; r < replicas; ++r) {
     nodes.push_back(NodeId(static_cast<NodeId::value_type>(
         (block.id.value() + static_cast<NodeId::value_type>(r)) %
-        view.num_nodes())));
+        num_nodes)));
   }
   return nodes;
 }

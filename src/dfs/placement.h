@@ -1,8 +1,9 @@
 // Block placement policies.
 //
-// The paper's clusters use HDFS's random three-replica placement; the
-// popularity-based policy (Scarlett, EuroSys'11 — cited as a complementary
-// technique in Sec. VII) is provided for the replication ablation benches.
+// The paper's clusters use HDFS's random three-replica placement.
+// Popularity-based replication (Scarlett, EuroSys'11 — cited as a
+// complementary technique in Sec. VII) is not a policy here: it adds
+// replicas to placed files through Dfs::boost_replication.
 #pragma once
 
 #include <cstddef>
@@ -14,21 +15,14 @@
 
 namespace custody::dfs {
 
-/// Read-only view of cluster state a policy may consult.
-class PlacementView {
- public:
-  virtual ~PlacementView() = default;
-  [[nodiscard]] virtual std::size_t num_nodes() const = 0;
-};
-
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
 
-  /// Choose `replicas` *distinct* nodes for a new block.
+  /// Choose `replicas` *distinct* nodes among `num_nodes` for a new block.
   [[nodiscard]] virtual std::vector<NodeId> place(const BlockInfo& block,
                                                   int replicas,
-                                                  const PlacementView& view,
+                                                  std::size_t num_nodes,
                                                   Rng& rng) = 0;
 };
 
@@ -36,7 +30,7 @@ class PlacementPolicy {
 class RandomPlacement final : public PlacementPolicy {
  public:
   [[nodiscard]] std::vector<NodeId> place(const BlockInfo& block, int replicas,
-                                          const PlacementView& view,
+                                          std::size_t num_nodes,
                                           Rng& rng) override;
 };
 
@@ -46,7 +40,7 @@ class RandomPlacement final : public PlacementPolicy {
 class RoundRobinPlacement final : public PlacementPolicy {
  public:
   [[nodiscard]] std::vector<NodeId> place(const BlockInfo& block, int replicas,
-                                          const PlacementView& view,
+                                          std::size_t num_nodes,
                                           Rng& rng) override;
 };
 

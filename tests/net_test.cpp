@@ -480,8 +480,8 @@ TEST(Network, SingleSubnormalRateFlowIsNotStranded) {
   sim::Simulator sim;
   Network net(sim, config);
   int completed = 0;
-  const FlowId id =
-      net.start_flow(NodeId(0), NodeId(1), 1e-16, [&completed] { ++completed; });
+  const FlowId id = net.start_flow(NodeId(0), NodeId(1), 1e-16,
+                                   [&completed] { ++completed; });
   EXPECT_GT(net.flow_rate(id), 0.0);
   sim.run();
   EXPECT_EQ(completed, 1);
